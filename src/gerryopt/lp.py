@@ -5,8 +5,18 @@ Variables pi(s, r) >= 0 assign type mass to threshold columns:
     s.t. sum_r pi(s,r) = f(s)                   for every type s
          sum_s pi(s,r) * (v(s,r) - 1/2) = 0     for every threshold r
 
-Solved with HiGHS dual simplex (deterministic, vertex solutions); equality
-duals give the certificate multipliers lambda(r) and voter values phi(s).
+Solved in two stages, both through ``linprog``:
+
+1. HiGHS interior point with crossover.  Its objective and equality duals
+   (the certificate multipliers lambda(r) and voter values phi(s)) are the
+   ones reported.
+2. The LP often has many optimal vertices, and structural verdicts (regime,
+   bifurcation, single-dippedness) read the vertex.  Stage 2 keeps the cells
+   (s, r) with zero reduced cost under the stage-1 dual,
+   phi(s) - G(r) - lambda(r)(v(s,r) - 1/2) <= FACE_TOL, and on them finds a
+   vertex of maximum packed mass (r = s).  Every feasible point on those
+   cells is complementary to the stage-1 dual, so it is optimal and the
+   stage-1 certificate stays valid for it.
 """
 
 from __future__ import annotations
@@ -22,6 +32,13 @@ from .model import District, GerryOptError, Plan, ProblemInstance, vote_share
 SUPPORT_TOL = 1e-9     # assignment mass below this is numerically zero
 PRIMAL_TOL = 1e-8      # feasibility residuals
 DUAL_TOL = 1e-7        # complementary slackness / strong duality
+FACE_TOL = 1e-9        # reduced cost at or below which a cell is on the optimal face
+
+HIGHS_OPTIONS = {
+    "presolve": True,
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
 
 
 class LPSolveError(GerryOptError):
@@ -99,6 +116,7 @@ class LPSolution:
     assignment: AssignmentMatrix
     objective: float
     certificate: DualCertificate
+    stats: dict  # solver methods, iteration counts, face size and FACE_TOL
 
     def duality_gap(self, type_weights: np.ndarray) -> float:
         return float(abs(self.objective - type_weights @ self.certificate.phi))
@@ -127,35 +145,57 @@ def build_lp(inst: ProblemInstance, threshold_grid: np.ndarray | None = None) ->
     return LinearProgram(inst=inst, threshold_grid=r, c=c, a_eq=a_eq, b_eq=b_eq, vote=vote)
 
 
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Solve to a vertex optimum and return primal assignment plus duals."""
-    res = linprog(
-        lp.c,
-        A_eq=lp.a_eq,
-        b_eq=lp.b_eq,
-        bounds=(0, None),
-        method="highs-ds",
-        options={
-            "presolve": True,
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
-    )
-    if res.status != 0:
-        raise LPSolveError(f"HiGHS status {res.status}: {res.message}")
-
-    n_s, n_r = lp.n_types, lp.n_thresholds
-    pi = res.x.reshape(n_s, n_r)
-    pi = np.where(pi > 0, pi, 0.0)
+def _assignment(lp: LinearProgram, x: np.ndarray) -> AssignmentMatrix:
+    """The assignment matrix of a primal point, checked for feasibility."""
+    pi = x.reshape(lp.n_types, lp.n_thresholds)
     assignment = AssignmentMatrix(
-        pi=pi,
+        pi=np.where(pi > 0, pi, 0.0),
         type_grid=lp.inst.type_grid.copy(),
         threshold_grid=lp.threshold_grid.copy(),
         type_weights=lp.inst.type_weights.copy(),
         vote=lp.vote,
     )
     assignment.validate()
+    return assignment
 
+
+def _max_packed_on_face(lp: LinearProgram, res) -> tuple[np.ndarray, dict]:
+    """Stage 2: the vertex of maximum packed mass on the optimal face of the
+    stage-1 result ``res``.
+
+    Returns the primal point on the full (type, threshold) grid and the
+    stage-2 statistics.
+    """
+    # scipy's reduced cost c - A^T y is phi(s) - G(r) - lambda(r)(v(s,r) - 1/2)
+    reduced = lp.c - lp.a_eq.T @ np.asarray(res.eqlin.marginals, dtype=float)
+    face = np.flatnonzero(reduced <= FACE_TOL)
+    # a packed cell puts type s in a district with threshold r = s
+    packed = np.abs(lp.threshold_grid[None, :] - lp.inst.type_grid[:, None]).ravel()[face] <= 1e-12
+    res2 = linprog(
+        -packed.astype(float),
+        A_eq=lp.a_eq[:, face],
+        b_eq=lp.b_eq,
+        bounds=(0, None),
+        method="highs-ds",
+        options=HIGHS_OPTIONS,
+    )
+    if res2.status != 0:
+        raise LPSolveError(f"stage 2 (max packed on face): HiGHS status {res2.status}: {res2.message}")
+    x = np.zeros(lp.c.size)
+    x[face] = res2.x
+    return x, {"face_cells": int(face.size), "stage2_iterations": int(res2.nit)}
+
+
+def solve_lp(lp: LinearProgram) -> LPSolution:
+    """Solve by interior point, then return the canonical vertex of the
+    optimal face with the interior-point objective and duals."""
+    method = "highs-ipm"  # crossover on (the HiGHS default): res carries a basic solution
+    res = linprog(lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None), method=method, options=HIGHS_OPTIONS)
+    if res.status != 0:
+        raise LPSolveError(f"stage 1 (interior point): HiGHS status {res.status}: {res.message}")
+    x, face_stats = _max_packed_on_face(lp, res)
+
+    n_s = lp.n_types
     marginals = np.asarray(res.eqlin.marginals, dtype=float)
     # scipy minimizes -G . pi; dual feasibility y_s + y_r (v - 1/2) <= -G(r)
     # rearranges to phi(s) >= G(r) + lambda(r)(v - 1/2) with phi = -y_s, lambda = y_r
@@ -167,8 +207,14 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         type_grid=lp.inst.type_grid.copy(),
         threshold_grid=lp.threshold_grid.copy(),
     )
-    objective = float(-res.fun)
-    return LPSolution(assignment=assignment, objective=objective, certificate=cert)
+    stats = {
+        "stage1_method": method,
+        "stage1_iterations": int(res.nit),
+        "stage1_crossover_iterations": int(res.crossover_nit),
+        **face_stats,
+        "face_tol": FACE_TOL,
+    }
+    return LPSolution(assignment=_assignment(lp, x), objective=float(-res.fun), certificate=cert, stats=stats)
 
 
 def extract_plan(assignment: AssignmentMatrix, support_tol: float = SUPPORT_TOL) -> Plan:

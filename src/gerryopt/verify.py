@@ -22,6 +22,16 @@ from .lp import AssignmentMatrix, DualCertificate, SUPPORT_TOL
 
 DUST = 1e-13
 
+# Allowance for grid pooling in the multiplier formula, as a share of the
+# largest formula value on the support.  The formula is a continuum identity;
+# on a grid of step 0.01 pairs whose continuum thresholds differ share one
+# column (at gamma=6 about 80% of voters sit in the five columns r in
+# [0.19, 0.23]), and the formula misses such a column's pinned multiplier.
+# Measured at n=201: 2.0e-3 (gamma=0.5), 1.3e-3 (gamma=2), 2.1e-2 (gamma=6).
+# The bound still rejects the returned-vertex multiplier as reference (0.14 at
+# gamma=2), a formula scaled by 1.1 (0.11) and a g without its gamma (4.9).
+POOLING_TOL = 0.05
+
 
 class RegimeLabel(Enum):
     SEGREGATION = "Segregation"

@@ -17,6 +17,7 @@ from gerryopt import estimation as E
 from gerryopt import lp as L
 from gerryopt import model as M
 from gerryopt import verify as V
+from gerryopt.verify import POOLING_TOL
 
 FIG_GAMMAS = [0.2, 0.5, 1.0, 1.2, 1.4, 1.6, 1.7, 3.0, 6.0]
 FIG_LABELS = ["PMP", "PMP", "PMP", "MixedPMP", "MixedPMP", "MixedPOP", "POP", "POP", "POP"]
@@ -105,17 +106,6 @@ def test_criterion_6_beta_conditions():
     ok &= abs(r16.beta1 - 2.461538461538) < 1e-9 and abs(r16.beta2 - 1.28) < 1e-12
     assert report(6, "closed-form beta conditions", ok,
                   f"admissible=(1,{boundary:.6f}], beta(1.6)=({r16.beta1:.4f},{r16.beta2})")
-
-
-# Allowance for grid pooling in the multiplier formula, as a share of the
-# largest formula value on the support.  The formula is a continuum identity;
-# on a grid of step 0.01 pairs whose continuum thresholds differ share one
-# column (at gamma=6 about 80% of voters sit in the five columns r in
-# [0.19, 0.23]), and the formula misses such a column's pinned multiplier.
-# Measured at n=201: 2.0e-3 (gamma=0.5), 1.3e-3 (gamma=2), 2.1e-2 (gamma=6).
-# The bound still rejects the returned-vertex multiplier as reference (0.14 at
-# gamma=2), a formula scaled by 1.1 (0.11) and a g without its gamma (4.9).
-POOLING_TOL = 0.05
 
 
 def test_criterion_7_duality(solve_cached):

@@ -24,6 +24,8 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert summary["gamma"] == 2.0
     assert 0.5 <= summary["objective"] <= 1.0
     assert summary["duality_gap"] < 1e-7
+    assert summary["solver"]["stage1_method"] == "highs-ipm"
+    assert summary["solver"]["face_cells"] >= 41
     # stdout carries the same summary
     assert json.loads(out.strip())["objective"] == summary["objective"]
 
@@ -102,6 +104,21 @@ def test_verify_structural_checks(tmp_path, capsys):
     assert checks["dual_support"]["ok"]
     # the continuum multiplier identity is reported but never gates the exit
     assert checks["dual_multiplier_formula"]["informational"]
+
+
+def test_large_gamma_verdict_is_pop(tmp_path, capsys):
+    # gamma >= 10 leaves columns with G(r) ~ 0 whose mass can sit anywhere at
+    # no cost; the canonical face vertex still reads as pack-and-pair POP.
+    code, _out, err = run(capsys, "verify", "--gamma", "10", "--out", str(tmp_path / "v"))
+    assert code == 0, err
+    checks = json.loads((tmp_path / "v" / "verification.json").read_text())["checks"]
+    assert checks["pack_and_pair"]["ok"]
+    assert checks["single_dipped"]["ok"]
+    assert checks["regime"]["detail"] == "POP"
+    args = ["sweep", "--gammas", "10,15,30", "--grid", "101", "--out", str(tmp_path / "s")]
+    assert run(capsys, *args)[0] == 0
+    with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
+        assert [row["regime"] for row in csv.DictReader(fh)] == ["POP"] * 3
 
 
 def test_estimate_round_trip(tmp_path, capsys):

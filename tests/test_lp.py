@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import nnls
+from scipy.optimize import linprog, nnls
 
 from gerryopt import lp as L
 from gerryopt import model as M
+from gerryopt import verify as V
 
 
 def small_instance():
@@ -114,3 +115,49 @@ def test_dual_certificate_shapes():
     cert = sol.certificate
     assert cert.lambda_.shape == sol.assignment.threshold_grid.shape
     assert cert.phi.shape == inst.type_grid.shape
+
+
+@pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0, 1.2, 1.4, 1.6, 1.7, 3.0, 6.0, 10.0, 15.0, 30.0])
+def test_face_vertex_independent_of_stage1_method(gamma):
+    # Dual simplex and interior point return different optimal vertices (and
+    # duals); after the max-packed face stage both give the same verdicts.
+    inst = M.uniform_instance(n=101, gamma=gamma)
+    prog = L.build_lp(inst)
+    verdicts = []
+    for method in ("highs-ds", "highs-ipm"):
+        res = linprog(
+            prog.c, A_eq=prog.a_eq, b_eq=prog.b_eq, bounds=(0, None), method=method, options=L.HIGHS_OPTIONS
+        )
+        assert res.status == 0
+        x, _stats = L._max_packed_on_face(prog, res)
+        assert abs(prog.c @ x - res.fun) <= 1e-12
+        phi = -res.eqlin.marginals[: prog.n_types]
+        assert abs(-(prog.c @ x) - inst.type_weights @ phi) <= L.DUAL_TOL
+        asg = L._assignment(prog, x)
+        decomp = V.decompose_pack_and_pair(asg)
+        verdicts.append((V.classify_regime(decomp, asg), decomp.bifurcation))
+    assert verdicts[0] == verdicts[1]
+
+
+def test_solver_stats():
+    sol = L.solve_lp(L.build_lp(M.uniform_instance(n=41, gamma=2.0)))
+    assert sol.stats["stage1_method"] == "highs-ipm"
+    assert sol.stats["stage1_iterations"] > 0
+    assert 41 <= sol.stats["face_cells"] < 41 * 41
+    assert sol.stats["face_tol"] == L.FACE_TOL
+
+
+def test_stage2_failure_names_the_stage(monkeypatch):
+    calls = []
+
+    def fail_second_call(*args, **kwargs):
+        res = linprog(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == 2:
+            res.status, res.message = 4, "numerical difficulties"
+        return res
+
+    monkeypatch.setattr(L, "linprog", fail_second_call)
+    with pytest.raises(L.LPSolveError, match="stage 2"):
+        L.solve_lp(L.build_lp(small_instance()))
+    assert len(calls) == 2
