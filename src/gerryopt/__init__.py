@@ -51,6 +51,7 @@ from .benchmarks import (
 )
 from .estimation import (
     PrecinctRecord,
+    Returns,
     ingest,
     probit_transform,
     estimate_gamma,

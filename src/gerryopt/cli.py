@@ -214,11 +214,12 @@ def cmd_verify(args) -> int:
             "ok": dual.part1_ok,
             "detail": {"worst_slack": dual.worst_slack},
         }
-        # The multiplier formula is a continuum identity.  The grid pools pairs
-        # whose continuum thresholds differ into one column, and the formula
-        # misses such a column's optimal multipliers by up to a few percent
-        # of its peak value (POOLING_TOL); reported for inspection, not
-        # counted in the exit code.
+        # The multiplier formula is a continuum identity that the grid LP
+        # meets only approximately.  Measured at n=201, the scaled miss is
+        # 0.002-0.021 at gamma in {0.5, 2, 6} (where POOLING_TOL = 0.05 was
+        # validated), 0.048 at gamma 10 and 15, and 0.199 at gamma 30, where
+        # this check reads false.  Reported for inspection, not counted in
+        # the exit code.
         checks["dual_multiplier_formula"] = {
             "ok": dual.part2_ok,
             "informational": True,
@@ -239,26 +240,26 @@ def cmd_estimate(args) -> int:
         raise FileNotFoundError(args.input or "--input is required")
     out = _outdir(args)
     try:
-        records, report = est.ingest(args.input, strict=args.strict)
+        returns, report = est.ingest(args.input, strict=args.strict)
     except GerryOptError as exc:
         return _fail(EXIT_DATA, "data", str(exc))
-    if not records:
+    if not len(returns):
         return _fail(EXIT_DATA, "data", "no records remain after filtering")
-    rows = []
-    states = sorted({r.state for r in records})
-    for state in states:
-        sub = [r for r in records if r.state == state]
+    rows, skipped = [], []
+    states = returns.states.tolist()
+    for code, state in enumerate(states):
         try:
+            sub = returns.select(returns.state == code)
             rows.append((state, est.estimate_gamma(sub, alpha=args.alpha)))
-        except GerryOptError:
-            continue  # e.g. single-election state
+        except GerryOptError as exc:  # e.g. single-election state
+            skipped.append({"state": state, "reason": str(exc)})
     if len(states) > 1:
-        rows.append(("ALL", est.estimate_gamma(records, alpha=args.alpha)))
+        rows.append(("ALL", est.estimate_gamma(returns, alpha=args.alpha)))
     elif not rows:
-        rows.append((states[0], est.estimate_gamma(records, alpha=args.alpha)))
+        rows.append((states[0], est.estimate_gamma(returns, alpha=args.alpha)))
     est.estimates_csv(os.path.join(out, "estimates.csv"), rows)
     if args.descriptives:
-        ds = est.descriptive_summaries(records)
+        ds = est.descriptive_summaries(returns)
         with open(os.path.join(out, "share_hist.csv"), "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["bin_low", "bin_high", "density"])
@@ -281,6 +282,8 @@ def cmd_estimate(args) -> int:
                 "states": len(states),
                 "kept": report.n_kept,
                 "dropped": report.n_input - report.n_kept,
+                "bad_rows": len(report.bad_rows),
+                "skipped_states": skipped,
                 "estimates": os.path.join(out, "estimates.csv"),
             }
         )

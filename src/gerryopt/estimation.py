@@ -4,17 +4,24 @@ Pipeline: ingest and filter returns, probit-transform vote shares, and
 estimate gamma from the between-election variance of the vote-weighted state
 means, with an exact chi-squared confidence interval.  A seeded simulator
 generates synthetic returns for validating the estimator.
+
+Returns are held as columns (``Returns``): one numpy array per CSV field, the
+string fields stored as integer codes into sorted label arrays.
+``PrecinctRecord`` is the one-row view (``Returns.rows``,
+``Returns.from_records``).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from itertools import islice, zip_longest
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtri, ndtr, ndtri
 
 from .model import GerryOptError
 
@@ -41,6 +48,75 @@ class FilterReport:
 
 
 CSV_FIELDS = ["state", "year", "precinct_id", "district_id", "total_votes", "rep_share", "contested"]
+# (code column, label column) of the string fields
+_LABELLED = (("state", "states"), ("precinct_id", "precincts"), ("district_id", "districts"))
+_CONTESTED = frozenset(("1", "true", "True"))
+# Rows read and converted per batch.  Small batches bound the transient string
+# lists, and their row lists are freed before the cyclic garbage collector
+# promotes most of them to its oldest generation: 32768-row batches set off
+# about three full collections (0.23 s) per 160k-row file in a process holding
+# 300k other objects, 2048-row batches none or one.
+CHUNK_ROWS = 2048
+
+
+@dataclass(frozen=True, eq=False)
+class Returns:
+    """Precinct returns as a table: one array per CSV field, all one length.
+
+    ``state``, ``precinct_id`` and ``district_id`` are integer codes into the
+    sorted label arrays ``states``, ``precincts`` and ``districts``; ``year``
+    and ``total_votes`` are int64, ``rep_share`` float64, ``contested`` bool.
+    """
+
+    state: np.ndarray
+    year: np.ndarray
+    precinct_id: np.ndarray
+    district_id: np.ndarray
+    total_votes: np.ndarray
+    rep_share: np.ndarray
+    contested: np.ndarray
+    states: np.ndarray
+    precincts: np.ndarray
+    districts: np.ndarray
+
+    def __len__(self) -> int:
+        return self.year.size
+
+    def select(self, mask) -> Returns:
+        """The rows where ``mask`` holds, in order, with the same label arrays."""
+        return replace(self, **{name: getattr(self, name)[mask] for name in CSV_FIELDS})
+
+    def rows(self):
+        """Iterate the rows as ``PrecinctRecord``."""
+        columns = [
+            self.states[self.state],
+            self.year,
+            self.precincts[self.precinct_id],
+            self.districts[self.district_id],
+            self.total_votes,
+            self.rep_share,
+            self.contested,
+        ]
+        for values in zip(*(c.tolist() for c in columns)):
+            yield PrecinctRecord(*values)
+
+    @classmethod
+    def from_records(cls, records) -> Returns:
+        records = list(records)
+
+        def column(name, dtype):
+            return np.array([getattr(r, name) for r in records], dtype=dtype)
+
+        coded = {}
+        for codes, labels in _LABELLED:
+            coded[labels], coded[codes] = np.unique(column(codes, str), return_inverse=True)
+        return cls(
+            year=column("year", np.int64),
+            total_votes=column("total_votes", np.int64),
+            rep_share=column("rep_share", np.float64),
+            contested=column("contested", bool),
+            **coded,
+        )
 
 
 def _parse_row(row: dict, line: int) -> PrecinctRecord:
@@ -52,7 +128,7 @@ def _parse_row(row: dict, line: int) -> PrecinctRecord:
             district_id=row["district_id"].strip(),
             total_votes=int(row["total_votes"]),
             rep_share=float(row["rep_share"]),
-            contested=row["contested"].strip() in ("1", "true", "True"),
+            contested=row["contested"].strip() in _CONTESTED,
         )
     except (KeyError, ValueError, AttributeError, TypeError) as exc:
         raise GerryOptError(f"line {line}: malformed row ({exc})") from exc
@@ -63,7 +139,97 @@ def _parse_row(row: dict, line: int) -> PrecinctRecord:
     return rec
 
 
-def ingest(path: str, strict: bool = False) -> tuple[list, FilterReport]:
+def _rejection(row: dict, line: int) -> GerryOptError:
+    """The error ``_parse_row`` raises for a row the column checks rejected."""
+    try:
+        _parse_row(row, line)
+    except GerryOptError as exc:
+        return exc
+    return GerryOptError(f"line {line}: malformed row (integer outside the 64-bit range)")
+
+
+def _numbers(texts, parse, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``texts`` converted by ``parse`` (Python's own parsing rules), and the
+    mask of entries that ``parse`` rejects or ``dtype`` cannot hold (read as 0)."""
+    try:
+        return np.fromiter(map(parse, texts), dtype, len(texts)), np.zeros(len(texts), bool)
+    except (ValueError, OverflowError):
+        pass
+    values = np.zeros(len(texts), dtype)
+    rejected = np.zeros(len(texts), bool)
+    for i, text in enumerate(texts):
+        try:
+            values[i] = parse(text)
+        except (ValueError, OverflowError):
+            rejected[i] = True
+    return values, rejected
+
+
+def _codes(texts) -> tuple[np.ndarray, np.ndarray]:
+    """Labels of the stripped ``texts`` in order of first appearance, and each
+    entry's code."""
+    stripped = list(map(str.strip, texts))
+    code = {label: i for i, label in enumerate(dict.fromkeys(stripped))}
+    return np.array(list(code), dtype=str), np.fromiter(map(code.__getitem__, stripped), np.intp, len(stripped))
+
+
+def _read_chunk(chunk: list, header: list, index: list, first_line: int, bad: list, strict: bool) -> dict:
+    """Columns of the well-formed rows of ``chunk`` (csv rows, the first on
+    line ``first_line``); string fields as (labels, codes).  Each other row is
+    parsed alone for its message and appended to ``bad``, or raised under
+    ``strict``."""
+    short = np.fromiter(map(len, chunk), np.intp, len(chunk)) <= max(index)
+    full = np.flatnonzero(~short)
+    rows = [chunk[i] for i in full] if short.any() else chunk
+    columns = list(zip(*rows)) or [()] * len(header)
+    field = {name: columns[i] for name, i in zip(CSV_FIELDS, index)}
+    year, bad_year = _numbers(field["year"], int, np.int64)
+    votes, bad_votes = _numbers(field["total_votes"], int, np.int64)
+    share, bad_share = _numbers(field["rep_share"], float, np.float64)
+    ok = ~(bad_year | bad_votes | bad_share) & (votes >= 1) & (share >= 0.0) & (share <= 1.0)
+    for i in np.union1d(np.flatnonzero(short), full[~ok]).tolist():
+        # a short row reads its missing fields as None, as csv.DictReader does
+        exc = _rejection(dict(zip_longest(header, chunk[i])), first_line + i)
+        if strict:
+            raise exc
+        bad.append((first_line + i, str(exc)))
+    contested = map(_CONTESTED.__contains__, map(str.strip, field["contested"]))
+    out = {
+        "year": year[ok],
+        "total_votes": votes[ok],
+        "rep_share": share[ok],
+        "contested": np.fromiter(contested, bool, len(rows))[ok],
+    }
+    for name, _ in _LABELLED:
+        labels, codes = _codes(field[name])
+        out[name] = (labels, codes[ok])
+    return out
+
+
+def _concat(chunks: list) -> Returns:
+    """One table from the chunk columns, with the codes of each string field
+    re-based onto the sorted labels of all chunks."""
+    columns = {}
+    for codes, labels in _LABELLED:
+        parts = [chunk[codes] for chunk in chunks]
+        columns[labels], remap = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
+        offsets = np.cumsum([0] + [p[0].size for p in parts])
+        columns[codes] = np.concatenate([remap[o + p[1]] for o, p in zip(offsets, parts)])
+    for name in ("year", "total_votes", "rep_share", "contested"):
+        columns[name] = np.concatenate([chunk[name] for chunk in chunks])
+    return Returns(**columns)
+
+
+def _compacted(table: Returns) -> Returns:
+    """``table`` with each label array cut to the labels its rows use."""
+    columns = {}
+    for codes, labels in _LABELLED:
+        used, columns[codes] = np.unique(getattr(table, codes), return_inverse=True)
+        columns[labels] = getattr(table, labels)[used]
+    return replace(table, **columns)
+
+
+def ingest(path: str, strict: bool = False) -> tuple[Returns, FilterReport]:
     """Read the returns CSV and apply the three filters in order:
 
     1. a district uncontested in any year is dropped across all years;
@@ -71,91 +237,64 @@ def ingest(path: str, strict: bool = False) -> tuple[list, FilterReport]:
     3. precincts with a vote share of exactly 0 or 1.
 
     Malformed rows are fatal under ``strict``, otherwise skipped and reported
-    with their line numbers.
+    with their line numbers, which count non-blank records from 2 (as
+    ``csv.DictReader`` does).  Rows are read in chunks of ``CHUNK_ROWS`` and
+    converted a column at a time with Python's ``int`` and ``float``; an
+    integer field outside the 64-bit range makes its row malformed.  The kept
+    rows come back in file order.
     """
-    records: list[PrecinctRecord] = []
     bad: list = []
+    chunks: list = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in CSV_FIELDS if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in CSV_FIELDS if c not in header]
         if missing:
             raise GerryOptError(f"input CSV missing columns: {', '.join(missing)}")
-        for line, row in enumerate(reader, start=2):
-            try:
-                records.append(_parse_row(row, line))
-            except GerryOptError as exc:
-                if strict:
-                    raise
-                bad.append((line, str(exc)))
+        position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
+        index = [position[c] for c in CSV_FIELDS]
+        records = filter(None, reader)  # blank lines are skipped and not counted
+        line = 2
+        while True:
+            chunk = list(islice(records, CHUNK_ROWS))
+            chunks.append(_read_chunk(chunk, header, index, line, bad, strict))
+            line += len(chunk)
+            if len(chunk) < CHUNK_ROWS:
+                break
+    table = _concat(chunks)
 
-    n_input = len(records)
-    uncontested = {
-        (r.state, r.district_id) for r in records if not r.contested
-    }
-    stage1 = [r for r in records if (r.state, r.district_id) not in uncontested]
-    stage2 = [r for r in stage1 if r.total_votes >= 50]
-    stage3 = [r for r in stage2 if 0.0 < r.rep_share < 1.0]
+    district = table.state * len(table.districts) + table.district_id
+    keep1 = ~np.isin(district, district[~table.contested])
+    keep2 = keep1 & (table.total_votes >= 50)
+    keep3 = keep2 & (table.rep_share > 0.0) & (table.rep_share < 1.0)
+    n1, n2, n3 = int(keep1.sum()), int(keep2.sum()), int(keep3.sum())
     report = FilterReport(
-        n_input=n_input,
-        n_kept=len(stage3),
-        dropped_uncontested=n_input - len(stage1),
-        dropped_small=len(stage1) - len(stage2),
-        dropped_degenerate=len(stage2) - len(stage3),
+        n_input=len(table),
+        n_kept=n3,
+        dropped_uncontested=len(table) - n1,
+        dropped_small=n1 - n2,
+        dropped_degenerate=n2 - n3,
         bad_rows=bad,
     )
-    return stage3, report
-
-
-# Rational approximation to the standard normal inverse CDF (Acklam's
-# coefficients, |relative error| < 1.15e-9), refined by one Halley step so the
-# round trip through the CDF is exact to ~1e-15.
-_PPF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_PPF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-          6.680131188771972e+01, -1.328068155288572e+01)
-_PPF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_PPF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-          3.754408661907416e+00)
-_PLOW, _PHIGH = 0.02425, 1.0 - 0.02425
-
-
-def _norm_ppf_scalar(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise GerryOptError(f"probit transform requires share in (0, 1); got {p}")
-    a, b, c, d = _PPF_A, _PPF_B, _PPF_C, _PPF_D
-    if p < _PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= _PHIGH:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # one Halley refinement against the exact CDF
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    return _compacted(table.select(keep3)), report
 
 
 def norm_ppf(p):
-    return np.vectorize(_norm_ppf_scalar, otypes=[float])(p)
+    """Standard normal inverse CDF; raises ``GerryOptError`` outside (0, 1)."""
+    p = np.asarray(p, dtype=float)
+    outside = ~((p > 0.0) & (p < 1.0))
+    if outside.any():
+        raise GerryOptError(f"probit transform requires share in (0, 1); got {p[outside][0]}")
+    return ndtri(p)
 
 
 def norm_cdf(x):
-    from scipy.special import ndtr
-
     return ndtr(x)
 
 
-def probit_transform(records: list) -> np.ndarray:
-    """w_nt = Q^{-1}(v_nt) per record."""
-    return np.array([_norm_ppf_scalar(r.rep_share) for r in records])
+def probit_transform(returns: Returns) -> np.ndarray:
+    """w_nt = Q^{-1}(v_nt) per row."""
+    return norm_ppf(returns.rep_share)
 
 
 @dataclass(frozen=True)
@@ -184,16 +323,16 @@ class GammaEstimate:
         )
 
 
-def _election_means(records: list, w: np.ndarray) -> dict:
-    means: dict = {}
-    for year in sorted({r.year for r in records}):
-        idx = [i for i, r in enumerate(records) if r.year == year]
-        k = np.array([records[i].total_votes for i in idx], dtype=float)
-        means[year] = float(k @ w[idx] / k.sum())
-    return means
+def _election_means(returns: Returns, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted election years, each row's index into them, and the vote-weighted
+    mean of ``w`` per year."""
+    years, row_year = np.unique(returns.year, return_inverse=True)
+    k = returns.total_votes.astype(float)
+    means = np.bincount(row_year, weights=k * w) / np.bincount(row_year, weights=k)
+    return years, row_year, means
 
 
-def estimate_gamma(records: list, alpha: float = 0.1) -> GammaEstimate:
+def estimate_gamma(returns: Returns, alpha: float = 0.1) -> GammaEstimate:
     """gamma_hat = 1 / sd(w_t), sd over the T vote-weighted election means.
 
     (T-1) gamma^2 / gamma_hat^2 is chi-squared with T-1 degrees of freedom,
@@ -202,42 +341,42 @@ def estimate_gamma(records: list, alpha: float = 0.1) -> GammaEstimate:
             <= gamma <=
         sqrt(chi2_{T-1}(1 - alpha/2) / (T-1)) * gamma_hat.
     """
-    if not records:
+    if not len(returns):
         raise GerryOptError("no records to estimate from")
-    w = probit_transform(records)
-    means = _election_means(records, w)
-    T = len(means)
+    w = probit_transform(returns)
+    years, _, w_t = _election_means(returns, w)
+    T = years.size
     if T < 2:
         raise GerryOptError(f"need at least 2 elections, got {T}")
-    w_t = np.array(list(means.values()))
     var = float(np.sum((w_t - w_t.mean()) ** 2) / (T - 1))
     if var <= 0.0:
         raise GerryOptError("zero between-election variance: gamma is unidentified (infinite)")
     gamma_hat = 1.0 / math.sqrt(var)
-    lo = math.sqrt(chi2.ppf(alpha / 2.0, T - 1) / (T - 1)) * gamma_hat
-    hi = math.sqrt(chi2.ppf(1.0 - alpha / 2.0, T - 1) / (T - 1)) * gamma_hat
-    k_all = np.array([r.total_votes for r in records], dtype=float)
+    # chdtri(k, y) is the chi-squared quantile with upper-tail probability y
+    lo = math.sqrt(chdtri(T - 1, 1.0 - alpha / 2.0) / (T - 1)) * gamma_hat
+    hi = math.sqrt(chdtri(T - 1, alpha / 2.0) / (T - 1)) * gamma_hat
+    k_all = returns.total_votes.astype(float)
     return GammaEstimate(
         gamma_hat=gamma_hat,
         ci_low=lo,
         ci_high=hi,
         alpha=alpha,
-        election_means=means,
+        election_means=dict(zip(years.tolist(), w_t.tolist())),
         grand_mean=float(k_all @ w / k_all.sum()),
         T=T,
-        n_precincts=len(records),
+        n_precincts=len(returns),
     )
 
 
-def estimate_F_moments(records: list) -> tuple[float, float]:
+def estimate_F_moments(returns: Returns) -> tuple[float, float]:
     """Vote-weighted mean of w and the within-election standard deviation
     sqrt(sum k (w - w_t)^2 / sum k)."""
-    if not records:
+    if not len(returns):
         raise GerryOptError("no records")
-    w = probit_transform(records)
-    means = _election_means(records, w)
-    k = np.array([r.total_votes for r in records], dtype=float)
-    centered = w - np.array([means[r.year] for r in records])
+    w = probit_transform(returns)
+    _, row_year, means = _election_means(returns, w)
+    k = returns.total_votes.astype(float)
+    centered = w - means[row_year]
     mean = float(k @ w / k.sum())
     sd = math.sqrt(float(k @ centered**2 / k.sum()))
     return mean, sd
@@ -256,32 +395,26 @@ def simulate_returns(
     start_year: int = 2016,
 ) -> None:
     """Write synthetic returns: s_n ~ uniform[f_low, f_high], r_t ~ N(0, 1/gamma^2),
-    v_nt = Q(s_n - r_t) exactly (large-precinct limit).  Deterministic per seed."""
+    v_nt = Q(s_n - r_t) exactly (large-precinct limit).  Deterministic per seed.
+
+    The file is what ``csv.writer`` writes (``\\r\\n`` line ends, shares with
+    12 decimals); only ``state`` can need quoting, so it alone goes through
+    the csv module."""
     if gamma <= 0 or T < 1 or n_precincts < 1 or votes_per_precinct < 1:
         raise GerryOptError("simulator parameters must be positive")
     rng = np.random.default_rng(seed)
     s = rng.uniform(f_low, f_high, size=n_precincts)
     r = rng.normal(0.0, 1.0 / gamma, size=T)
-    from scipy.special import ndtr
-
+    quoted = io.StringIO()
+    csv.writer(quoted).writerow([state, ""])
+    state_field = quoted.getvalue()[: -len(",\r\n")]
+    middle = [f"p{n:05d},d{n % 10:02d},{votes_per_precinct}," for n in range(n_precincts)]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_FIELDS)
+        fh.write(",".join(CSV_FIELDS) + "\r\n")
         for t in range(T):
-            year = start_year + 2 * t
-            v = ndtr(s - r[t])
-            for n in range(n_precincts):
-                writer.writerow(
-                    [
-                        state,
-                        year,
-                        f"p{n:05d}",
-                        f"d{n % 10:02d}",
-                        votes_per_precinct,
-                        f"{v[n]:.12f}",
-                        1,
-                    ]
-                )
+            lead = f"{state_field},{start_year + 2 * t},"
+            v = ndtr(s - r[t]).tolist()
+            fh.writelines(f"{lead}{m}{x:.12f},1\r\n" for m, x in zip(middle, v))
 
 
 SHARE_BINS = np.round(np.arange(0.0, 1.0 + 1e-12, 0.05), 10)
@@ -300,53 +433,40 @@ class DescriptiveSummaries:
     base_year: int
 
 
-def descriptive_summaries(records: list, base_year: int | None = None) -> DescriptiveSummaries:
+def descriptive_summaries(returns: Returns, base_year: int | None = None) -> DescriptiveSummaries:
     """Vote-share histogram, district swing-deviation histogram, and
     cross-election quantile-matching curves against the base year."""
-    if not records:
+    if not len(returns):
         raise GerryOptError("no records")
-    years = sorted({r.year for r in records})
-    base = years[0] if base_year is None else base_year
-    v = np.array([r.rep_share for r in records])
-    k = np.array([r.total_votes for r in records], dtype=float)
+    years, row_year = np.unique(returns.year, return_inverse=True)
+    base = int(years[0]) if base_year is None else base_year
+    v = returns.rep_share
+    k = returns.total_votes.astype(float)
     share_hist, _ = np.histogram(v, bins=SHARE_BINS, weights=k / k.sum())
 
     # district-year mean shares, then deviations from the district's own
     # across-year mean minus the year effect
-    dist_year: dict = {}
-    for r, kk in zip(records, k):
-        key = (r.state, r.district_id, r.year)
-        tot, wt = dist_year.get(key, (0.0, 0.0))
-        dist_year[key] = (tot + kk * r.rep_share, wt + kk)
-    dy_mean = {key: tot / wt for key, (tot, wt) in dist_year.items()}
-    by_district: dict = {}
-    for (state, dist, year), m in dy_mean.items():
-        by_district.setdefault((state, dist), {})[year] = m
-    year_mean: dict = {}
-    for year in years:
-        vals = [m for (s, d, y), m in dy_mean.items() if y == year]
-        year_mean[year] = float(np.mean(vals))
-    deviations = []
-    for (state, dist), per_year in by_district.items():
-        if len(per_year) < 2:
-            continue
-        centered = {y: m - year_mean[y] for y, m in per_year.items()}
-        avg = float(np.mean(list(centered.values())))
-        deviations.extend(val - avg for val in centered.values())
-    deviations = np.array(deviations) if deviations else np.zeros(0)
+    district = returns.state * len(returns.districts) + returns.district_id
+    cells, row_cell = np.unique(district * years.size + row_year, return_inverse=True)
+    cell_mean = np.bincount(row_cell, weights=k * v) / np.bincount(row_cell, weights=k)
+    cell_district, cell_year = np.divmod(cells, years.size)
+    year_mean = np.bincount(cell_year, weights=cell_mean) / np.bincount(cell_year)
+    centered = cell_mean - year_mean[cell_year]
+    _, cell_group = np.unique(cell_district, return_inverse=True)
+    n_years = np.bincount(cell_group)
+    avg = np.bincount(cell_group, weights=centered) / n_years
+    deviations = (centered - avg[cell_group])[n_years[cell_group] >= 2]
     swing_hist, _ = np.histogram(deviations, bins=SWING_BINS)
     within = float(np.mean(np.abs(deviations) <= 0.025)) if deviations.size else 1.0
 
     qq_grid = np.linspace(0.05, 0.95, 19)
-    base_v = np.sort(v[[i for i, r in enumerate(records) if r.year == base]])
+    base_v = np.sort(v[returns.year == base])
     curves: dict = {}
-    for year in years:
-        yv = np.sort(v[[i for i, r in enumerate(records) if r.year == year]])
-        if base_v.size == 0 or yv.size == 0:
-            continue
+    if base_v.size:
         # J_t^{-1}(J_base(x)): x's quantile in the base year, read off in year t
-        u = np.searchsorted(base_v, qq_grid, side="right") / base_v.size
-        curves[year] = np.quantile(yv, np.clip(u, 0.0, 1.0))
+        u = np.clip(np.searchsorted(base_v, qq_grid, side="right") / base_v.size, 0.0, 1.0)
+        for y, year in enumerate(years.tolist()):
+            curves[year] = np.quantile(v[row_year == y], u)
     return DescriptiveSummaries(
         share_bin_edges=SHARE_BINS,
         share_hist=share_hist,

@@ -30,6 +30,11 @@ DUST = 1e-13
 # Measured at n=201: 2.0e-3 (gamma=0.5), 1.3e-3 (gamma=2), 2.1e-2 (gamma=6).
 # The bound still rejects the returned-vertex multiplier as reference (0.14 at
 # gamma=2), a formula scaled by 1.1 (0.11) and a g without its gamma (4.9).
+# It is validated only at gamma in {0.5, 2, 6}.  At larger gamma the error is
+# 4.8e-2 (gamma=10 and 15) and 0.199 (gamma=30, four times the bound).  At
+# gamma=6 it levels off as the grid is refined (6.8e-2, 2.1e-2, 1.9e-2 at
+# n = 101, 201, 401), so grid pooling alone does not explain it; the cause is
+# open.
 POOLING_TOL = 0.05
 
 

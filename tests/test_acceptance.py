@@ -201,10 +201,10 @@ def test_criterion_9_estimator():
     # gamma_hat must round to all three published figures at once.
     gamma_hat, T, alpha = 14.75, 3, 0.1
     # any three elections: ci / gamma_hat depends only on T and alpha
-    three = [
+    three = E.Returns.from_records(
         E.PrecinctRecord("SY", 2016 + 2 * t, "p0", "d0", 1000, share, True)
         for t, share in enumerate((0.45, 0.5, 0.56))
-    ]
+    )
     est = E.estimate_gamma(three, alpha=alpha)
     windows = [
         _rounding_window(gamma_hat, 1.0),
@@ -265,7 +265,7 @@ def test_criterion_10_property_suites(solve_cached):
         with open(path2, "w", newline="") as fh:
             w = _csv.writer(fh)
             w.writerow(E.CSV_FIELDS)
-            for r in kept:
+            for r in kept.rows():
                 w.writerow([r.state, r.year, r.precinct_id, r.district_id,
                             r.total_votes, r.rep_share, 1])
         kept2, rep2 = E.ingest(path2)

@@ -1,10 +1,13 @@
 import csv
+import hashlib
 import json
+import re
 
 import pytest
 
 from gerryopt import cli
 from gerryopt import estimation as E
+from gerryopt.model import GerryOptError
 
 
 def run(capsys, *argv):
@@ -188,3 +191,130 @@ def test_out_env_var(tmp_path, capsys, monkeypatch):
     code, _out, _err = run(capsys, "solve", "--gamma", "2", "--grid", "41")
     assert code == 0
     assert (tmp_path / "envout" / "summary.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# golden outputs of simulate and estimate on a fixed input
+# ---------------------------------------------------------------------------
+
+GOLDEN_HEADER = ["district_id", "state", "precinct_id", "year", "contested", "rep_share", "total_votes"]
+
+
+def _row(state="AA", year="2018", precinct="q0", district="d01", votes="900", share="0.42", contested="1"):
+    return {"state": state, "year": year, "precinct_id": precinct, "district_id": district,
+            "total_votes": votes, "rep_share": share, "contested": contested}
+
+
+# (position among the simulated rows, injected row); a string is written verbatim
+GOLDEN_INJECTED = [
+    (0, "\r\n"),                                              # blank line before the first record
+    (5, _row(district="d03", precinct="u0", contested="0")),  # AA d03 uncontested in 2018
+    (40, _row(votes="20")),                                   # small
+    (41, _row(share="0")),                                    # degenerate
+    (42, _row(share="1.0")),                                  # degenerate
+    (300, _row(year="2016.0")),                               # non-int year
+    (301, "\r\n"),
+    (302, _row(votes="0")),                                   # votes 0
+    (303, _row(share="1.5")),                                 # share outside [0, 1]
+    (304, _row(share="")),                                    # empty share
+    (305, _row(share="nan")),                                 # NaN share
+    (306, _row(votes="1e3")),                                 # non-int votes
+    (307, "d01,AA,q9,2018\r\n"),                              # short row
+    (700, "d01,AA,q1,2018,1,0.47,900,x\r\n"),                 # valid, with an extra column
+    # whitespace-padded ids and year
+    (900, _row(state=" BB ", district=" d04 ", precinct=" q2 ", year=" 2020 ", share="0.55")),
+    (1100, _row(state="BB", precinct="q,3", share="0.61")),   # quoted comma
+    (1500, _row(state="ZZ", year="2016", precinct="z0", share="0.4")),  # single-election state
+    (1501, _row(state="ZZ", year="2016", precinct="z1", share="0.6")),
+    (1800, _row(state="BB", precinct="q4", contested="true")),
+]
+
+
+def write_golden_returns(tmp_path):
+    """Two simulated states, re-written under a reordered header, with the
+    GOLDEN_INJECTED rows spliced in.  Returns the path."""
+    records = []
+    for state, gamma, seed in (("AA", 12.0, 11), ("BB", 4.0, 12)):
+        sim = tmp_path / f"sim_{state}.csv"
+        E.simulate_returns(str(sim), gamma=gamma, T=3, n_precincts=300, seed=seed, state=state)
+        with open(sim, newline="") as fh:
+            records += [dict(zip(E.CSV_FIELDS, r)) for r in list(csv.reader(fh))[1:]]
+    path = tmp_path / "golden.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(GOLDEN_HEADER)
+        pending = iter(GOLDEN_INJECTED)
+        pos, item = next(pending)
+        for i, rec in enumerate(records + [None]):
+            while pos == i:
+                if isinstance(item, str):
+                    fh.write(item)
+                else:
+                    writer.writerow([item[c] for c in GOLDEN_HEADER])
+                pos, item = next(pending, (None, None))
+            if rec is not None:
+                writer.writerow([rec[c] for c in GOLDEN_HEADER])
+    return path
+
+
+# sha256 of the outputs at the row-record implementation, on write_golden_returns
+GOLDEN_SHA256 = {
+    "estimates.csv": "b4ebea92cb46dec48db224054fbb32e2981059c997db4883ecdd830aa332947f",
+    "share_hist.csv": "3e53d483e0155ba1d961f3fbf8cf9fbda600a012017daa80a5df6c3f30072b88",
+    "swing_hist.csv": "4398d49c83e39ae0e4d737fc2631fdd92cbf3d4ad77e1324984cc200dfe829a8",
+    "qq.csv": "cc7828ca252fc6c4af8b9a923e771b123fd34e0ac72662c77c041481c12cf78e",
+}
+GOLDEN_SIMULATE_SHA256 = "1998cd7ff1ba021ed774ae182581c784ae48617830d8cdc34209a0adb08daa51"
+# Line numbers count non-blank records from 2, as csv.DictReader does.
+GOLDEN_BAD_ROWS = [
+    (306, "line 306: malformed row (invalid literal for int() with base 10: '2016.0')"),
+    (309, "line 309: total_votes must be >= 1"),
+    (311, "line 311: rep_share outside [0, 1]"),
+    (313, "line 313: malformed row (could not convert string to float: '')"),
+    (315, "line 315: rep_share outside [0, 1]"),
+    (317, "line 317: malformed row (invalid literal for int() with base 10: '1e3')"),
+    (319, "line 319: malformed row (int() argument must be a string, a bytes-like object "
+          "or a real number, not 'NoneType')"),
+]
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_golden_simulate_output(tmp_path, capsys):
+    argv = ["simulate", "--gamma", "14.75", "--elections", "3", "--precincts", "500", "--seed", "3"]
+    assert run(capsys, *argv, "--out", str(tmp_path))[0] == 0
+    assert _sha256(tmp_path / "returns.csv") == GOLDEN_SIMULATE_SHA256
+
+
+def test_golden_estimate_outputs(tmp_path, capsys):
+    path = write_golden_returns(tmp_path)
+    _returns, report = E.ingest(str(path))
+    assert report == E.FilterReport(
+        n_input=1810, n_kept=1716, dropped_uncontested=91, dropped_small=1, dropped_degenerate=2,
+        bad_rows=GOLDEN_BAD_ROWS,
+    )
+    with pytest.raises(GerryOptError, match=re.escape(GOLDEN_BAD_ROWS[0][1])):
+        E.ingest(str(path), strict=True)
+
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, "estimate", "--input", str(path), "--descriptives", "--out", str(out))
+    assert code == 0, err
+    assert {name: _sha256(out / name) for name in GOLDEN_SHA256} == GOLDEN_SHA256
+    summary = json.loads(stdout)
+    assert (summary["states"], summary["kept"], summary["dropped"]) == (3, 1716, 94)
+    assert summary["bad_rows"] == len(GOLDEN_BAD_ROWS)
+    assert summary["skipped_states"] == [{"state": "ZZ", "reason": "need at least 2 elections, got 1"}]
+
+
+def test_ingest_chunk_boundaries(tmp_path, monkeypatch):
+    # codes of each chunk are re-based onto the labels of the whole file, and
+    # line numbers run on across chunks
+    path = write_golden_returns(tmp_path)
+    whole, report = E.ingest(str(path))
+    monkeypatch.setattr(E, "CHUNK_ROWS", 7)
+    chunked, chunked_report = E.ingest(str(path))
+    assert chunked_report == report
+    assert list(chunked.rows()) == list(whole.rows())
+    assert list(E.Returns.from_records(whole.rows()).rows()) == list(whole.rows())

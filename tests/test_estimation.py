@@ -37,6 +37,10 @@ def make_records(shares_by_year, votes=1000, state="AA", district="d0"):
     return recs
 
 
+def make_returns(shares_by_year, **kwargs):
+    return E.Returns.from_records(make_records(shares_by_year, **kwargs))
+
+
 # ---------------------------------------------------------------------------
 # inverse-normal-CDF transform
 # ---------------------------------------------------------------------------
@@ -93,7 +97,7 @@ def test_ingest_filters_in_order(tmp_path):
     assert report.dropped_small == 1
     assert report.dropped_degenerate == 1
     assert report.n_kept == 2
-    assert {r.precinct_id for r in records} == {"p4"}
+    assert {r.precinct_id for r in records.rows()} == {"p4"}
 
 
 def test_ingest_missing_column(tmp_path):
@@ -135,12 +139,12 @@ def test_filters_idempotent(tmp_path):
         again,
         [
             [r.state, r.year, r.precinct_id, r.district_id, r.total_votes, r.rep_share, 1]
-            for r in kept
+            for r in kept.rows()
         ],
     )
     kept2, report2 = E.ingest(str(again))
     assert report2.n_kept == report2.n_input == len(kept)
-    assert [(r.precinct_id, r.year) for r in kept2] == [(r.precinct_id, r.year) for r in kept]
+    assert [(r.precinct_id, r.year) for r in kept2.rows()] == [(r.precinct_id, r.year) for r in kept.rows()]
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +156,7 @@ def test_gamma_estimate_known_means():
     # election means of w are Phi^-1 of constant shares; choose shares so the
     # means are -0.1, 0.0, 0.1 -> sd = 0.1 -> gamma_hat = 10
     shares = {y: [float(E.norm_cdf(m))] * 4 for y, m in [(2016, -0.1), (2018, 0.0), (2020, 0.1)]}
-    est = E.estimate_gamma(make_records(shares))
+    est = E.estimate_gamma(make_returns(shares))
     assert est.gamma_hat == pytest.approx(10.0, abs=1e-9)
     assert est.T == 3
     assert est.election_means[2016] == pytest.approx(-0.1, abs=1e-9)
@@ -160,7 +164,7 @@ def test_gamma_estimate_known_means():
 
 def test_gamma_ci_matches_chi2_oracle():
     shares = {y: [float(E.norm_cdf(m))] * 4 for y, m in [(2016, -0.1), (2018, 0.0), (2020, 0.1)]}
-    est = E.estimate_gamma(make_records(shares), alpha=0.1)
+    est = E.estimate_gamma(make_returns(shares), alpha=0.1)
     lo = math.sqrt(chi2.ppf(0.05, 2) / 2) * 10.0
     hi = math.sqrt(chi2.ppf(0.95, 2) / 2) * 10.0
     assert est.ci_low == pytest.approx(lo, abs=1e-9)
@@ -180,7 +184,7 @@ def test_gamma_estimate_vote_weighting():
     # one heavy precinct dominates its election mean
     recs = make_records({2016: [0.4], 2018: [0.5], 2020: [0.6]})
     heavy = E.PrecinctRecord("AA", 2016, "pH", "d0", 99000, 0.6, True)
-    est = E.estimate_gamma(recs + [heavy])
+    est = E.estimate_gamma(E.Returns.from_records(recs + [heavy]))
     w40, w60 = E.norm_ppf(0.4), E.norm_ppf(0.6)
     expected_2016 = (1000 * w40 + 99000 * w60) / 100000
     assert est.election_means[2016] == pytest.approx(expected_2016, abs=1e-12)
@@ -192,8 +196,8 @@ def test_gamma_estimate_location_invariance():
     shifted = {
         y: [float(E.norm_cdf(E.norm_ppf(v) + 0.2)) for v in vs] for y, vs in base.items()
     }
-    g1 = E.estimate_gamma(make_records(base)).gamma_hat
-    g2 = E.estimate_gamma(make_records(shifted)).gamma_hat
+    g1 = E.estimate_gamma(make_returns(base)).gamma_hat
+    g2 = E.estimate_gamma(make_returns(shifted)).gamma_hat
     assert g1 == pytest.approx(g2, abs=1e-9)
 
 
@@ -201,15 +205,15 @@ def test_gamma_estimate_errors():
     with pytest.raises(GerryOptError):
         E.estimate_gamma([])
     with pytest.raises(GerryOptError, match="at least 2"):
-        E.estimate_gamma(make_records({2016: [0.4, 0.6]}))
+        E.estimate_gamma(make_returns({2016: [0.4, 0.6]}))
     with pytest.raises(GerryOptError, match="unidentified"):
-        E.estimate_gamma(make_records({2016: [0.5], 2018: [0.5]}))
+        E.estimate_gamma(make_returns({2016: [0.5], 2018: [0.5]}))
 
 
 def test_estimate_f_moments():
     # within-election spread drives the F moments, not the between spread
     shares = {2016: [0.4, 0.6], 2018: [0.4, 0.6]}
-    mean, sd = E.estimate_F_moments(make_records(shares))
+    mean, sd = E.estimate_F_moments(make_returns(shares))
     w = E.norm_ppf(0.6)
     assert mean == pytest.approx(0.0, abs=1e-12)
     assert sd == pytest.approx(w, abs=1e-9)
@@ -264,7 +268,7 @@ def test_descriptive_summaries_basics(tmp_path):
     # base-year identity: quantile-matching a year against itself maps a
     # share value x (inside the sample range) back to approximately x
     base_curve = summ.qq_curves[2016]
-    v2016 = np.sort([r.rep_share for r in records if r.year == 2016])
+    v2016 = np.sort([r.rep_share for r in records.rows() if r.year == 2016])
     interior = (summ.qq_grid > v2016[5]) & (summ.qq_grid < v2016[-6])
     assert np.max(np.abs(base_curve[interior] - summ.qq_grid[interior])) < 0.05
     # every curve is monotone nondecreasing in the share value
@@ -279,7 +283,7 @@ def test_descriptive_summaries_empty():
 
 def test_estimates_csv_format(tmp_path):
     shares = {y: [float(E.norm_cdf(m))] * 4 for y, m in [(2016, -0.1), (2018, 0.0), (2020, 0.1)]}
-    est = E.estimate_gamma(make_records(shares))
+    est = E.estimate_gamma(make_returns(shares))
     out = tmp_path / "estimates.csv"
     E.estimates_csv(str(out), [("AA", est)])
     with open(out) as fh:
@@ -287,3 +291,11 @@ def test_estimates_csv_format(tmp_path):
     assert rows[0]["state"] == "AA"
     assert float(rows[0]["gamma_hat"]) == pytest.approx(10.0, abs=1e-5)
     assert int(rows[0]["T"]) == 3
+
+
+def test_ingest_integer_outside_int64_is_malformed(tmp_path):
+    path = tmp_path / "returns.csv"
+    write_csv(path, [["AA", 2016, "p1", "d1", 900, 0.61, 1], ["AA", 2016, "p2", "d1", 2**63, 0.5, 1]])
+    records, report = E.ingest(str(path))
+    assert len(records) == 1
+    assert report.bad_rows == [(3, "line 3: malformed row (integer outside the 64-bit range)")]
