@@ -84,7 +84,7 @@ def _print_schema(command: str) -> int:
 def _solve_and_analyze(inst: ProblemInstance):
     sol = lpmod.solve_lp(lpmod.build_lp(inst))
     decomp = vf.decompose_pack_and_pair(sol.assignment)
-    regime = vf.classify_regime(decomp, sol.assignment)
+    regime = vf.classify_regime(decomp)
     return sol, decomp, regime
 
 
@@ -253,10 +253,13 @@ def cmd_estimate(args) -> int:
             rows.append((state, est.estimate_gamma(sub, alpha=args.alpha)))
         except GerryOptError as exc:  # e.g. single-election state
             skipped.append({"state": state, "reason": str(exc)})
-    if len(states) > 1:
-        rows.append(("ALL", est.estimate_gamma(returns, alpha=args.alpha)))
-    elif not rows:
-        rows.append((states[0], est.estimate_gamma(returns, alpha=args.alpha)))
+    try:
+        if len(states) > 1:
+            rows.append(("ALL", est.estimate_gamma(returns, alpha=args.alpha)))
+        elif not rows:
+            rows.append((states[0], est.estimate_gamma(returns, alpha=args.alpha)))
+    except GerryOptError as exc:  # e.g. all records from a single election
+        return _fail(EXIT_DATA, "data", str(exc))
     est.estimates_csv(os.path.join(out, "estimates.csv"), rows)
     if args.descriptives:
         ds = est.descriptive_summaries(returns)
@@ -317,8 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid", type=int, default=201, help="type grid size (odd, >= 3)")
         p.add_argument("--taste", choices=["normal", "logistic"], default="normal")
         p.add_argument("--out", default=None, help="output dir (default $GERRYOPT_OUT or .)")
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--schema", action="store_true", help="print output schema and exit")
 
     p = sub.add_parser("solve", help="solve the designer LP at one gamma")
@@ -328,6 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="solve across a gamma list")
     common(p)
     p.add_argument("--gammas", default="", help="comma-separated gamma values")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("benchmark", help="closed-form benchmarks and heuristic plans")
@@ -354,6 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elections", type=int, default=3)
     p.add_argument("--precincts", type=int, default=1000)
     p.add_argument("--votes", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_simulate)
     return parser
 

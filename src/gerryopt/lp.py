@@ -255,9 +255,8 @@ def _solve_one_gamma(args) -> SweepRow:
     try:
         sol = solve_lp(build_lp(inst))
         decomp = verify.decompose_pack_and_pair(sol.assignment)
-        regime = verify.classify_regime(decomp, sol.assignment)
-        r_b = None if decomp is None else decomp.bifurcation
-        return SweepRow(gamma=gamma, objective=sol.objective, regime=regime.value, bifurcation=r_b)
+        regime = verify.classify_regime(decomp)
+        return SweepRow(gamma=gamma, objective=sol.objective, regime=regime.value, bifurcation=decomp.bifurcation)
     except GerryOptError as exc:
         return SweepRow(gamma=gamma, error=str(exc))
 

@@ -2,11 +2,11 @@
 
 LP vertex solutions on a coarse threshold grid can pool many voter types into
 one threshold column (the continuum assigns them pair thresholds that all
-round to the same grid point).  Verification therefore first canonicalizes an
-assignment into two-type districts: column masses and thresholds are kept
-exactly (so the objective and feasibility are unchanged) while pooled mass is
-re-matched negatively assortatively, most extreme types into the strongest
-columns.  All structural checks run on that district decomposition.
+round to the same grid point).  Verification therefore first splits each
+column, on its own types only, into two-type districts balanced at the
+column's threshold, most extreme types first.  Column masses and thresholds
+are kept exactly, so the objective and feasibility are unchanged.  All
+structural checks run on that district decomposition.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ class RefinedSolution:
     districts: list           # CanonicalDistrict, sorted by threshold
     seg_mass: np.ndarray      # per-type mass in packed districts
     pair_mass: np.ndarray     # per-type mass in paired districts
-    leftover: float           # pooled mass the re-matching could not place
-    refined: bool             # True if any pooled column was re-matched
+    leftover: float           # column mass the per-column split could not place
+    refined: bool             # True if any column pools three or more types
 
     @property
     def ok(self) -> bool:
@@ -82,34 +82,32 @@ class RefinedSolution:
 def refine_assignment(assignment: AssignmentMatrix, tol_mass: float = SUPPORT_TOL) -> RefinedSolution:
     """Decompose an assignment into packed and two-type districts.
 
-    Columns with one active type become packed districts; columns with two
-    stay as they are.  If any column has three or more active types, all
-    non-degenerate columns are pooled and re-matched greedily: walking columns
-    from the strongest down, repeatedly pair the most extreme remaining low
-    type with the most extreme remaining high type at the exact balance ratio
-    for that column's threshold.
+    A column with one active type is a packed district.  Every other column
+    is split on its own members only: repeatedly pair the column's most
+    extreme remaining low type with its most extreme remaining high type at
+    the exact balance ratio for the column's threshold.  Column masses and
+    thresholds are kept, so the objective and feasibility are unchanged.
     """
     pi = assignment.pi
     grid = assignment.type_grid
     thr = assignment.threshold_grid
     vote = assignment.vote
-    n = grid.size
     col_mass = pi.sum(axis=0)
 
-    packed: list[CanonicalDistrict] = []
-    two_type_cols: list[int] = []
-    pooled_needed = False
-    pair_cols: list[int] = []
-    seg_mass = np.zeros(n)
-    pair_mass = np.zeros(n)
+    districts: list[CanonicalDistrict] = []
+    seg_mass = np.zeros(grid.size)
+    pair_mass = np.zeros(grid.size)
+    leftover = 0.0
+    refined = False
 
     for j in np.flatnonzero(col_mass > tol_mass):
+        r = float(thr[j])
         active = np.flatnonzero(pi[:, j] > tol_mass)
         if active.size == 1:
             i = int(active[0])
-            packed.append(
+            districts.append(
                 CanonicalDistrict(
-                    threshold=float(thr[j]),
+                    threshold=r,
                     types=grid[[i]].copy(),
                     weights=np.array([1.0]),
                     mass=float(col_mass[j]),
@@ -117,133 +115,45 @@ def refine_assignment(assignment: AssignmentMatrix, tol_mass: float = SUPPORT_TO
                 )
             )
             seg_mass[i] += col_mass[j]
-        else:
-            pair_cols.append(j)
-            if active.size > 2:
-                pooled_needed = True
-
-    districts = list(packed)
-    leftover = 0.0
-
-    if not pooled_needed:
-        for j in pair_cols:
-            active = np.flatnonzero(pi[:, j] > tol_mass)
-            w = pi[active, j]
+            continue
+        refined |= active.size > 2
+        rem = pi[:, j].copy()
+        rem[rem < DUST] = 0.0
+        budget = float(col_mass[j])
+        while budget > 1e-11:
+            alive = np.flatnonzero(rem > DUST)
+            if alive.size == 0:
+                break
+            lo, hi = int(alive[0]), int(alive[-1])
+            if grid[lo] < r - 1e-12 and grid[hi] > r + 1e-12:
+                v_lo, v_hi = vote[lo, j], vote[hi, j]
+                rho = (v_hi - 0.5) / (v_hi - v_lo)  # weight on the low type
+                t = float(min(budget, rem[lo] / rho, rem[hi] / (1.0 - rho)))
+                members, weights, kind = [lo, hi], np.array([rho, 1.0 - rho]), "pair"
+            else:
+                # A type sitting exactly at this threshold is balanced by
+                # itself: place it as a degenerate pool member
+                # (payoff-equivalent to joining the pool).
+                at_r = alive[np.abs(grid[alive] - r) <= 1e-12]
+                if at_r.size == 0:
+                    break
+                i = int(at_r[0])
+                t = min(budget, float(rem[i]))
+                members, weights, kind = [i], np.array([1.0]), "pool"
             districts.append(
                 CanonicalDistrict(
-                    threshold=float(thr[j]),
-                    types=grid[active].copy(),
-                    weights=w / w.sum(),
-                    mass=float(w.sum()),
-                    kind="pair",
+                    threshold=r,
+                    types=grid[members].copy(),
+                    weights=weights,
+                    mass=t,
+                    kind=kind,
                 )
             )
-            pair_mass[active] += w
-    else:
-        # Re-match within connected clusters of columns whose active type
-        # spans overlap; distant pools (e.g. local pooling deep in one tail
-        # alongside a central pool) must not trade types with each other.
-        spans = {}
-        for j in pair_cols:
-            active = np.flatnonzero(pi[:, j] > tol_mass)
-            spans[j] = (int(active[0]), int(active[-1]))
-        clusters: list[list[int]] = []
-        # Sharing a single boundary type does not connect two clusters: a tail
-        # pool and a central pool may both draw on the type at their common
-        # edge without trading any other members.
-        for j in sorted(pair_cols, key=lambda j: spans[j][0]):
-            lo_j, hi_j = spans[j]
-            if clusters and lo_j < clusters[-1][1]:
-                clusters[-1][1] = max(clusters[-1][1], hi_j)
-                clusters[-1][2].append(j)
-            else:
-                clusters.append([lo_j, hi_j, [j]])
-        cluster_cols = [c[2] for c in clusters]
-
-        def greedy(group, shared: bool):
-            """Match one cluster top-down; returns (districts, per-type pair
-            mass, leftover). ``shared`` pools all the cluster's columns into
-            one remainder; otherwise each column keeps its own members."""
-            out: list[CanonicalDistrict] = []
-            placed = np.zeros(n)
-            left = 0.0
-            if shared:
-                members = pi[:, group].sum(axis=1)
-                members[members < DUST] = 0.0
-                col_members = {j: members for j in group}
-            else:
-                col_members = {}
-                for j in group:
-                    m = pi[:, j].copy()
-                    m[m < DUST] = 0.0
-                    col_members[j] = m
-            for j in sorted(group, key=lambda j: -thr[j]):
-                rem = col_members[j]
-                r = thr[j]
-                budget = float(col_mass[j])
-                while budget > 1e-11:
-                    alive = np.flatnonzero(rem > DUST)
-                    if alive.size == 0:
-                        break
-                    lo, hi = int(alive[0]), int(alive[-1])
-                    if not (grid[lo] < r - 1e-12 and grid[hi] > r + 1e-12):
-                        # A type sitting exactly at this threshold is balanced
-                        # by itself: place it as a degenerate pool member
-                        # (payoff-equivalent to joining the pool).
-                        at_r = alive[np.abs(grid[alive] - r) <= 1e-12]
-                        if at_r.size == 0:
-                            break
-                        i = int(at_r[0])
-                        t = min(budget, float(rem[i]))
-                        out.append(
-                            CanonicalDistrict(
-                                threshold=float(r),
-                                types=grid[[i]].copy(),
-                                weights=np.array([1.0]),
-                                mass=t,
-                                kind="pool",
-                            )
-                        )
-                        placed[i] += t
-                        rem[i] -= t
-                        rem[rem < DUST] = 0.0
-                        budget -= t
-                        continue
-                    v_lo, v_hi = vote[lo, j], vote[hi, j]
-                    rho = (v_hi - 0.5) / (v_hi - v_lo)  # weight on the low type
-                    t = min(budget, rem[lo] / rho, rem[hi] / (1.0 - rho))
-                    out.append(
-                        CanonicalDistrict(
-                            threshold=float(r),
-                            types=grid[[lo, hi]].copy(),
-                            weights=np.array([rho, 1.0 - rho]),
-                            mass=float(t),
-                            kind="pair",
-                        )
-                    )
-                    placed[lo] += t * rho
-                    placed[hi] += t * (1.0 - rho)
-                    rem[lo] -= t * rho
-                    rem[hi] -= t * (1.0 - rho)
-                    rem[rem < DUST] = 0.0
-                    budget -= t
-                left += max(budget, 0.0)
-            if shared:
-                left += float(members.sum())
-            else:
-                left += float(sum(m.sum() for m in col_members.values()))
-            return out, placed, left
-
-        for group in cluster_cols:
-            out, placed, left = greedy(group, shared=True)
-            if left > 1e-9:
-                # The cluster's column masses do not admit a nested matching;
-                # fall back to decomposing each column on its own members,
-                # which always conserves mass exactly.
-                out, placed, left = greedy(group, shared=False)
-            districts.extend(out)
-            pair_mass += placed
-            leftover += left
+            pair_mass[members] += t * weights
+            rem[members] -= t * weights
+            rem[rem < DUST] = 0.0
+            budget -= t
+        leftover += max(budget, 0.0) + float(rem.sum())
 
     districts.sort(key=lambda d: d.threshold)
     return RefinedSolution(
@@ -251,7 +161,7 @@ def refine_assignment(assignment: AssignmentMatrix, tol_mass: float = SUPPORT_TO
         seg_mass=seg_mass,
         pair_mass=pair_mass,
         leftover=float(leftover),
-        refined=pooled_needed,
+        refined=refined,
     )
 
 
@@ -310,7 +220,7 @@ def decompose_pack_and_pair(
         )
 
     if not refined.ok:
-        return fail(f"re-matching left {refined.leftover:.2e} unplaced pooled mass")
+        return fail(f"column split left {refined.leftover:.2e} unplaced mass")
 
     thr_grid = assignment.threshold_grid
     step = float(np.min(np.diff(thr_grid))) if thr_grid.size > 1 else 0.0
@@ -366,7 +276,6 @@ def decompose_pack_and_pair(
 
 def classify_regime(
     decomp: PackAndPairDecomposition,
-    assignment: AssignmentMatrix | None = None,
     split_frac: float = 0.01,
 ) -> RegimeLabel:
     """Label the solved plan.

@@ -48,7 +48,7 @@ def test_criterion_2_regime_reproduction(solve_cached):
     for gamma in FIG_GAMMAS:
         inst, sol = solve_cached(gamma)
         decomp = V.decompose_pack_and_pair(sol.assignment)
-        label = V.classify_regime(decomp, assignment=sol.assignment) if decomp.ok else None
+        label = V.classify_regime(decomp) if decomp.ok else None
         got.append(label.value if label else "none")
     ok = got == FIG_LABELS
     assert report(2, "regime reproduction", ok, ",".join(got))
@@ -60,7 +60,7 @@ def test_criterion_3_mixed_regime_bifurcation(solve_cached):
     for gamma in FIG_GAMMAS:
         inst, sol = solve_cached(gamma)
         decomp = V.decompose_pack_and_pair(sol.assignment)
-        label = V.classify_regime(decomp, assignment=sol.assignment)
+        label = V.classify_regime(decomp)
         if label in (V.RegimeLabel.MIXED_PMP, V.RegimeLabel.MIXED_POP):
             ok &= abs(decomp.bifurcation) <= 0.01 + 1e-12
             parts.append(f"g={gamma}: r_b={decomp.bifurcation:+.3f}")

@@ -161,6 +161,33 @@ def test_estimate_malformed_data_exit_3(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "data"
 
 
+@pytest.mark.parametrize(
+    "states",
+    [
+        ("AA", "AA"),  # one state with a single election: the fallback estimate fails
+        ("AA", "BB"),  # every state is skipped, and the ALL row spans one year as well
+    ],
+    ids=["single_state", "all_states_skipped"],
+)
+def test_estimate_one_election_exit_3(tmp_path, capsys, states):
+    data = tmp_path / "returns.csv"
+    data.write_text(
+        "state,year,precinct_id,district_id,total_votes,rep_share,contested\n"
+        f"{states[0]},2016,P1,D1,1000,0.4,1\n{states[1]},2016,P2,D1,1000,0.6,1\n"
+    )
+    code, _out, err = run(capsys, "estimate", "--input", str(data), "--out", str(tmp_path))
+    assert code == 3
+    error = json.loads(err.strip())
+    assert error["error"] == "data"
+    assert "need at least 2 elections" in error["message"]
+
+
+def test_flags_only_where_read(tmp_path, capsys):
+    assert run(capsys, "verify", "--gamma", "2", "--seed", "1", "--out", str(tmp_path))[0] == 2
+    assert run(capsys, "solve", "--gamma", "2", "--jobs", "2", "--out", str(tmp_path))[0] == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_simulate_then_estimate(tmp_path, capsys):
     code, out, _ = run(
         capsys,

@@ -135,7 +135,7 @@ def test_face_vertex_independent_of_stage1_method(gamma):
         assert abs(-(prog.c @ x) - inst.type_weights @ phi) <= L.DUAL_TOL
         asg = L._assignment(prog, x)
         decomp = V.decompose_pack_and_pair(asg)
-        verdicts.append((V.classify_regime(decomp, asg), decomp.bifurcation))
+        verdicts.append((V.classify_regime(decomp), decomp.bifurcation))
     assert verdicts[0] == verdicts[1]
 
 

@@ -45,6 +45,55 @@ def test_refinement_threshold_exact_balance(solve_cached):
         assert mean_vote == pytest.approx(0.5 * d.weights.sum(), abs=1e-10)
 
 
+def test_refinement_splits_each_column_on_its_own_types():
+    # Two adjacent pooled columns that share types; type 0 sits exactly at
+    # the threshold of the first column.
+    inst = M.ProblemInstance(
+        type_grid=np.array([-1.0, -0.5, 0.0, 0.5, 1.0]),
+        type_weights=np.full(5, 0.2),
+        taste=M.NORMAL,
+        gamma=1.0,
+    )
+    thresholds = np.array([0.0, 0.1])
+    v = M.vote_share(inst, inst.type_grid[:, None], thresholds[None, :])
+    pi = np.zeros((5, 2))
+
+    def add_pair(lo, hi, j, mass):
+        rho = (v[hi, j] - 0.5) / (v[hi, j] - v[lo, j])
+        pi[lo, j] += mass * rho
+        pi[hi, j] += mass * (1 - rho)
+
+    add_pair(0, 3, 0, 0.2)
+    add_pair(1, 4, 0, 0.2)
+    pi[2, 0] = 0.1
+    add_pair(0, 4, 1, 0.2)
+    add_pair(1, 3, 1, 0.2)
+    assignment = L.AssignmentMatrix(
+        pi=pi,
+        type_grid=inst.type_grid,
+        threshold_grid=thresholds,
+        type_weights=pi.sum(axis=1),
+        vote=v,
+    )
+    assert np.max(np.abs(assignment.threshold_residuals())) < 1e-12
+
+    refined = V.refine_assignment(assignment)
+    assert refined.refined
+    assert refined.leftover <= 1e-12
+    placed = np.zeros_like(pi)
+    for d in refined.districts:
+        j = int(np.flatnonzero(thresholds == d.threshold)[0])
+        rows = np.searchsorted(inst.type_grid, d.types)
+        assert np.all(pi[rows, j] > L.SUPPORT_TOL)
+        placed[rows, j] += d.mass * d.weights
+        if d.kind == "pair":
+            assert d.weights @ v[rows, j] == pytest.approx(0.5, abs=1e-12)
+    assert np.max(np.abs(placed - pi)) <= 1e-12
+    pool = [d for d in refined.districts if d.kind == "pool"]
+    assert [(d.threshold, float(d.types[0])) for d in pool] == [(0.0, 0.0)]
+    assert pool[0].mass == pytest.approx(0.1, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # single-dipped districting
 # ---------------------------------------------------------------------------
@@ -115,7 +164,7 @@ def test_regime_classification(solve_cached, gamma):
     inst, sol = solve_cached(gamma)
     decomp = V.decompose_pack_and_pair(sol.assignment)
     assert decomp.ok, decomp.reason
-    label = V.classify_regime(decomp, assignment=sol.assignment)
+    label = V.classify_regime(decomp)
     assert label == EXPECTED_REGIMES[gamma]
 
 
@@ -285,5 +334,5 @@ def test_full_segregation_assignment_classified():
     decomp = V.decompose_pack_and_pair(assignment)
     assert decomp.ok
     assert decomp.pair_mass == pytest.approx(0.0, abs=1e-12)
-    label = V.classify_regime(decomp, assignment=assignment)
+    label = V.classify_regime(decomp)
     assert label == V.RegimeLabel.SEGREGATION
