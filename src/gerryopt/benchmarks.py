@@ -26,6 +26,8 @@ from .model import (
     vote_share,
 )
 
+SHAPE_TOL = 1e-9  # numerical slack of the S-shape and linearity checks
+
 
 @dataclass(frozen=True)
 class SShapeProfile:
@@ -34,17 +36,17 @@ class SShapeProfile:
     U: object               # callable x -> G(r*(x))
     inflection: float       # convexity flips from convex to concave here
 
-    def validate(self, grid: np.ndarray, tol: float = 1e-9) -> bool:
+    def validate(self, grid: np.ndarray) -> bool:
         """U increasing, convex below the inflection, concave above (on grid)."""
         x = np.asarray(grid, dtype=float)
         u = np.asarray(self.U(x), dtype=float)
-        if np.any(np.diff(u) < -tol):
+        if np.any(np.diff(u) < -SHAPE_TOL):
             return False
         second = np.diff(u, 2)
         mid = x[1:-1]
         lo = second[mid < self.inflection - 1e-12]
         hi = second[mid > self.inflection + 1e-12]
-        return bool(np.all(lo >= -tol) and np.all(hi <= tol))
+        return bool(np.all(lo >= -SHAPE_TOL) and np.all(hi <= SHAPE_TOL))
 
 
 def s_shape_from_instance(inst: ProblemInstance) -> SShapeProfile:
@@ -273,7 +275,7 @@ def linear_pop_foc(
     )
 
 
-def check_linearity(inst: ProblemInstance, tol: float = 1e-9) -> bool:
+def check_linearity(inst: ProblemInstance) -> bool:
     """True iff v(s, r) is affine in s across the grid support for every r."""
     live = inst.type_grid[inst.type_weights > 0]
     if live.size <= 2:
@@ -282,4 +284,4 @@ def check_linearity(inst: ProblemInstance, tol: float = 1e-9) -> bool:
     span = live[-1] - live[0]
     w = (live - live[0]) / span
     interp = v[0][None, :] + w[:, None] * (v[-1] - v[0])[None, :]
-    return bool(np.max(np.abs(v - interp)) <= tol)
+    return bool(np.max(np.abs(v - interp)) <= SHAPE_TOL)

@@ -129,8 +129,6 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     if args.schema:
         return _print_schema("sweep")
-    if not args.gammas:
-        raise GerryOptError("--gammas requires at least one value")
     gammas = [float(x) for x in args.gammas.split(",") if x.strip()]
     if not gammas:
         raise GerryOptError("--gammas requires at least one value")
@@ -312,52 +310,59 @@ def cmd_simulate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gerryopt", description=__doc__)
+    parser = argparse.ArgumentParser(prog="gerryopt", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, gamma_default=None):
-        p.add_argument("--gamma", type=float, default=gamma_default)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    def instance(p, gamma=True):
+        if gamma:
+            p.add_argument("--gamma", type=float)
         p.add_argument("--grid", type=int, default=201, help="type grid size (odd, >= 3)")
         p.add_argument("--taste", choices=["normal", "logistic"], default="normal")
+
+    def output(p):
         p.add_argument("--out", default=None, help="output dir (default $GERRYOPT_OUT or .)")
         p.add_argument("--schema", action="store_true", help="print output schema and exit")
 
-    p = sub.add_parser("solve", help="solve the designer LP at one gamma")
-    common(p)
-    p.set_defaults(func=cmd_solve)
+    p = command("solve", cmd_solve, "solve the designer LP at one gamma")
+    instance(p)
+    output(p)
 
-    p = sub.add_parser("sweep", help="solve across a gamma list")
-    common(p)
+    p = command("sweep", cmd_sweep, "solve across a gamma list")
+    instance(p, gamma=False)
+    output(p)
     p.add_argument("--gammas", default="", help="comma-separated gamma values")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("benchmark", help="closed-form benchmarks and heuristic plans")
-    common(p)
+    p = command("benchmark", cmd_benchmark, "closed-form benchmarks and heuristic plans")
+    instance(p)
+    output(p)
     p.add_argument("--r0", type=float, default=0.5, help="known shock for the no-aggregate benchmark")
     p.add_argument("--with-lp", action="store_true", help="also solve the LP for comparison")
-    p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("verify", help="structural and duality checks on a fresh solve")
-    common(p)
+    p = command("verify", cmd_verify, "structural and duality checks on a fresh solve")
+    instance(p)
+    output(p)
     p.add_argument("--pap", action="store_true", help="run the quadruple-scan certificate instead")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("estimate", help="estimate gamma from precinct returns CSV")
-    common(p)
+    p = command("estimate", cmd_estimate, "estimate gamma from precinct returns CSV")
+    output(p)
     p.add_argument("--input", required=False)
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--strict", action="store_true", help="malformed rows are fatal")
     p.add_argument("--descriptives", action="store_true", help="also emit histogram and Q-Q CSVs")
-    p.set_defaults(func=cmd_estimate)
 
-    p = sub.add_parser("simulate", help="write synthetic precinct returns")
-    common(p, gamma_default=14.75)
+    p = command("simulate", cmd_simulate, "write synthetic precinct returns")
+    p.add_argument("--gamma", type=float, default=14.75)
+    output(p)
     p.add_argument("--elections", type=int, default=3)
     p.add_argument("--precincts", type=int, default=1000)
     p.add_argument("--votes", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
     return parser
 
 

@@ -390,12 +390,10 @@ def simulate_returns(
     votes_per_precinct: int = 1000,
     seed: int = 0,
     state: str = "SY",
-    f_low: float = -1.0,
-    f_high: float = 1.0,
-    start_year: int = 2016,
 ) -> None:
-    """Write synthetic returns: s_n ~ uniform[f_low, f_high], r_t ~ N(0, 1/gamma^2),
-    v_nt = Q(s_n - r_t) exactly (large-precinct limit).  Deterministic per seed.
+    """Write synthetic returns for the years 2016, 2018, ...: s_n ~ uniform[-1, 1],
+    r_t ~ N(0, 1/gamma^2), v_nt = Q(s_n - r_t) exactly (large-precinct limit).
+    Deterministic per seed.
 
     The file is what ``csv.writer`` writes (``\\r\\n`` line ends, shares with
     12 decimals); only ``state`` can need quoting, so it alone goes through
@@ -403,7 +401,7 @@ def simulate_returns(
     if gamma <= 0 or T < 1 or n_precincts < 1 or votes_per_precinct < 1:
         raise GerryOptError("simulator parameters must be positive")
     rng = np.random.default_rng(seed)
-    s = rng.uniform(f_low, f_high, size=n_precincts)
+    s = rng.uniform(-1.0, 1.0, size=n_precincts)
     r = rng.normal(0.0, 1.0 / gamma, size=T)
     quoted = io.StringIO()
     csv.writer(quoted).writerow([state, ""])
@@ -412,7 +410,7 @@ def simulate_returns(
     with open(path, "w", newline="") as fh:
         fh.write(",".join(CSV_FIELDS) + "\r\n")
         for t in range(T):
-            lead = f"{state_field},{start_year + 2 * t},"
+            lead = f"{state_field},{2016 + 2 * t},"
             v = ndtr(s - r[t]).tolist()
             fh.writelines(f"{lead}{m}{x:.12f},1\r\n" for m, x in zip(middle, v))
 
@@ -433,13 +431,13 @@ class DescriptiveSummaries:
     base_year: int
 
 
-def descriptive_summaries(returns: Returns, base_year: int | None = None) -> DescriptiveSummaries:
+def descriptive_summaries(returns: Returns) -> DescriptiveSummaries:
     """Vote-share histogram, district swing-deviation histogram, and
-    cross-election quantile-matching curves against the base year."""
+    cross-election quantile-matching curves against the first year."""
     if not len(returns):
         raise GerryOptError("no records")
     years, row_year = np.unique(returns.year, return_inverse=True)
-    base = int(years[0]) if base_year is None else base_year
+    base = int(years[0])
     v = returns.rep_share
     k = returns.total_votes.astype(float)
     share_hist, _ = np.histogram(v, bins=SHARE_BINS, weights=k / k.sum())

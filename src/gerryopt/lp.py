@@ -33,6 +33,7 @@ SUPPORT_TOL = 1e-9     # assignment mass below this is numerically zero
 PRIMAL_TOL = 1e-8      # feasibility residuals
 DUAL_TOL = 1e-7        # complementary slackness / strong duality
 FACE_TOL = 1e-9        # reduced cost at or below which a cell is on the optimal face
+AT_TOL = 1e-12         # a type this close to a threshold sits at it
 
 HIGHS_OPTIONS = {
     "presolve": True,
@@ -84,11 +85,11 @@ class AssignmentMatrix:
         res = ((self.vote - 0.5) * self.pi).sum(axis=0)
         return np.where(self.column_mass() > SUPPORT_TOL, res, 0.0)
 
-    def validate(self, tol: float = PRIMAL_TOL) -> None:
+    def validate(self) -> None:
         row = float(np.max(np.abs(self.row_residuals())))
         col = float(np.max(np.abs(self.threshold_residuals())))
-        if row > tol or col > tol:
-            raise LPSolveError(f"assignment residuals row={row:.2e} col={col:.2e} > {tol:.1e}")
+        if row > PRIMAL_TOL or col > PRIMAL_TOL:
+            raise LPSolveError(f"assignment residuals row={row:.2e} col={col:.2e} > {PRIMAL_TOL:.1e}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ def _max_packed_on_face(lp: LinearProgram, res) -> tuple[np.ndarray, dict]:
     reduced = lp.c - lp.a_eq.T @ np.asarray(res.eqlin.marginals, dtype=float)
     face = np.flatnonzero(reduced <= FACE_TOL)
     # a packed cell puts type s in a district with threshold r = s
-    packed = np.abs(lp.threshold_grid[None, :] - lp.inst.type_grid[:, None]).ravel()[face] <= 1e-12
+    packed = np.abs(lp.threshold_grid[None, :] - lp.inst.type_grid[:, None]).ravel()[face] <= AT_TOL
     res2 = linprog(
         -packed.astype(float),
         A_eq=lp.a_eq[:, face],
@@ -217,12 +218,12 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     return LPSolution(assignment=_assignment(lp, x), objective=float(-res.fun), certificate=cert, stats=stats)
 
 
-def extract_plan(assignment: AssignmentMatrix, support_tol: float = SUPPORT_TOL) -> Plan:
+def extract_plan(assignment: AssignmentMatrix) -> Plan:
     """One district per active threshold column, weighted by column mass."""
     col_mass = assignment.column_mass()
     districts = []
-    for j in np.flatnonzero(col_mass > support_tol):
-        active = assignment.pi[:, j] > support_tol
+    for j in np.flatnonzero(col_mass > SUPPORT_TOL):
+        active = assignment.pi[:, j] > SUPPORT_TOL
         w = assignment.pi[active, j]
         districts.append(
             (

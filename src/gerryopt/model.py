@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
-# Tolerances (see also lp.SUPPORT_TOL / verify defaults).
+# Tolerances (see also the lp and verify constants).
 MASS_TOL = 1e-12      # probability masses must sum to 1 within this
 ROOT_TOL = 1e-10      # |mean vote share at r* - 1/2|
 FEAS_TOL = 1e-8       # per-type plan marginal deviation
@@ -169,15 +169,13 @@ class ProblemInstance:
 
 def uniform_instance(
     n: int = 201,
-    lo: float = -1.0,
-    hi: float = 1.0,
     gamma: float = 1.0,
     taste: str | TasteDistribution = "normal",
 ) -> ProblemInstance:
-    """Uniform point masses on an n-point grid over [lo, hi]."""
+    """Uniform point masses on an n-point grid over [-1, 1]."""
     if isinstance(taste, str):
         taste = get_taste(taste)
-    grid = np.linspace(lo, hi, n)
+    grid = np.linspace(-1.0, 1.0, n)
     w = np.full(n, 1.0 / n)
     w[-1] = 1.0 - w[:-1].sum()  # exact unit mass
     return ProblemInstance(type_grid=grid, type_weights=w, taste=taste, gamma=gamma)
@@ -194,7 +192,6 @@ class District:
 
     types: np.ndarray
     weights: np.ndarray
-    _threshold_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.types, dtype=float)
@@ -216,19 +213,14 @@ def point_district(s: float) -> District:
     return District(types=np.array([float(s)]), weights=np.array([1.0]))
 
 
-def district_threshold(inst: ProblemInstance, district: District, max_iter: int = 200) -> float:
+def district_threshold(inst: ProblemInstance, district: District) -> float:
     """Threshold shock r*(P): the root of mean vote share = 1/2.
 
     Mean vote share is strictly decreasing in r, so the root is unique.  For a
     degenerate district delta_s the answer is s exactly (Q symmetric).
     """
-    cached = district._threshold_cache.get(inst.taste.name)
-    if cached is not None:
-        return cached
     if district.types.size == 1:
-        r = float(district.types[0])
-        district._threshold_cache[inst.taste.name] = r
-        return r
+        return float(district.types[0])
 
     t, w = district.types, district.weights
 
@@ -238,12 +230,11 @@ def district_threshold(inst: ProblemInstance, district: District, max_iter: int 
     lo = float(t.min()) - BRACKET_PAD
     hi = float(t.max()) + BRACKET_PAD
     try:
-        r = brentq(excess, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=max_iter)
+        r = brentq(excess, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
     except (ValueError, RuntimeError) as exc:
         raise ConvergenceError(f"threshold root finding failed: {exc}") from exc
     if abs(excess(r)) > ROOT_TOL:
         raise ConvergenceError("threshold root did not reach tolerance 1e-10")
-    district._threshold_cache[inst.taste.name] = float(r)
     return float(r)
 
 
@@ -325,23 +316,21 @@ class FeasibilityReport:
         return self.max_deviation <= self.tolerance
 
 
-def check_feasibility(inst: ProblemInstance, plan: Plan, tolerance: float = FEAS_TOL) -> FeasibilityReport:
+def check_feasibility(inst: ProblemInstance, plan: Plan) -> FeasibilityReport:
     """Per-type deviation between the plan's marginal and the population."""
     dev = plan.type_marginal(inst) - inst.type_weights
     return FeasibilityReport(
-        deviations=dev, max_deviation=float(np.max(np.abs(dev))), tolerance=tolerance
+        deviations=dev, max_deviation=float(np.max(np.abs(dev))), tolerance=FEAS_TOL
     )
 
 
-def expected_seat_share(
-    inst: ProblemInstance, plan: Plan, check: bool = True, tolerance: float = FEAS_TOL
-) -> float:
+def expected_seat_share(inst: ProblemInstance, plan: Plan, check: bool = True) -> float:
     """Designer's objective: sum over districts of mass * G(r*(P))."""
     if check:
-        report = check_feasibility(inst, plan, tolerance)
+        report = check_feasibility(inst, plan)
         if not report.feasible:
             raise InfeasiblePlanError(
-                f"plan marginal deviates by {report.max_deviation:.3e} > {tolerance:.1e}"
+                f"plan marginal deviates by {report.max_deviation:.3e} > {FEAS_TOL:.1e}"
             )
     return float(
         sum(m * float(inst.G(district_threshold(inst, d))) for d, m in plan.districts)

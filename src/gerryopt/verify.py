@@ -11,16 +11,19 @@ structural checks run on that district decomposition.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .model import NORMAL, GerryOptError, ProblemInstance, TasteDistribution
-from .lp import AssignmentMatrix, DualCertificate, SUPPORT_TOL
+from .lp import AT_TOL, AssignmentMatrix, DualCertificate, SUPPORT_TOL
 
 DUST = 1e-13
+SPLIT_FRAC = 0.01      # a type splits when its packed and its paired mass both exceed this share
+SLACK_TOL = 1e-6       # worst support slack the dual certificate may leave
+PAP_MARGIN = 1e-12     # both quadruple-scan inequalities must clear this
+PAP_GRID = -5.0 + 0.1 * np.arange(101)  # types s, r, s', s'' of the quadruple scan
 
 # Allowance for grid pooling in the multiplier formula, as a share of the
 # largest formula value on the support.  The formula is a continuum identity;
@@ -79,7 +82,7 @@ class RefinedSolution:
         return self.leftover <= 1e-8
 
 
-def refine_assignment(assignment: AssignmentMatrix, tol_mass: float = SUPPORT_TOL) -> RefinedSolution:
+def refine_assignment(assignment: AssignmentMatrix) -> RefinedSolution:
     """Decompose an assignment into packed and two-type districts.
 
     A column with one active type is a packed district.  Every other column
@@ -100,9 +103,9 @@ def refine_assignment(assignment: AssignmentMatrix, tol_mass: float = SUPPORT_TO
     leftover = 0.0
     refined = False
 
-    for j in np.flatnonzero(col_mass > tol_mass):
+    for j in np.flatnonzero(col_mass > SUPPORT_TOL):
         r = float(thr[j])
-        active = np.flatnonzero(pi[:, j] > tol_mass)
+        active = np.flatnonzero(pi[:, j] > SUPPORT_TOL)
         if active.size == 1:
             i = int(active[0])
             districts.append(
@@ -125,7 +128,7 @@ def refine_assignment(assignment: AssignmentMatrix, tol_mass: float = SUPPORT_TO
             if alive.size == 0:
                 break
             lo, hi = int(alive[0]), int(alive[-1])
-            if grid[lo] < r - 1e-12 and grid[hi] > r + 1e-12:
+            if grid[lo] < r - AT_TOL and grid[hi] > r + AT_TOL:
                 v_lo, v_hi = vote[lo, j], vote[hi, j]
                 rho = (v_hi - 0.5) / (v_hi - v_lo)  # weight on the low type
                 t = float(min(budget, rem[lo] / rho, rem[hi] / (1.0 - rho)))
@@ -134,7 +137,7 @@ def refine_assignment(assignment: AssignmentMatrix, tol_mass: float = SUPPORT_TO
                 # A type sitting exactly at this threshold is balanced by
                 # itself: place it as a degenerate pool member
                 # (payoff-equivalent to joining the pool).
-                at_r = alive[np.abs(grid[alive] - r) <= 1e-12]
+                at_r = alive[np.abs(grid[alive] - r) <= AT_TOL]
                 if at_r.size == 0:
                     break
                 i = int(at_r[0])
@@ -171,14 +174,10 @@ class SingleDippedReport:
     violations: list  # (s, s_mid, s'', r_pair, r_mid) triples with the offending thresholds
 
 
-def check_single_dipped(
-    assignment: AssignmentMatrix,
-    tol_mass: float = SUPPORT_TOL,
-    tol_rank: float = 0.0,
-) -> SingleDippedReport:
+def check_single_dipped(assignment: AssignmentMatrix) -> SingleDippedReport:
     """Strict single-dippedness: no type may sit strictly inside the span of a
-    district with a strictly lower threshold (beyond ``tol_rank``)."""
-    refined = refine_assignment(assignment, tol_mass)
+    district with a strictly lower threshold."""
+    refined = refine_assignment(assignment)
     spans = [
         (d.threshold, *d.span) for d in refined.districts if d.types.size >= 2
     ]
@@ -186,7 +185,7 @@ def check_single_dipped(
     for d in refined.districts:
         for s_mid in d.types:
             for r, a, b in spans:
-                if d.threshold > r + tol_rank and a + 1e-12 < s_mid < b - 1e-12:
+                if d.threshold > r and a + AT_TOL < s_mid < b - AT_TOL:
                     violations.append((float(a), float(s_mid), float(b), float(r), float(d.threshold)))
     violations.sort()
     return SingleDippedReport(ok=not violations, violations=violations)
@@ -205,12 +204,10 @@ class PackAndPairDecomposition:
     type_weights: np.ndarray
 
 
-def decompose_pack_and_pair(
-    assignment: AssignmentMatrix, tol_mass: float = SUPPORT_TOL
-) -> PackAndPairDecomposition:
+def decompose_pack_and_pair(assignment: AssignmentMatrix) -> PackAndPairDecomposition:
     """Read off the bifurcation point and the pairing maps s1 (nonincreasing)
     and s2 (nondecreasing) from a canonicalized solution."""
-    refined = refine_assignment(assignment, tol_mass)
+    refined = refine_assignment(assignment)
 
     def fail(reason: str) -> PackAndPairDecomposition:
         return PackAndPairDecomposition(
@@ -229,21 +226,14 @@ def decompose_pack_and_pair(
     for d in refined.districts:
         if d.packed:
             segregated.append((d.threshold, d.mass))
-        elif d.types.size == 1:  # degenerate pool member at its own threshold
-            pairs.append((d.threshold, float(d.types[0]), float(d.types[0]), d.mass))
-        elif d.types.size == 2:
-            s1, s2 = float(d.types[0]), float(d.types[1])
-            if not (s1 < d.threshold < s2):
-                return fail(f"pair ({s1}, {s2}) does not straddle its threshold {d.threshold}")
-            pairs.append((d.threshold, s1, s2, d.mass))
-        else:
-            return fail(f"district at threshold {d.threshold} has {d.types.size} > 2 support types")
+        else:  # a pair, or a degenerate pool member at its own threshold
+            pairs.append((d.threshold, float(d.types[0]), float(d.types[-1]), d.mass))
 
     # Bifurcation: the largest grid threshold at or below which every district
     # is degenerate.  With no pairs that is the top of the grid.
     if pairs:
         r_min_pair = min(r for r, *_ in pairs)
-        below = thr_grid[thr_grid < r_min_pair - 1e-12]
+        below = thr_grid[thr_grid < r_min_pair - AT_TOL]
         r_b = float(below[-1]) if below.size else float(thr_grid[0]) - step
     else:
         r_b = float(thr_grid[-1])
@@ -252,7 +242,7 @@ def decompose_pack_and_pair(
 
     slack = step + 1e-9
     for r, m in segregated:
-        if r > r_b + 1e-12:
+        if r > r_b + AT_TOL:
             return fail(f"packed district at {r} lies above the bifurcation point {r_b}")
     pairs.sort(key=lambda p: (p[0], p[2]))
     # Monotone pairing maps: across distinct thresholds the stronger column's
@@ -274,13 +264,10 @@ def decompose_pack_and_pair(
     )
 
 
-def classify_regime(
-    decomp: PackAndPairDecomposition,
-    split_frac: float = 0.01,
-) -> RegimeLabel:
+def classify_regime(decomp: PackAndPairDecomposition) -> RegimeLabel:
     """Label the solved plan.
 
-    A type is segregated / paired if at least (1 - split_frac) of its mass is;
+    A type is segregated / paired if at least (1 - SPLIT_FRAC) of its mass is;
     otherwise it splits.  Grid discretization forces at most one split type at
     each edge of the segregated block (the continuum boundary falls between
     grid points), so such edge-adjacent splits are excused.  Any other split,
@@ -296,9 +283,9 @@ def classify_regime(
     status = []
     for i in live:
         seg, pair = decomp.seg_mass[i], decomp.pair_mass[i]
-        if pair <= split_frac * f[i]:
+        if pair <= SPLIT_FRAC * f[i]:
             status.append("seg")
-        elif seg <= split_frac * f[i]:
+        elif seg <= SPLIT_FRAC * f[i]:
             status.append("pair")
         else:
             status.append("split")
@@ -352,9 +339,7 @@ def check_dual_support_optimality(
     inst: ProblemInstance,
     assignment: AssignmentMatrix,
     cert: DualCertificate,
-    tol_support: float = 1e-6,
     tol_multiplier: float = 1e-6,
-    tol_mass: float = SUPPORT_TOL,
 ) -> DualSupportReport:
     """Verify the optimality certificate on the active support.
 
@@ -376,12 +361,12 @@ def check_dual_support_optimality(
     g_of_r = np.asarray(inst.G(assignment.threshold_grid), dtype=float)
     values = cert.support_values(g_of_r, assignment.vote)
     best = values.max(axis=1)
-    active = assignment.pi > tol_mass
+    active = assignment.pi > SUPPORT_TOL
     slack = np.where(active, best[:, None] - values, 0.0)
     worst1 = float(slack.max())
 
     col_mass = assignment.column_mass()
-    cols = np.flatnonzero(col_mass > tol_mass)
+    cols = np.flatnonzero(col_mass > SUPPORT_TOL)
     r = assignment.threshold_grid[cols]
     w = assignment.pi[:, cols] / col_mass[cols]
     q_mean = (w * inst.taste.pdf(assignment.type_grid[:, None] - r[None, :])).sum(axis=0)
@@ -399,7 +384,7 @@ def check_dual_support_optimality(
         for k in np.flatnonzero(err > tol_multiplier)
     ]
     return DualSupportReport(
-        part1_ok=worst1 <= tol_support,
+        part1_ok=worst1 <= SLACK_TOL,
         worst_slack=worst1,
         part2_ok=worst2 <= tol_multiplier,
         worst_multiplier_error=worst2,
@@ -407,19 +392,8 @@ def check_dual_support_optimality(
     )
 
 
-def default_pap_grid(step: float = 0.1, lo: float = -5.0, hi: float = 5.0) -> np.ndarray:
-    n = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(n)
-
-
-def check_pap_condition(
-    gamma: float,
-    grid: np.ndarray | None = None,
-    step: float = 0.1,
-    taste: TasteDistribution = NORMAL,
-    margin: float = 1e-12,
-) -> list:
-    """Scan all grid quadruples s < r < s' <= s'' for the pack-and-pair
+def check_pap_condition(gamma: float, taste: TasteDistribution = NORMAL) -> list:
+    """Scan all ``PAP_GRID`` quadruples s < r < s' <= s'' for the pack-and-pair
     sufficient condition; an empty list certifies pack-and-pair optimality.
 
     A quadruple violates iff both hold, with lambda(r) the paired-district
@@ -427,13 +401,13 @@ def check_pap_condition(
         G(r) + lambda(r)(Q(s-r) - 1/2) >= G(s)
         G(r) + lambda(r)(Q(s-r) - 1/2) >= G(s'') + lambda(s'')(Q(s-s'') - 1/2)
 
-    Both inequalities must clear ``margin``: deep in the distribution tails
+    Both inequalities must clear ``PAP_MARGIN``: deep in the distribution tails
     the two sides saturate to 1.0 in double precision and tie exactly, while
     in exact arithmetic the second inequality fails by ~1e-18 there.
     """
     if gamma <= 0:
         raise GerryOptError("gamma must be positive")
-    x = default_pap_grid(step) if grid is None else np.asarray(grid, dtype=float)
+    x = PAP_GRID
     n = x.size
     Q = lambda z: np.asarray(taste.cdf(z), dtype=float)
     q = lambda z: np.asarray(taste.pdf(z), dtype=float)
@@ -450,12 +424,6 @@ def check_pap_condition(
         alt = G_all + (g_all / q0) * (Q(s - x) - 0.5)
         # suffix minimum over s'' >= s'
         suffix_min = np.minimum.accumulate(alt[::-1])[::-1]
-        suffix_arg = np.empty(n, dtype=int)
-        best = n - 1
-        for k in range(n - 1, -1, -1):
-            if alt[k] <= alt[best]:
-                best = k
-            suffix_arg[k] = best
         for i_r in range(i_s + 1, n - 1):
             r = x[i_r]
             sp = x[i_r + 1 :]
@@ -465,12 +433,13 @@ def check_pap_condition(
             denom = (Qsp - 0.5) * qs - (Qs - 0.5) * q(sp - r)
             lam = float(g_all[i_r]) * (Qsp - Qs) / denom
             lhs = float(G_all[i_r]) + lam * (Qs - 0.5)
-            cond1 = lhs - float(G_all[i_s]) > margin
-            cond2 = lhs - suffix_min[i_r + 1 :] > margin
+            cond1 = lhs - float(G_all[i_s]) > PAP_MARGIN
+            cond2 = lhs - suffix_min[i_r + 1 :] > PAP_MARGIN
             bad = np.flatnonzero(cond1 & cond2)
             for k in bad:
                 i_sp = i_r + 1 + int(k)
-                violations.append((float(s), float(r), float(x[i_sp]), float(x[suffix_arg[i_sp]])))
+                i_spp = i_sp + int(np.argmin(alt[i_sp:]))
+                violations.append((float(s), float(r), float(x[i_sp]), float(x[i_spp])))
     violations.sort()
     return violations
 
@@ -513,7 +482,7 @@ class SegNadReport:
         return self.n_pool_preferred > 0 and self.n_split_preferred > 0
 
 
-def check_seg_nad_conditions(inst: ProblemInstance, triples=None, max_triples: int = 500) -> SegNadReport:
+def check_seg_nad_conditions(inst: ProblemInstance, triples=None) -> SegNadReport:
     """For sampled s < r < s', compare pooling the pair {s, s'} at threshold r
     against splitting into packed districts: pooling wins iff
     G(r) > rho G(s) + (1 - rho) G(s') with rho the balancing weight on s."""
@@ -527,7 +496,7 @@ def check_seg_nad_conditions(inst: ProblemInstance, triples=None, max_triples: i
             for b in pts
             for c in pts
             if a < b < c
-        ][:max_triples]
+        ][:500]
     pool, split = [], []
     for s, r, sp in triples:
         num = float(inst.taste.cdf(sp - r)) - 0.5

@@ -182,9 +182,44 @@ def test_estimate_one_election_exit_3(tmp_path, capsys, states):
     assert "need at least 2 elections" in error["message"]
 
 
+INSTANCE_FLAGS = {"--gamma", "--grid", "--taste"}
+OUTPUT_FLAGS = {"--out", "--schema"}
+CLI_FLAGS = {
+    "solve": INSTANCE_FLAGS | OUTPUT_FLAGS,
+    "sweep": {"--grid", "--taste", "--gammas", "--jobs"} | OUTPUT_FLAGS,
+    "benchmark": INSTANCE_FLAGS | OUTPUT_FLAGS | {"--r0", "--with-lp"},
+    "verify": INSTANCE_FLAGS | OUTPUT_FLAGS | {"--pap"},
+    "estimate": OUTPUT_FLAGS | {"--input", "--alpha", "--strict", "--descriptives"},
+    "simulate": OUTPUT_FLAGS | {"--gamma", "--elections", "--precincts", "--votes", "--seed"},
+}
+
+
+def test_cli_surface():
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions if a.choices and a.dest == "command"]
+    assert not parser.allow_abbrev
+    surface = {}
+    for name, sub in subparsers.choices.items():
+        assert not sub.allow_abbrev, name
+        surface[name] = {opt for a in sub._actions for opt in a.option_strings} - {"-h", "--help"}
+    assert surface == CLI_FLAGS
+
+
 def test_flags_only_where_read(tmp_path, capsys):
-    assert run(capsys, "verify", "--gamma", "2", "--seed", "1", "--out", str(tmp_path))[0] == 2
-    assert run(capsys, "solve", "--gamma", "2", "--jobs", "2", "--out", str(tmp_path))[0] == 2
+    for argv in (
+        ["verify", "--gamma", "2", "--seed", "1"],
+        ["solve", "--gamma", "2", "--jobs", "2"],
+        ["sweep", "--gamma", "2"],
+        ["sweep", "--gamma", "2", "--gammas", "1"],  # no prefix match to --gammas
+        ["estimate", "--gamma", "2", "--input", "returns.csv"],
+        ["estimate", "--grid", "41", "--input", "returns.csv"],
+        ["estimate", "--taste", "logistic", "--input", "returns.csv"],
+        ["simulate", "--grid", "41"],
+        ["simulate", "--taste", "logistic"],
+    ):
+        code, _out, err = run(capsys, *argv, "--out", str(tmp_path))
+        assert code == 2, argv
+        assert "unrecognized arguments" in err, argv
     assert not list(tmp_path.iterdir())
 
 

@@ -207,9 +207,48 @@ def test_pap_condition_rejects_bad_gamma():
 
 
 def test_pap_grid_shape():
-    grid = V.default_pap_grid(step=0.5, lo=-2, hi=2)
-    assert grid[0] == -2 and grid[-1] == 2
-    assert np.allclose(np.diff(grid), 0.5)
+    grid = V.PAP_GRID
+    assert grid.size == 101
+    assert grid[0] == -5.0 and grid[-1] == pytest.approx(5.0, abs=1e-12)
+    assert np.allclose(np.diff(grid), 0.1)
+
+
+# Cauchy taste shock: heavy tails break the sufficient condition in the far
+# left tail of the grid.  ppf and log_density_dd are not used by the scan.
+CAUCHY = M.TasteDistribution(
+    name="cauchy",
+    cdf=lambda x: 0.5 + np.arctan(np.asarray(x, dtype=float)) / np.pi,
+    pdf=lambda x: 1.0 / (np.pi * (1.0 + np.asarray(x, dtype=float) ** 2)),
+    ppf=None,
+    log_density_dd=None,
+)
+
+# (s, r, s', s'') of every violating quadruple; s'' is the first grid point
+# at or above s' where the packed alternative is least
+CAUCHY_PAP_VIOLATIONS = {
+    2.0: [
+        (-5.0, -3.4, -3.3, -0.09999999999999964),
+        (-5.0, -3.3, -3.2, -0.09999999999999964),
+        (-5.0, -3.2, -3.0999999999999996, -0.09999999999999964),
+        (-5.0, -3.0999999999999996, -3.0, -0.09999999999999964),
+        (-5.0, -3.0, -2.9, -0.09999999999999964),
+        (-5.0, -2.9, -2.8, -0.09999999999999964),
+        (-5.0, -2.8, -2.6999999999999997, -0.09999999999999964),
+        (-5.0, -2.6999999999999997, -2.5999999999999996, -0.09999999999999964),
+    ],
+    6.0: [
+        (-5.0, -3.3, -3.2, 0.0),
+        (-5.0, -3.2, -3.0999999999999996, 0.0),
+        (-5.0, -3.0999999999999996, -3.0, 0.0),
+        (-5.0, -3.0, -2.9, 0.0),
+        (-5.0, -2.9, -2.8, 0.0),
+    ],
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(CAUCHY_PAP_VIOLATIONS))
+def test_pap_condition_reports_cauchy_violations(gamma):
+    assert V.check_pap_condition(gamma, taste=CAUCHY) == CAUCHY_PAP_VIOLATIONS[gamma]
 
 
 # ---------------------------------------------------------------------------
