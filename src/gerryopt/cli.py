@@ -76,11 +76,6 @@ def _instance(args) -> ProblemInstance:
     return uniform_instance(n=args.grid, gamma=args.gamma, taste=get_taste(args.taste))
 
 
-def _print_schema(command: str) -> int:
-    print(json.dumps(SCHEMAS[command], indent=2))
-    return EXIT_OK
-
-
 def _solve_and_analyze(inst: ProblemInstance):
     sol = lpmod.solve_lp(lpmod.build_lp(inst))
     decomp = vf.decompose_pack_and_pair(sol.assignment)
@@ -89,8 +84,6 @@ def _solve_and_analyze(inst: ProblemInstance):
 
 
 def cmd_solve(args) -> int:
-    if args.schema:
-        return _print_schema("solve")
     inst = _instance(args)
     out = _outdir(args)
     sol, decomp, regime = _solve_and_analyze(inst)
@@ -127,8 +120,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.schema:
-        return _print_schema("sweep")
     gammas = [float(x) for x in args.gammas.split(",") if x.strip()]
     if not gammas:
         raise GerryOptError("--gammas requires at least one value")
@@ -154,8 +145,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
-    if args.schema:
-        return _print_schema("benchmark")
     inst = _instance(args)
     out = _outdir(args)
     m = float(inst.type_weights[inst.type_grid >= 0.0].sum())
@@ -183,18 +172,16 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.schema:
-        return _print_schema("verify")
+    inst = _instance(args)
     out = _outdir(args)
     checks = {}
     if args.pap:
-        violations = vf.check_pap_condition(args.gamma, taste=get_taste(args.taste))
+        violations = vf.check_pap_condition(inst.gamma, taste=inst.taste)
         checks["pap_condition"] = {
             "ok": not violations,
             "detail": {"n_violations": len(violations), "first": violations[:10]},
         }
     else:
-        inst = _instance(args)
         sol, decomp, regime = _solve_and_analyze(inst)
         sd = vf.check_single_dipped(sol.assignment)
         dual = vf.check_dual_support_optimality(
@@ -232,8 +219,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    if args.schema:
-        return _print_schema("estimate")
     if not args.input or not os.path.exists(args.input):
         raise FileNotFoundError(args.input or "--input is required")
     out = _outdir(args)
@@ -293,8 +278,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.schema:
-        return _print_schema("simulate")
     out = _outdir(args)
     path = os.path.join(out, "returns.csv")
     est.simulate_returns(
@@ -372,6 +355,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse config errors -> exit code 2
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    if args.schema:
+        print(json.dumps(SCHEMAS[args.command], indent=2))
+        return EXIT_OK
     try:
         return args.func(args)
     except GerryOptError as exc:

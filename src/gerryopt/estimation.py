@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, replace
 from itertools import islice, zip_longest
@@ -307,20 +306,6 @@ class GammaEstimate:
     grand_mean: float
     T: int
     n_precincts: int
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "gamma_hat": self.gamma_hat,
-                "ci_low": self.ci_low,
-                "ci_high": self.ci_high,
-                "alpha": self.alpha,
-                "election_means": {str(k): v for k, v in sorted(self.election_means.items())},
-                "grand_mean": self.grand_mean,
-                "T": self.T,
-                "n_precincts": self.n_precincts,
-            }
-        )
 
 
 def _election_means(returns: Returns, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -5,8 +5,11 @@ one threshold column (the continuum assigns them pair thresholds that all
 round to the same grid point).  Verification therefore first splits each
 column, on its own types only, into two-type districts balanced at the
 column's threshold, most extreme types first.  Column masses and thresholds
-are kept exactly, so the objective and feasibility are unchanged.  All
-structural checks run on that district decomposition.
+are kept exactly, so the objective and feasibility are unchanged.  The split
+is one table, ``Districts``, with one entry per district in threshold order:
+its threshold, its low and high type (equal for a one-type district), the
+low type's share, its mass, and whether it is packed.  The single-dipped
+check, the pack-and-pair decomposition and the regime label all read it.
 """
 
 from __future__ import annotations
@@ -53,27 +56,16 @@ class RegimeLabel(Enum):
 
 
 @dataclass(frozen=True)
-class CanonicalDistrict:
-    threshold: float
-    types: np.ndarray
-    weights: np.ndarray
-    mass: float
-    kind: str = "packed"  # "packed", "pair", or "pool" (degenerate pool member)
-
-    @property
-    def packed(self) -> bool:
-        return self.kind == "packed"
-
-    @property
-    def span(self) -> tuple[float, float]:
-        return float(self.types.min()), float(self.types.max())
-
-
-@dataclass(frozen=True)
-class RefinedSolution:
-    districts: list           # CanonicalDistrict, sorted by threshold
-    seg_mass: np.ndarray      # per-type mass in packed districts
-    pair_mass: np.ndarray     # per-type mass in paired districts
+class Districts:
+    threshold: np.ndarray     # per district, ascending
+    low: np.ndarray           # type index of the low member
+    high: np.ndarray          # type index of the high member (== low for one type)
+    rho: np.ndarray           # share of the low member
+    mass: np.ndarray
+    packed: np.ndarray        # True if the type is its column's only active type;
+                              # a one-type district that is not packed sits at
+                              # a pooled column's threshold
+    type_grid: np.ndarray
     leftover: float           # column mass the per-column split could not place
     refined: bool             # True if any column pools three or more types
 
@@ -81,8 +73,22 @@ class RefinedSolution:
     def ok(self) -> bool:
         return self.leftover <= 1e-8
 
+    @property
+    def seg_mass(self) -> np.ndarray:
+        """Per-type mass in packed districts."""
+        p = self.packed
+        return np.bincount(self.low[p], self.mass[p], minlength=self.type_grid.size)
 
-def refine_assignment(assignment: AssignmentMatrix) -> RefinedSolution:
+    @property
+    def pair_mass(self) -> np.ndarray:
+        """Per-type mass in the other districts, added in district order."""
+        p = ~self.packed
+        types = np.column_stack([self.low[p], self.high[p]]).ravel()
+        mass = (self.mass[p, None] * np.column_stack([self.rho[p], 1.0 - self.rho[p]])).ravel()
+        return np.bincount(types, mass, minlength=self.type_grid.size)
+
+
+def refine_assignment(assignment: AssignmentMatrix) -> Districts:
     """Decompose an assignment into packed and two-type districts.
 
     A column with one active type is a packed district.  Every other column
@@ -97,9 +103,7 @@ def refine_assignment(assignment: AssignmentMatrix) -> RefinedSolution:
     vote = assignment.vote
     col_mass = pi.sum(axis=0)
 
-    districts: list[CanonicalDistrict] = []
-    seg_mass = np.zeros(grid.size)
-    pair_mass = np.zeros(grid.size)
+    rows = []  # (threshold, low, high, rho, mass, packed)
     leftover = 0.0
     refined = False
 
@@ -108,16 +112,7 @@ def refine_assignment(assignment: AssignmentMatrix) -> RefinedSolution:
         active = np.flatnonzero(pi[:, j] > SUPPORT_TOL)
         if active.size == 1:
             i = int(active[0])
-            districts.append(
-                CanonicalDistrict(
-                    threshold=r,
-                    types=grid[[i]].copy(),
-                    weights=np.array([1.0]),
-                    mass=float(col_mass[j]),
-                    kind="packed",
-                )
-            )
-            seg_mass[i] += col_mass[j]
+            rows.append((r, i, i, 1.0, float(col_mass[j]), True))
             continue
         refined |= active.size > 2
         rem = pi[:, j].copy()
@@ -132,7 +127,6 @@ def refine_assignment(assignment: AssignmentMatrix) -> RefinedSolution:
                 v_lo, v_hi = vote[lo, j], vote[hi, j]
                 rho = (v_hi - 0.5) / (v_hi - v_lo)  # weight on the low type
                 t = float(min(budget, rem[lo] / rho, rem[hi] / (1.0 - rho)))
-                members, weights, kind = [lo, hi], np.array([rho, 1.0 - rho]), "pair"
             else:
                 # A type sitting exactly at this threshold is balanced by
                 # itself: place it as a degenerate pool member
@@ -140,54 +134,44 @@ def refine_assignment(assignment: AssignmentMatrix) -> RefinedSolution:
                 at_r = alive[np.abs(grid[alive] - r) <= AT_TOL]
                 if at_r.size == 0:
                     break
-                i = int(at_r[0])
-                t = min(budget, float(rem[i]))
-                members, weights, kind = [i], np.array([1.0]), "pool"
-            districts.append(
-                CanonicalDistrict(
-                    threshold=r,
-                    types=grid[members].copy(),
-                    weights=weights,
-                    mass=t,
-                    kind=kind,
-                )
-            )
-            pair_mass[members] += t * weights
-            rem[members] -= t * weights
+                lo = hi = int(at_r[0])
+                rho = 1.0
+                t = min(budget, float(rem[lo]))
+            rows.append((r, lo, hi, rho, t, False))
+            # two scalar updates: a fancy-indexed update would drop one of
+            # them when lo == hi
+            rem[lo] -= t * rho
+            rem[hi] -= t * (1.0 - rho)
             rem[rem < DUST] = 0.0
             budget -= t
         leftover += max(budget, 0.0) + float(rem.sum())
 
-    districts.sort(key=lambda d: d.threshold)
-    return RefinedSolution(
-        districts=districts,
-        seg_mass=seg_mass,
-        pair_mass=pair_mass,
-        leftover=float(leftover),
-        refined=refined,
-    )
+    rows.sort(key=lambda row: row[0])
+    columns = zip(*rows) if rows else [()] * 6
+    dtypes = (float, int, int, float, float, bool)
+    return Districts(*map(np.array, columns, dtypes), grid, float(leftover), refined)
 
 
 @dataclass(frozen=True)
 class SingleDippedReport:
     ok: bool
-    violations: list  # (s, s_mid, s'', r_pair, r_mid) triples with the offending thresholds
+    violations: list  # (s, s_mid, s'', r_pair, r_mid) 5-tuples with the offending thresholds
 
 
 def check_single_dipped(assignment: AssignmentMatrix) -> SingleDippedReport:
     """Strict single-dippedness: no type may sit strictly inside the span of a
     district with a strictly lower threshold."""
-    refined = refine_assignment(assignment)
-    spans = [
-        (d.threshold, *d.span) for d in refined.districts if d.types.size >= 2
-    ]
-    violations = []
-    for d in refined.districts:
-        for s_mid in d.types:
-            for r, a, b in spans:
-                if d.threshold > r and a + AT_TOL < s_mid < b - AT_TOL:
-                    violations.append((float(a), float(s_mid), float(b), float(r), float(d.threshold)))
-    violations.sort()
+    d = refine_assignment(assignment)
+    grid = d.type_grid
+    two = d.low != d.high
+    # members: every district's low type and every two-type district's high type
+    s_mid = grid[np.concatenate([d.low, d.high[two]])]
+    r_mid = np.concatenate([d.threshold, d.threshold[two]])
+    # spans: every two-type district
+    a, b, r = grid[d.low[two]], grid[d.high[two]], d.threshold[two]
+    inside = (a + AT_TOL < s_mid[:, None]) & (s_mid[:, None] < b - AT_TOL)
+    m, k = np.nonzero(inside & (r_mid[:, None] > r))
+    violations = sorted(zip(*(x.tolist() for x in (a[k], s_mid[m], b[k], r[k], r_mid[m]))))
     return SingleDippedReport(ok=not violations, violations=violations)
 
 
@@ -196,72 +180,48 @@ class PackAndPairDecomposition:
     ok: bool
     reason: str | None
     bifurcation: float | None      # r^b: strongest packed district threshold
-    pairs: list                    # (r, s1, s2, mass), sorted by (r, s2)
-    segregated: list               # (r, mass) for packed districts
-    seg_mass: np.ndarray
-    pair_mass: np.ndarray
-    type_grid: np.ndarray
+    districts: Districts
     type_weights: np.ndarray
 
 
 def decompose_pack_and_pair(assignment: AssignmentMatrix) -> PackAndPairDecomposition:
     """Read off the bifurcation point and the pairing maps s1 (nonincreasing)
     and s2 (nondecreasing) from a canonicalized solution."""
-    refined = refine_assignment(assignment)
+    districts = refine_assignment(assignment)
+    reason, r_b = _pack_and_pair(districts, assignment.threshold_grid)
+    return PackAndPairDecomposition(reason is None, reason, r_b, districts, assignment.type_weights)
 
-    def fail(reason: str) -> PackAndPairDecomposition:
-        return PackAndPairDecomposition(
-            ok=False, reason=reason, bifurcation=None, pairs=[], segregated=[],
-            seg_mass=refined.seg_mass, pair_mass=refined.pair_mass,
-            type_grid=assignment.type_grid, type_weights=assignment.type_weights,
-        )
 
-    if not refined.ok:
-        return fail(f"column split left {refined.leftover:.2e} unplaced mass")
-
-    thr_grid = assignment.threshold_grid
+def _pack_and_pair(d: Districts, thr_grid: np.ndarray) -> tuple[str | None, float | None]:
+    """(failure reason, None), or (None, bifurcation point)."""
+    if not d.ok:
+        return f"column split left {d.leftover:.2e} unplaced mass", None
+    if d.mass.size == 0:
+        return "empty assignment", None
     step = float(np.min(np.diff(thr_grid))) if thr_grid.size > 1 else 0.0
-    pairs = []
-    segregated = []
-    for d in refined.districts:
-        if d.packed:
-            segregated.append((d.threshold, d.mass))
-        else:  # a pair, or a degenerate pool member at its own threshold
-            pairs.append((d.threshold, float(d.types[0]), float(d.types[-1]), d.mass))
-
+    # Districts that are not packed: pairs, and pool members at their own threshold.
+    pair = ~d.packed
     # Bifurcation: the largest grid threshold at or below which every district
     # is degenerate.  With no pairs that is the top of the grid.
-    if pairs:
-        r_min_pair = min(r for r, *_ in pairs)
-        below = thr_grid[thr_grid < r_min_pair - AT_TOL]
+    if pair.any():
+        below = thr_grid[thr_grid < d.threshold[pair].min() - AT_TOL]
         r_b = float(below[-1]) if below.size else float(thr_grid[0]) - step
     else:
         r_b = float(thr_grid[-1])
-    if not pairs and not segregated:
-        return fail("empty assignment")
-
-    slack = step + 1e-9
-    for r, m in segregated:
-        if r > r_b + AT_TOL:
-            return fail(f"packed district at {r} lies above the bifurcation point {r_b}")
-    pairs.sort(key=lambda p: (p[0], p[2]))
+    above = d.threshold[d.packed & (d.threshold > r_b + AT_TOL)]
+    if above.size:
+        return f"packed district at {float(above[0])} lies above the bifurcation point {r_b}", None
     # Monotone pairing maps: across distinct thresholds the stronger column's
     # pairs must nest outside the weaker column's (within one grid step).
-    by_r: dict = {}
-    for r, s1, s2, _ in pairs:
-        lo1, hi2 = by_r.get(r, (np.inf, -np.inf))
-        by_r[r] = (min(lo1, s1), max(hi2, s2))
-    cols = sorted(by_r)
-    for ra, rb_ in zip(cols, cols[1:]):
-        a1, a2 = by_r[ra]
-        b1, b2 = by_r[rb_]
-        if b1 > a1 + slack or b2 < a2 - slack:
-            return fail("pairing maps are not monotone in the threshold")
-    return PackAndPairDecomposition(
-        ok=True, reason=None, bifurcation=float(r_b), pairs=pairs, segregated=sorted(segregated),
-        seg_mass=refined.seg_mass, pair_mass=refined.pair_mass,
-        type_grid=assignment.type_grid, type_weights=assignment.type_weights,
-    )
+    cols, col = np.unique(d.threshold[pair], return_inverse=True)
+    s1 = np.full(cols.size, np.inf)
+    s2 = np.full(cols.size, -np.inf)
+    np.minimum.at(s1, col, d.type_grid[d.low[pair]])
+    np.maximum.at(s2, col, d.type_grid[d.high[pair]])
+    slack = step + 1e-9
+    if np.any(s1[1:] > s1[:-1] + slack) or np.any(s2[1:] < s2[:-1] - slack):
+        return "pairing maps are not monotone in the threshold", None
+    return None, r_b
 
 
 def classify_regime(decomp: PackAndPairDecomposition) -> RegimeLabel:
@@ -279,10 +239,12 @@ def classify_regime(decomp: PackAndPairDecomposition) -> RegimeLabel:
         return RegimeLabel.NOT_PACK_AND_PAIR
 
     f = decomp.type_weights
+    seg_mass = decomp.districts.seg_mass
+    pair_mass = decomp.districts.pair_mass
     live = np.flatnonzero(f > 0)
     status = []
     for i in live:
-        seg, pair = decomp.seg_mass[i], decomp.pair_mass[i]
+        seg, pair = seg_mass[i], pair_mass[i]
         if pair <= SPLIT_FRAC * f[i]:
             status.append("seg")
         elif seg <= SPLIT_FRAC * f[i]:

@@ -1,6 +1,8 @@
 import csv
 import hashlib
+import importlib
 import json
+import pathlib
 import re
 
 import pytest
@@ -93,6 +95,17 @@ def test_verify_pap_exit_zero(tmp_path, capsys):
     assert report["checks"]["pap_condition"]["ok"]
 
 
+@pytest.mark.parametrize(
+    "argv", [["--pap"], ["--pap", "--gamma", "2", "--grid", "40"]], ids=["no_gamma", "even_grid"]
+)
+def test_verify_pap_config_errors(tmp_path, capsys, argv):
+    # the PAP scan reads a fixed grid, but --gamma and --grid are still validated
+    code, _out, err = run(capsys, "verify", *argv, "--out", str(tmp_path))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "config"
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_structural_checks(tmp_path, capsys):
     code, out, _ = run(
         capsys, "verify", "--gamma", "6", "--grid", "201", "--out", str(tmp_path)
@@ -118,10 +131,33 @@ def test_large_gamma_verdict_is_pop(tmp_path, capsys):
     assert checks["pack_and_pair"]["ok"]
     assert checks["single_dipped"]["ok"]
     assert checks["regime"]["detail"] == "POP"
-    args = ["sweep", "--gammas", "10,15,30", "--grid", "101", "--out", str(tmp_path / "s")]
-    assert run(capsys, *args)[0] == 0
-    with open(tmp_path / "s" / "sweep.csv", newline="") as fh:
-        assert [row["regime"] for row in csv.DictReader(fh)] == ["POP"] * 3
+
+
+# (gamma, regime, bifurcation) of `sweep --grid 101`, pinned at the values the
+# per-column split gives on the canonical face vertex.
+SWEEP_VERDICTS = [
+    ("0.2", "PMP", "-0.52"),
+    ("0.5", "PMP", "-0.34"),
+    ("1.0", "PMP", "0"),
+    ("1.2", "MixedPMP", "0"),
+    ("1.4", "MixedPMP", "0"),
+    ("1.6", "MixedPOP", "0"),
+    ("1.7", "POP", "0.02"),
+    ("3.0", "POP", "0.18"),
+    ("6.0", "POP", "0.18"),
+    ("10.0", "POP", "0.14"),
+    ("15.0", "POP", "0.1"),
+    ("30.0", "POP", "0.06"),
+]
+
+
+def test_sweep_verdicts_pinned(tmp_path, capsys):
+    gammas = ",".join(g for g, _, _ in SWEEP_VERDICTS)
+    code, _out, err = run(capsys, "sweep", "--gammas", gammas, "--grid", "101", "--out", str(tmp_path))
+    assert code == 0, err
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = [(r["gamma"], r["regime"], r["bifurcation"]) for r in csv.DictReader(fh)]
+    assert rows == SWEEP_VERDICTS
 
 
 def test_estimate_round_trip(tmp_path, capsys):
@@ -253,6 +289,20 @@ def test_out_env_var(tmp_path, capsys, monkeypatch):
     code, _out, _err = run(capsys, "solve", "--gamma", "2", "--grid", "41")
     assert code == 0
     assert (tmp_path / "envout" / "summary.json").exists()
+
+
+def test_benchmark_trace_targets_exist(monkeypatch):
+    # The benchmark's traced run wraps these functions by name and fails when
+    # one disappears from the package.
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    missing = [
+        (module, attr)
+        for module, attr, _span, _hook in tracing.TARGETS
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert tracing.TARGETS
+    assert missing == []
 
 
 # ---------------------------------------------------------------------------

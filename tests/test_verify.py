@@ -16,33 +16,34 @@ from gerryopt import verify as V
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
 def test_refinement_conserves_mass_and_value(solve_cached, gamma):
     inst, sol = solve_cached(gamma)
-    refined = V.refine_assignment(sol.assignment)
-    assert refined.ok
-    total = float(refined.seg_mass.sum() + refined.pair_mass.sum())
+    d = V.refine_assignment(sol.assignment)
+    assert d.ok
+    total = float(d.seg_mass.sum() + d.pair_mass.sum())
     assert total == pytest.approx(1.0, abs=1e-8)
     # per-type masses reproduce the population marginal
-    per_type = refined.seg_mass + refined.pair_mass
+    per_type = d.seg_mass + d.pair_mass
     assert np.max(np.abs(per_type - inst.type_weights)) < 1e-8
     # re-evaluating the canonical districts reproduces the LP value
-    value = sum(m * float(inst.G(d.threshold)) for d, m in
-                ((d, d.mass) for d in refined.districts))
+    value = float(d.mass @ inst.G(d.threshold))
     assert value == pytest.approx(sol.objective, abs=1e-7)
-    for d in refined.districts:
-        if d.kind == "pair":
-            assert d.types.size == 2
-            assert d.types[0] < d.threshold < d.types[1]
-        else:
-            assert d.types.size == 1
+    assert np.all(np.diff(d.threshold) >= 0)
+    # a two-type district straddles its threshold; a packed one has one type
+    two = d.low != d.high
+    assert np.all(inst.type_grid[d.low[two]] < d.threshold[two])
+    assert np.all(d.threshold[two] < inst.type_grid[d.high[two]])
+    assert not np.any(d.packed & two)
+    assert np.all(d.rho[~two] == 1.0)
 
 
 def test_refinement_threshold_exact_balance(solve_cached):
     inst, sol = solve_cached(6.0)
-    refined = V.refine_assignment(sol.assignment)
-    for d in refined.districts:
-        if d.kind != "pair":
-            continue
-        mean_vote = float(d.weights @ M.vote_share(inst, d.types, d.threshold))
-        assert mean_vote == pytest.approx(0.5 * d.weights.sum(), abs=1e-10)
+    d = V.refine_assignment(sol.assignment)
+    two = d.low != d.high
+    assert two.any()
+    r, rho = d.threshold[two], d.rho[two]
+    v_lo = M.vote_share(inst, inst.type_grid[d.low[two]], r)
+    v_hi = M.vote_share(inst, inst.type_grid[d.high[two]], r)
+    assert np.max(np.abs(rho * v_lo + (1 - rho) * v_hi - 0.5)) < 1e-10
 
 
 def test_refinement_splits_each_column_on_its_own_types():
@@ -77,21 +78,22 @@ def test_refinement_splits_each_column_on_its_own_types():
     )
     assert np.max(np.abs(assignment.threshold_residuals())) < 1e-12
 
-    refined = V.refine_assignment(assignment)
-    assert refined.refined
-    assert refined.leftover <= 1e-12
+    d = V.refine_assignment(assignment)
+    assert d.refined
+    assert d.leftover <= 1e-12
+    j = np.searchsorted(thresholds, d.threshold)
+    assert np.array_equal(thresholds[j], d.threshold)
+    assert np.all(pi[d.low, j] > L.SUPPORT_TOL) and np.all(pi[d.high, j] > L.SUPPORT_TOL)
     placed = np.zeros_like(pi)
-    for d in refined.districts:
-        j = int(np.flatnonzero(thresholds == d.threshold)[0])
-        rows = np.searchsorted(inst.type_grid, d.types)
-        assert np.all(pi[rows, j] > L.SUPPORT_TOL)
-        placed[rows, j] += d.mass * d.weights
-        if d.kind == "pair":
-            assert d.weights @ v[rows, j] == pytest.approx(0.5, abs=1e-12)
+    np.add.at(placed, (d.low, j), d.mass * d.rho)
+    np.add.at(placed, (d.high, j), d.mass * (1 - d.rho))
     assert np.max(np.abs(placed - pi)) <= 1e-12
-    pool = [d for d in refined.districts if d.kind == "pool"]
-    assert [(d.threshold, float(d.types[0])) for d in pool] == [(0.0, 0.0)]
-    assert pool[0].mass == pytest.approx(0.1, abs=1e-12)
+    two = d.low != d.high
+    balance = d.rho * v[d.low, j] + (1 - d.rho) * v[d.high, j]
+    assert balance[two] == pytest.approx(0.5, abs=1e-12)
+    pool = ~d.packed & ~two
+    assert list(zip(d.threshold[pool], inst.type_grid[d.low[pool]])) == [(0.0, 0.0)]
+    assert d.mass[pool] == pytest.approx([0.1], abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +141,41 @@ def test_single_dipped_violation_detected():
     assert np.max(np.abs(assignment.threshold_residuals())) < 1e-12
     report = V.check_single_dipped(assignment)
     assert not report.ok
-    assert len(report.violations) >= 1
+    assert report.violations == [(-1.0, -0.5, 0.0, -0.75, -0.5)]
+
+
+def test_district_table_matches_loop_reference():
+    # A random assignment with many violations: the bincount masses and the
+    # broadcast single-dipped check equal their per-district loops.
+    rng = np.random.default_rng(7)
+    inst = M.uniform_instance(n=41, gamma=2.0)
+    grid = inst.type_grid
+    pi = rng.random((41, 41)) * (rng.random((41, 41)) < 0.15)
+    v = M.vote_share(inst, grid[:, None], grid[None, :])
+    assignment = L.AssignmentMatrix(
+        pi=pi, type_grid=grid, threshold_grid=grid.copy(), type_weights=pi.sum(axis=1), vote=v
+    )
+    d = V.refine_assignment(assignment)
+    rows = list(zip(d.threshold, d.low, d.high, d.rho, d.mass, d.packed))
+    seg, pair = np.zeros(grid.size), np.zeros(grid.size)
+    for _r, lo, hi, rho, m, packed in rows:
+        if packed:
+            seg[lo] += m
+        else:
+            pair[lo] += m * rho
+            pair[hi] += m * (1 - rho)
+    assert np.array_equal(d.seg_mass, seg)
+    assert np.array_equal(d.pair_mass, pair)
+    spans = [(r, grid[lo], grid[hi]) for r, lo, hi, *_ in rows if lo != hi]
+    expected = sorted(
+        (float(a), float(s), float(b), float(r), float(r_mid))
+        for r_mid, lo, hi, *_ in rows
+        for s in {grid[lo], grid[hi]}
+        for r, a, b in spans
+        if r_mid > r and a + L.AT_TOL < s < b - L.AT_TOL
+    )
+    assert len(expected) > 100
+    assert V.check_single_dipped(assignment).violations == expected
 
 
 # ---------------------------------------------------------------------------
@@ -180,13 +216,50 @@ def test_decomposition_masses(solve_cached):
     _, sol = solve_cached(6.0)
     decomp = V.decompose_pack_and_pair(sol.assignment)
     assert decomp.ok
-    assert float(decomp.seg_mass.sum() + decomp.pair_mass.sum()) == pytest.approx(1.0, abs=1e-8)
+    d = decomp.districts
+    assert float(d.seg_mass.sum() + d.pair_mass.sum()) == pytest.approx(1.0, abs=1e-8)
+    assert d.packed.any() and not d.packed.all()
     # every pair threshold lies strictly above the bifurcation point
-    for r, s1, s2, _mass in decomp.pairs:
-        assert r > decomp.bifurcation
-        assert s1 <= r <= s2
-    for r, _mass in decomp.segregated:
-        assert r <= decomp.bifurcation + 1e-12
+    pair = ~d.packed
+    r = d.threshold[pair]
+    assert np.all(r > decomp.bifurcation)
+    assert np.all(d.type_grid[d.low[pair]] <= r) and np.all(r <= d.type_grid[d.high[pair]])
+    assert np.all(d.threshold[d.packed] <= decomp.bifurcation + 1e-12)
+
+
+def test_decomposition_failure_reasons():
+    grid = np.arange(-5, 6) / 5.0  # thresholds are the types, step 0.2
+    inst = M.ProblemInstance(
+        type_grid=grid, type_weights=np.full(11, 1 / 11), taste=M.NORMAL, gamma=1.0
+    )
+    v = M.vote_share(inst, grid[:, None], grid[None, :])
+
+    def decompose(*pairs, packed=()):
+        # pairs (low, high, threshold) of mass 0.1; packed types of mass 0.1
+        pi = np.zeros((11, 11))
+        for lo, hi, j in pairs:
+            rho = (v[hi, j] - 0.5) / (v[hi, j] - v[lo, j])
+            pi[lo, j] += 0.1 * rho
+            pi[hi, j] += 0.1 * (1 - rho)
+        for i in packed:
+            pi[i, i] += 0.1
+        return V.decompose_pack_and_pair(
+            L.AssignmentMatrix(pi=pi, type_grid=grid, threshold_grid=grid,
+                               type_weights=pi.sum(axis=1), vote=v)
+        )
+
+    nested = decompose((3, 7, 5), (2, 8, 6), packed=[0])
+    assert (nested.ok, nested.bifurcation) == (True, -0.2)
+    above = decompose((3, 7, 5), packed=[8])
+    assert above.reason == "packed district at 0.6 lies above the bifurcation point -0.2"
+    # the stronger column's low type 0.0, or its high type 0.4, sits inside
+    # the weaker column's pair
+    crossed = [decompose((3, 7, 5), (5, 7, 6)), decompose((3, 9, 5), (2, 7, 6))]
+    for failed in crossed:
+        assert failed.reason == "pairing maps are not monotone in the threshold"
+    for failed in [above, *crossed]:
+        assert failed.bifurcation is None
+        assert V.classify_regime(failed) == V.RegimeLabel.NOT_PACK_AND_PAIR
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +445,6 @@ def test_full_segregation_assignment_classified():
     )
     decomp = V.decompose_pack_and_pair(assignment)
     assert decomp.ok
-    assert decomp.pair_mass == pytest.approx(0.0, abs=1e-12)
+    assert decomp.districts.pair_mass == pytest.approx(0.0, abs=1e-12)
     label = V.classify_regime(decomp)
     assert label == V.RegimeLabel.SEGREGATION
