@@ -17,8 +17,6 @@ from .model import (
     ProblemInstance,
     uniform_instance,
     vote_share,
-    District,
-    point_district,
     district_threshold,
     Plan,
     uniform_plan,

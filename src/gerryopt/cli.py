@@ -68,11 +68,15 @@ def _outdir(args) -> str:
     return out
 
 
+def _check_grid(grid: int) -> None:
+    if grid < 3 or grid % 2 == 0:
+        raise GerryOptError("--grid must be odd and at least 3")
+
+
 def _instance(args) -> ProblemInstance:
     if args.gamma is None or args.gamma <= 0:
         raise GerryOptError("--gamma must be given and positive")
-    if args.grid < 3 or args.grid % 2 == 0:
-        raise GerryOptError("--grid must be odd and at least 3")
+    _check_grid(args.grid)
     return uniform_instance(n=args.grid, gamma=args.gamma, taste=get_taste(args.taste))
 
 
@@ -110,7 +114,7 @@ def cmd_solve(args) -> int:
         "regime": regime.value,
         "bifurcation": decomp.bifurcation,
         "duality_gap": sol.duality_gap(inst.type_weights),
-        "n_districts": len(plan.districts),
+        "n_districts": plan.mass.size,
         "solver": sol.stats,
     }
     with open(os.path.join(out, "summary.json"), "w") as fh:
@@ -120,6 +124,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _check_grid(args.grid)
     gammas = [float(x) for x in args.gammas.split(",") if x.strip()]
     if not gammas:
         raise GerryOptError("--gammas requires at least one value")
@@ -146,6 +151,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_benchmark(args) -> int:
     inst = _instance(args)
+    no_aggregate = bm.no_aggregate_solution(inst, args.r0)
     out = _outdir(args)
     m = float(inst.type_weights[inst.type_grid >= 0.0].sum())
     pop = bm.optimize_cutoff(inst, bm.pop_pool_plan)
@@ -154,7 +160,7 @@ def cmd_benchmark(args) -> int:
     result = {
         "gamma": inst.gamma,
         "perfect_info": bm.perfect_info_value(m),
-        "no_aggregate": json.loads(bm.no_aggregate_solution(inst, args.r0).to_json()),
+        "no_aggregate": json.loads(no_aggregate.to_json()),
         "no_idiosyncratic": bm.no_idiosyncratic_value(inst),
         "matching_slices": expected_seat_share(inst, slices),
         "pop_pool": {"cutoff": pop.cutoff, "value": pop.value},

@@ -383,7 +383,7 @@ def simulate_returns(
     The file is what ``csv.writer`` writes (``\\r\\n`` line ends, shares with
     12 decimals); only ``state`` can need quoting, so it alone goes through
     the csv module."""
-    if gamma <= 0 or T < 1 or n_precincts < 1 or votes_per_precinct < 1:
+    if not gamma > 0 or T < 1 or n_precincts < 1 or votes_per_precinct < 1:
         raise GerryOptError("simulator parameters must be positive")
     rng = np.random.default_rng(seed)
     s = rng.uniform(-1.0, 1.0, size=n_precincts)

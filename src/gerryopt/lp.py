@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .model import District, GerryOptError, Plan, ProblemInstance, vote_share
+from .model import GerryOptError, Plan, ProblemInstance, vote_share
 
 SUPPORT_TOL = 1e-9     # assignment mass below this is numerically zero
 PRIMAL_TOL = 1e-8      # feasibility residuals
@@ -221,19 +221,13 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
 def extract_plan(assignment: AssignmentMatrix) -> Plan:
     """One district per active threshold column, weighted by column mass."""
     col_mass = assignment.column_mass()
-    districts = []
-    for j in np.flatnonzero(col_mass > SUPPORT_TOL):
-        active = assignment.pi[:, j] > SUPPORT_TOL
-        w = assignment.pi[active, j]
-        districts.append(
-            (
-                District(types=assignment.type_grid[active], weights=w / w.sum()),
-                float(col_mass[j]),
-            )
-        )
-    total = sum(m for _, m in districts)
-    districts = [(d, m / total) for d, m in districts]
-    return Plan(districts=districts)
+    cols = np.flatnonzero(col_mass > SUPPORT_TOL)
+    district, types = np.nonzero(assignment.pi[:, cols].T > SUPPORT_TOL)
+    w = assignment.pi[types, cols[district]]
+    # a 1-D sum per column and a left-to-right total fix the rounding of plan.json
+    sums = np.array([part.sum() for part in np.split(w, np.cumsum(np.bincount(district))[:-1])])
+    mass = col_mass[cols]
+    return Plan(district, assignment.type_grid[types], w / sums[district], mass / sum(mass.tolist()))
 
 
 @dataclass

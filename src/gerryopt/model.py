@@ -5,7 +5,9 @@ distribution P over types; it is won at aggregate shock r iff the mean vote
 share Q(s - r) over P is at least 1/2, i.e. iff r <= r*(P).  A plan is a
 distribution over districts whose type-marginal reproduces the population
 weights.  The designer's payoff from a plan is sum of mass * G(r*(P)) where
-G(r) = Q(gamma * r).
+G(r) = Q(gamma * r).  A plan is one ``Plan`` table of (district, type, weight)
+entries plus a mass per district; ``district_threshold`` finds r*(P) for every
+district of such entries in one vectorised bisection.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
 
 # Tolerances (see also the lp and verify constants).
@@ -186,123 +187,112 @@ def vote_share(inst: ProblemInstance, s, r):
     return inst.taste.cdf(np.asarray(s, dtype=float) - np.asarray(r, dtype=float))
 
 
-@dataclass
-class District:
-    """A finite distribution over voter types with positive weights."""
+def district_threshold(inst: ProblemInstance, district, types, weights) -> np.ndarray:
+    """Threshold shock r*(P) of every district: the root of mean vote share = 1/2.
 
+    Entries ``(types, weights)`` carry district codes 0..n-1, grouped; the
+    result holds the n thresholds.  Mean vote share is strictly decreasing in
+    r, so each root is unique.  A one-type district delta_s returns s exactly
+    (Q symmetric).
+    """
+    district = np.asarray(district)
+    types = np.asarray(types, dtype=float)
+    sizes = np.bincount(district)
+    r = types[np.cumsum(sizes) - sizes]
+    multi = sizes > 1
+    if not multi.any():
+        return r
+    keep = multi[district]
+    t, w = types[keep], np.asarray(weights, dtype=float)[keep]
+    code = np.repeat(np.arange(int(multi.sum())), sizes[multi])
+    first = np.cumsum(sizes[multi]) - sizes[multi]
+
+    def excess(x):
+        return np.add.reduceat(w * inst.taste.cdf(t - x[code]), first) - 0.5
+
+    lo = np.minimum.reduceat(t, first) - BRACKET_PAD
+    hi = np.maximum.reduceat(t, first) + BRACKET_PAD
+    if np.any(excess(lo) < 0) or np.any(excess(hi) > 0):
+        raise ConvergenceError("threshold root finding failed: excess does not change sign on the bracket")
+    mid = 0.5 * (lo + hi)
+    # halve until every bracket is 1e-14 wide, or 4 ulp where |r| is large
+    while np.any(hi - lo > 1e-14 + 8.9e-16 * np.abs(mid)):
+        above = excess(mid) > 0  # still winning at mid: the root lies above
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+        mid = 0.5 * (lo + hi)
+    if not np.all(np.abs(excess(mid)) <= ROOT_TOL):
+        raise ConvergenceError("threshold root did not reach tolerance 1e-10")
+    r[multi] = mid
+    return r
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A plan as one table: entry k gives district ``district[k]`` (codes
+    0..n-1, each district's entries contiguous) weight ``weights[k]`` on type
+    ``types[k]``; ``mass[d]`` is district d's population share, summing to 1."""
+
+    district: np.ndarray
     types: np.ndarray
     weights: np.ndarray
+    mass: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.types, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        self.types = t
-        self.weights = w
-        if t.size == 0 or t.size != w.size:
+        for name, dtype in (("district", np.intp), ("types", float), ("weights", float), ("mass", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        district, types, weights, mass = self.district, self.types, self.weights, self.mass
+        if district.size == 0 or not district.size == types.size == weights.size:
             raise GerryOptError("district support and weights must be nonempty and equal length")
-        if np.any(w <= 0):
+        steps = np.diff(district)
+        if district[0] != 0 or np.any((steps != 0) & (steps != 1)) or district[-1] + 1 != mass.size:
+            raise GerryOptError("plan entries must be grouped by district codes 0..n-1, one mass each")
+        if np.any(weights <= 0):
             raise GerryOptError("district weights must be strictly positive")
-        if abs(w.sum() - 1.0) > MASS_TOL:
-            raise GerryOptError(f"district weights sum to {w.sum()!r}, expected 1")
-
-    def mean_type(self) -> float:
-        return float(self.weights @ self.types)
-
-
-def point_district(s: float) -> District:
-    return District(types=np.array([float(s)]), weights=np.array([1.0]))
-
-
-def district_threshold(inst: ProblemInstance, district: District) -> float:
-    """Threshold shock r*(P): the root of mean vote share = 1/2.
-
-    Mean vote share is strictly decreasing in r, so the root is unique.  For a
-    degenerate district delta_s the answer is s exactly (Q symmetric).
-    """
-    if district.types.size == 1:
-        return float(district.types[0])
-
-    t, w = district.types, district.weights
-
-    def excess(r):
-        return float(w @ inst.taste.cdf(t - r)) - 0.5
-
-    lo = float(t.min()) - BRACKET_PAD
-    hi = float(t.max()) + BRACKET_PAD
-    try:
-        r = brentq(excess, lo, hi, xtol=1e-14, rtol=8.9e-16, maxiter=200)
-    except (ValueError, RuntimeError) as exc:
-        raise ConvergenceError(f"threshold root finding failed: {exc}") from exc
-    if abs(excess(r)) > ROOT_TOL:
-        raise ConvergenceError("threshold root did not reach tolerance 1e-10")
-    return float(r)
-
-
-@dataclass
-class Plan:
-    """A weighted collection of districts; masses sum to 1."""
-
-    districts: list  # list of (District, mass) pairs
-
-    def __post_init__(self):
-        total = sum(m for _, m in self.districts)
-        if abs(total - 1.0) > 1e-9:
-            raise GerryOptError(f"plan masses sum to {total!r}, expected 1")
+        sums = np.bincount(district, weights=weights)
+        if np.any(np.abs(sums - 1.0) > MASS_TOL):
+            raise GerryOptError(f"district weights sum to {sums[np.argmax(np.abs(sums - 1.0))]!r}, expected 1")
+        if abs(mass.sum() - 1.0) > 1e-9:
+            raise GerryOptError(f"plan masses sum to {mass.sum()!r}, expected 1")
 
     def type_marginal(self, inst: ProblemInstance) -> np.ndarray:
         """Aggregate mass per instance grid type (types matched by value)."""
-        agg = np.zeros_like(inst.type_weights)
         grid = inst.type_grid
-        for district, mass in self.districts:
-            idx = np.searchsorted(grid, district.types)
-            idx = np.clip(idx, 0, grid.size - 1)
-            left = np.clip(idx - 1, 0, grid.size - 1)
-            take_left = np.abs(grid[left] - district.types) < np.abs(grid[idx] - district.types)
-            idx = np.where(take_left, left, idx)
-            if np.any(np.abs(grid[idx] - district.types) > 1e-9):
-                raise GerryOptError("district contains a type not on the instance grid")
-            np.add.at(agg, idx, mass * district.weights)
-        return agg
+        idx = np.clip(np.searchsorted(grid, self.types), 0, grid.size - 1)
+        left = np.clip(idx - 1, 0, grid.size - 1)
+        take_left = np.abs(grid[left] - self.types) < np.abs(grid[idx] - self.types)
+        idx = np.where(take_left, left, idx)
+        if np.any(np.abs(grid[idx] - self.types) > 1e-9):
+            raise GerryOptError("district contains a type not on the instance grid")
+        return np.bincount(idx, weights=self.mass[self.district] * self.weights, minlength=grid.size)
 
     def to_json(self) -> str:
+        support = np.column_stack([self.types, self.weights]).tolist()
+        bounds = np.flatnonzero(np.r_[True, np.diff(self.district) != 0, True]).tolist()
         return json.dumps(
-            [
-                {
-                    "support": [[float(s), float(w)] for s, w in zip(d.types, d.weights)],
-                    "mass": float(m),
-                }
-                for d, m in self.districts
-            ]
+            [{"support": support[a:b], "mass": m} for a, b, m in zip(bounds, bounds[1:], self.mass.tolist())]
         )
 
     @staticmethod
     def from_json(text: str) -> "Plan":
         data = json.loads(text)
-        districts = []
-        for entry in data:
-            sup = np.array(entry["support"], dtype=float)
-            districts.append(
-                (District(types=sup[:, 0], weights=sup[:, 1]), float(entry["mass"]))
-            )
-        return Plan(districts=districts)
+        support = np.array([pair for entry in data for pair in entry["support"]], dtype=float).reshape(-1, 2)
+        district = np.repeat(np.arange(len(data)), [len(entry["support"]) for entry in data])
+        return Plan(district, support[:, 0], support[:, 1], [entry["mass"] for entry in data])
 
 
 def uniform_plan(inst: ProblemInstance) -> Plan:
     """Single district equal to the population distribution."""
     keep = inst.type_weights > 0
-    d = District(types=inst.type_grid[keep], weights=inst.type_weights[keep] / inst.type_weights[keep].sum())
-    return Plan(districts=[(d, 1.0)])
+    w = inst.type_weights[keep]
+    return Plan(district=np.zeros(w.size, dtype=np.intp), types=inst.type_grid[keep], weights=w / w.sum(), mass=[1.0])
 
 
 def segregation_plan(inst: ProblemInstance) -> Plan:
     """One point-mass district per type with positive weight."""
-    return Plan(
-        districts=[
-            (point_district(s), float(w))
-            for s, w in zip(inst.type_grid, inst.type_weights)
-            if w > 0
-        ]
-    )
+    keep = inst.type_weights > 0
+    k = int(keep.sum())
+    return Plan(district=np.arange(k), types=inst.type_grid[keep], weights=np.ones(k), mass=inst.type_weights[keep])
 
 
 @dataclass(frozen=True)
@@ -324,17 +314,15 @@ def check_feasibility(inst: ProblemInstance, plan: Plan) -> FeasibilityReport:
     )
 
 
-def expected_seat_share(inst: ProblemInstance, plan: Plan, check: bool = True) -> float:
+def expected_seat_share(inst: ProblemInstance, plan: Plan) -> float:
     """Designer's objective: sum over districts of mass * G(r*(P))."""
-    if check:
-        report = check_feasibility(inst, plan)
-        if not report.feasible:
-            raise InfeasiblePlanError(
-                f"plan marginal deviates by {report.max_deviation:.3e} > {FEAS_TOL:.1e}"
-            )
-    return float(
-        sum(m * float(inst.G(district_threshold(inst, d))) for d, m in plan.districts)
-    )
+    report = check_feasibility(inst, plan)
+    if not report.feasible:
+        raise InfeasiblePlanError(
+            f"plan marginal deviates by {report.max_deviation:.3e} > {FEAS_TOL:.1e}"
+        )
+    r = district_threshold(inst, plan.district, plan.types, plan.weights)
+    return float(plan.mass @ inst.G(r))
 
 
 @dataclass(frozen=True)

@@ -245,7 +245,7 @@ def test_criterion_10_property_suites(solve_cached):
     v = np.asarray(M.vote_share(inst, s[:, None], s[None, :]), dtype=float)
     ok &= bool(np.all(np.diff(v, axis=0) > 0) and np.all(np.diff(v, axis=1) < 0))
     # threshold identity r*(delta_s) = s
-    ok &= all(M.district_threshold(inst, M.point_district(x)) == x for x in (-1.5, 0.0, 0.7))
+    ok &= bool(np.all(M.district_threshold(inst, [0, 1, 2], [-1.5, 0.0, 0.7], [1.0] * 3) == [-1.5, 0.0, 0.7]))
     # plan feasibility round trip
     plan = M.segregation_plan(inst)
     ok &= M.check_feasibility(inst, M.Plan.from_json(plan.to_json())).feasible

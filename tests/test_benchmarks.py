@@ -38,8 +38,8 @@ def test_known_shock_value_uniform_shares():
     assert res.value == pytest.approx(0.75, abs=3e-3)
     assert float(M.NORMAL.cdf(res.cutoff)) == pytest.approx(0.2, abs=2e-3)
     # the pool's mean vote share is exactly 1/2
-    pool, mass = res.plan.districts[-1]
-    mean_share = float(pool.weights @ M.vote_share(inst, pool.types, 0.0))
+    pool = res.plan.district == res.plan.district[-1]
+    mean_share = float(res.plan.weights[pool] @ M.vote_share(inst, res.plan.types[pool], 0.0))
     assert mean_share == pytest.approx(0.5, abs=1e-12)
     assert M.check_feasibility(inst, res.plan).feasible
 
@@ -103,20 +103,68 @@ def test_matching_slices_equals_quadrature_value(solve_cached):
 def test_matching_slices_structure():
     inst = M.uniform_instance(n=101, gamma=2.0)
     plan = B.matching_slices_plan(inst)
-    for d, _m in plan.districts:
-        if d.types.size == 2:
+    for d in range(plan.mass.size):
+        types, weights = plan.types[plan.district == d], plan.weights[plan.district == d]
+        if types.size == 2:
             # quantile pairs are symmetric around the median for a symmetric F
-            assert d.types[0] + d.types[1] == pytest.approx(0.0, abs=1e-12)
-            assert np.allclose(d.weights, 0.5)
+            assert types[0] + types[1] == pytest.approx(0.0, abs=1e-12)
+            assert np.allclose(weights, 0.5)
     # symmetric pairs all have threshold 0: the plan is worth exactly 1/2
     assert M.expected_seat_share(inst, plan) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_step_threshold_upper_median():
-    d = M.District(types=np.array([-1.0, 0.2, 0.8]), weights=np.array([0.25, 0.25, 0.5]))
-    assert B.step_threshold(d) == pytest.approx(0.8)
-    d2 = M.District(types=np.array([-1.0, 0.2, 0.8]), weights=np.array([0.2, 0.5, 0.3]))
-    assert B.step_threshold(d2) == pytest.approx(0.2)
+    plan = M.Plan(
+        district=[0, 0, 0, 1, 1, 1],
+        types=[-1.0, 0.2, 0.8] * 2,
+        weights=[0.25, 0.25, 0.5, 0.2, 0.5, 0.3],
+        mass=[0.5, 0.5],
+    )
+    assert B.step_threshold(plan) == pytest.approx([0.8, 0.2])
+
+
+def _known_shock_pool_loop(inst, r0):
+    """Reference: the pool of the known-shock optimum, filled type by type from the top."""
+    f = inst.type_weights
+    excess = f * (np.asarray(M.vote_share(inst, inst.type_grid, r0)) - 0.5)
+    pool, acc = np.zeros_like(f), 0.0
+    for i in range(f.size - 1, -1, -1):
+        if acc + excess[i] >= 0.0 or excess[i] >= 0.0:
+            pool[i] = f[i]
+            acc += excess[i]
+        else:
+            pool[i] = f[i] * min(max(-acc / excess[i], 0.0), 1.0)
+            break
+    return pool
+
+
+def _step_threshold_loop(types, weights):
+    """Reference: the upper median of one district."""
+    order = np.argsort(types)
+    tail = np.cumsum(weights[order][::-1])[::-1]
+    return types[order][tail >= 0.5 - 1e-12][-1]
+
+
+def test_array_builders_match_loop_references():
+    rng = np.random.default_rng(7)
+    w = rng.uniform(0.1, 1.0, 57)
+    lumpy = M.ProblemInstance(type_grid=np.linspace(-1, 1, 57), type_weights=w / w.sum(), gamma=2.0)
+    for inst, r0 in [(M.uniform_instance(), 0.1), (M.uniform_instance(), 0.9), (lumpy, 0.3), (lumpy, 0.7)]:
+        res = B.no_aggregate_solution(inst, r0)
+        pool = _known_shock_pool_loop(inst, r0)
+        keep, left = pool > 1e-15, inst.type_weights - pool
+        assert res.value == pool.sum()
+        assert np.array_equal(res.plan.mass, np.r_[left[left > 1e-15], pool.sum()])
+        assert np.array_equal(res.plan.weights[res.plan.district == res.plan.mass.size - 1], pool[keep] / pool.sum())
+
+    sizes = rng.integers(1, 7, 40)
+    district = np.repeat(np.arange(sizes.size), sizes)
+    types = rng.choice(np.linspace(-1, 1, 21), district.size)
+    raw = rng.uniform(0.1, 1.0, district.size)
+    weights = raw / np.bincount(district, weights=raw)[district]
+    plan = M.Plan(district=district, types=types, weights=weights, mass=np.full(sizes.size, 1 / sizes.size))
+    want = [_step_threshold_loop(types[district == d], weights[district == d]) for d in range(sizes.size)]
+    assert np.array_equal(B.step_threshold(plan), want)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +176,7 @@ def test_pop_pool_plan_structure():
     inst = M.uniform_instance(n=51, gamma=6.0)
     plan = B.pop_pool_plan(inst, s_star=0.0)
     assert M.check_feasibility(inst, plan).feasible
-    sizes = sorted(d.types.size for d, _ in plan.districts)
+    sizes = sorted(np.bincount(plan.district))
     assert sizes[-1] > 1 and all(s == 1 for s in sizes[:-1])
 
 
@@ -136,7 +184,7 @@ def test_traditional_pc_two_pools():
     inst = M.uniform_instance(n=51, gamma=6.0)
     plan = B.traditional_pc_plan(inst, s_star=0.0)
     assert M.check_feasibility(inst, plan).feasible
-    assert len(plan.districts) == 2
+    assert plan.mass.size == 2
 
 
 def test_cutoff_out_of_range():
@@ -151,7 +199,7 @@ def test_optimize_cutoff_beats_fixed_cutoffs():
     inst = M.uniform_instance(n=101, gamma=6.0)
     best = B.optimize_cutoff(inst, B.traditional_pc_plan)
     for s in (-0.5, 0.0, 0.5):
-        fixed = M.expected_seat_share(inst, B.traditional_pc_plan(inst, s), check=False)
+        fixed = M.expected_seat_share(inst, B.traditional_pc_plan(inst, s))
         assert best.value >= fixed - 1e-12
 
 

@@ -85,6 +85,74 @@ def test_benchmark_command(tmp_path, capsys):
     assert 0.0 <= data["no_aggregate"]["value"] <= 1.0
 
 
+def test_benchmark_no_winning_district(tmp_path, capsys):
+    # at r0 = 1.5 no type votes for the designer: nothing can be won
+    code, _out, err = run(
+        capsys, "benchmark", "--gamma", "2", "--grid", "51", "--r0", "1.5", "--out", str(tmp_path)
+    )
+    assert code == 0, err
+    no_aggregate = json.loads((tmp_path / "benchmarks.json").read_text())["no_aggregate"]
+    assert (no_aggregate["cutoff"], no_aggregate["pool_mean"], no_aggregate["value"]) == (None, None, 0.0)
+    assert [len(d["support"]) for d in no_aggregate["plan"]] == [1] * 51
+
+
+def test_benchmark_non_finite_r0_exit_2(tmp_path, capsys):
+    code, _out, err = run(capsys, "benchmark", "--gamma", "2", "--grid", "51", "--r0", "nan", "--out", str(tmp_path))
+    assert code == 2
+    error = json.loads(err.strip())
+    assert error["error"] == "config" and "r0" in error["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("grid", ["40", "1"])
+def test_sweep_bad_grid_exit_2(tmp_path, capsys, grid):
+    code, _out, err = run(capsys, "sweep", "--gammas", "2", "--grid", grid, "--out", str(tmp_path))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "config"
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_simulate_nan_gamma_exit_2(tmp_path, capsys):
+    code, _out, err = run(capsys, "simulate", "--gamma", "nan", "--out", str(tmp_path))
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "config"
+    assert not (tmp_path / "returns.csv").exists()
+
+
+# `benchmark --gamma 2` (n=201) and the plan of `solve --gamma 2 --grid 41`,
+# pinned at the per-district root finder.  Values read off district thresholds
+# are compared to 1e-12; everything else, cutoffs included, exactly.
+BENCHMARK_GAMMA2 = {
+    "gamma": 2.0,
+    "perfect_info": 1.0,
+    "no_idiosyncratic": 0.8056265783055411,
+    "pop_pool": {"cutoff": -0.51, "value": 0.5377390974981663},
+    "traditional_pc": {"cutoff": -0.55, "value": 0.5361228008052256},
+    "matching_slices": 0.49999999999999906,
+}
+BENCHMARK_GAMMA2_NO_AGGREGATE_SHA256 = "2065e8bdc95a061889dfa305d46d383ad7b7ec6abe400ba0b546a90c35e75e07"
+SOLVE_GRID41_PLAN_SHA256 = "712d4ce3cef0c2e204cd44518c846d09a91a9bd7ef9541a2911b3fc621bb2fec"
+
+
+def test_benchmark_and_plan_outputs_pinned(tmp_path, capsys):
+    code, _out, err = run(capsys, "benchmark", "--gamma", "2", "--out", str(tmp_path / "b"))
+    assert code == 0, err
+    data = json.loads((tmp_path / "b" / "benchmarks.json").read_text())
+    assert sorted(data) == sorted([*BENCHMARK_GAMMA2, "no_aggregate"])
+    no_aggregate = json.dumps(data["no_aggregate"], sort_keys=True).encode()
+    assert hashlib.sha256(no_aggregate).hexdigest() == BENCHMARK_GAMMA2_NO_AGGREGATE_SHA256
+    for key in ("gamma", "perfect_info", "no_idiosyncratic"):
+        assert data[key] == BENCHMARK_GAMMA2[key]
+    for key in ("pop_pool", "traditional_pc"):
+        assert data[key]["cutoff"] == BENCHMARK_GAMMA2[key]["cutoff"]
+        assert data[key]["value"] == pytest.approx(BENCHMARK_GAMMA2[key]["value"], abs=1e-12)
+    assert data["matching_slices"] == pytest.approx(BENCHMARK_GAMMA2["matching_slices"], abs=1e-12)
+
+    code, _out, err = run(capsys, "solve", "--gamma", "2", "--grid", "41", "--out", str(tmp_path / "s"))
+    assert code == 0, err
+    assert _sha256(tmp_path / "s" / "plan.json") == SOLVE_GRID41_PLAN_SHA256
+
+
 def test_verify_pap_exit_zero(tmp_path, capsys):
     code, out, _ = run(
         capsys, "verify", "--pap", "--gamma", "2", "--out", str(tmp_path)

@@ -82,38 +82,56 @@ def test_vote_share_monotone(s, s2, r, r2):
 @given(s=st.floats(-5, 5))
 def test_point_district_threshold_identity(s):
     inst = M.uniform_instance(gamma=2.0)
-    assert M.district_threshold(inst, M.point_district(s)) == s
+    assert M.district_threshold(inst, [0], [s], [1.0])[0] == s
 
 
 def test_pair_threshold_symmetry():
     inst = M.uniform_instance(gamma=1.0)
-    d = M.District(types=np.array([-1.0, 1.0]), weights=np.array([0.5, 0.5]))
-    assert M.district_threshold(inst, d) == pytest.approx(0.0, abs=1e-12)
+    r = M.district_threshold(inst, [0, 0], [-1.0, 1.0], [0.5, 0.5])
+    assert r[0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_threshold_against_bisection_oracle():
-    inst = M.uniform_instance(gamma=1.0)
-    d = M.District(types=np.array([-0.4, 0.9]), weights=np.array([0.3, 0.7]))
-    r = M.district_threshold(inst, d)
-    # independent plain bisection
+def _bisection_oracle(taste, types, weights):
+    """Independent plain scalar bisection for one district."""
     lo, hi = -10.0, 10.0
-    f = lambda x: 0.3 * float(M.NORMAL.cdf(-0.4 - x)) + 0.7 * float(M.NORMAL.cdf(0.9 - x)) - 0.5
+    f = lambda x: sum(w * float(taste.cdf(t - x)) for t, w in zip(types, weights)) - 0.5
     for _ in range(200):
         mid = (lo + hi) / 2
         if f(mid) > 0:
             lo = mid
         else:
             hi = mid
-    assert r == pytest.approx((lo + hi) / 2, abs=1e-10)
-    assert f(r) == pytest.approx(0.0, abs=1e-10)
+    return (lo + hi) / 2, f
+
+
+def test_threshold_against_bisection_oracle():
+    pool = np.linspace(-0.3, 0.9, 51)
+    pool_w = np.linspace(1.0, 2.0, 51)
+    districts = [
+        (np.array([-0.4, 0.9]), np.array([0.3, 0.7])),
+        (np.array([0.25]), np.array([1.0])),  # one type
+        (np.array([-1.0, 0.6]), np.array([0.8, 0.2])),
+        (pool, pool_w / pool_w.sum()),  # a 51-type pool
+    ]
+    code = np.repeat(np.arange(len(districts)), [t.size for t, _ in districts])
+    types = np.concatenate([t for t, _ in districts])
+    weights = np.concatenate([w for _, w in districts])
+    for taste in (M.NORMAL, M.LOGISTIC):
+        inst = M.uniform_instance(gamma=1.0, taste=taste)
+        r = M.district_threshold(inst, code, types, weights)
+        assert r.shape == (len(districts),)
+        assert r[1] == 0.25
+        for (t, w), got in zip(districts, r):
+            want, f = _bisection_oracle(taste, t, w)
+            assert got == pytest.approx(want, abs=1e-10)
+            assert f(got) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_threshold_translation_invariance():
     inst = M.uniform_instance(gamma=1.0)
-    base = M.District(types=np.array([-0.5, 0.8]), weights=np.array([0.4, 0.6]))
-    shifted = M.District(types=base.types + 0.37, weights=base.weights)
-    assert M.district_threshold(inst, shifted) == pytest.approx(
-        M.district_threshold(inst, base) + 0.37, abs=1e-10
+    types, weights = np.array([-0.5, 0.8]), np.array([0.4, 0.6])
+    assert M.district_threshold(inst, [0, 0], types + 0.37, weights)[0] == pytest.approx(
+        M.district_threshold(inst, [0, 0], types, weights)[0] + 0.37, abs=1e-10
     )
 
 
@@ -135,7 +153,7 @@ def test_plan_json_round_trip_preserves_feasibility():
 
 def test_infeasible_plan_rejected():
     inst = M.uniform_instance(n=51, gamma=2.0)
-    plan = M.Plan(districts=[(M.point_district(0.0), 1.0)])  # all mass on one type
+    plan = M.Plan(district=[0], types=[0.0], weights=[1.0], mass=[1.0])  # all mass on one type
     assert not M.check_feasibility(inst, plan).feasible
     with pytest.raises(M.InfeasiblePlanError):
         M.expected_seat_share(inst, plan)
@@ -151,7 +169,7 @@ def test_seat_share_closed_forms():
 
 def test_off_grid_district_rejected():
     inst = M.uniform_instance(n=51, gamma=2.0)
-    plan = M.Plan(districts=[(M.point_district(0.123456), 1.0)])
+    plan = M.Plan(district=[0], types=[0.123456], weights=[1.0], mass=[1.0])
     with pytest.raises(M.GerryOptError):
         plan.type_marginal(inst)
 
