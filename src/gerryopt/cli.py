@@ -38,8 +38,10 @@ SCHEMAS = {
         "assignment.csv": "type,threshold,mass (active cells only)",
         "dual.csv": "kind{phi|lambda},point,value",
         "summary.json": "{gamma, objective, regime, bifurcation, duality_gap, n_districts, "
-        "solver: {stage1_method, stage1_iterations, stage1_crossover_iterations, face_cells, "
-        "stage2_iterations, face_tol}}",
+        "solver: {stage1_method (structured-ipm, or highs-ipm after a fallback), stage1_iterations, "
+        "stage1_crossover_iterations (HiGHS crossover; 0 for structured-ipm), "
+        "stage1_complementarity (final sum x*z), stage1_fallback (why HiGHS ran, or null), "
+        "face_cells, stage2_iterations, face_tol}}",
     },
     "sweep": {"sweep.csv": "gamma,objective,regime,bifurcation,error"},
     "benchmark": {
@@ -74,8 +76,8 @@ def _check_grid(grid: int) -> None:
 
 
 def _instance(args) -> ProblemInstance:
-    if args.gamma is None or args.gamma <= 0:
-        raise GerryOptError("--gamma must be given and positive")
+    if args.gamma is None:
+        raise GerryOptError("--gamma must be given")
     _check_grid(args.grid)
     return uniform_instance(n=args.grid, gamma=args.gamma, taste=get_taste(args.taste))
 
@@ -225,6 +227,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise GerryOptError(f"--alpha must lie strictly between 0 and 1, got {args.alpha!r}")
     if not args.input or not os.path.exists(args.input):
         raise FileNotFoundError(args.input or "--input is required")
     out = _outdir(args)

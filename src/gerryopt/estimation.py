@@ -326,6 +326,8 @@ def estimate_gamma(returns: Returns, alpha: float = 0.1) -> GammaEstimate:
             <= gamma <=
         sqrt(chi2_{T-1}(1 - alpha/2) / (T-1)) * gamma_hat.
     """
+    if not 0.0 < alpha < 1.0:
+        raise GerryOptError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     if not len(returns):
         raise GerryOptError("no records to estimate from")
     w = probit_transform(returns)

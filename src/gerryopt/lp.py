@@ -5,18 +5,23 @@ Variables pi(s, r) >= 0 assign type mass to threshold columns:
     s.t. sum_r pi(s,r) = f(s)                   for every type s
          sum_s pi(s,r) * (v(s,r) - 1/2) = 0     for every threshold r
 
-Solved in two stages, both through ``linprog``:
+Solved in two stages:
 
-1. HiGHS interior point with crossover.  Its objective and equality duals
-   (the certificate multipliers lambda(r) and voter values phi(s)) are the
-   ones reported.
+1. A Mehrotra predictor-corrector interior point that factorizes only an
+   n_r x n_r Schur complement per Newton step (``_stage1_ipm``).  It stops
+   at primal and dual residuals below IPM_TOL and a complementarity sum
+   x*z below IPM_GAP; its equality duals (the certificate multipliers
+   lambda(r) and voter values phi(s)) are the ones reported, and the
+   optimal face is the cells where x > z.  If the factorization fails early
+   or the iteration limit is hit, HiGHS interior point with crossover
+   (``linprog``) runs instead and the face is the cells of zero reduced cost,
+   phi(s) - G(r) - lambda(r)(v(s,r) - 1/2) <= FACE_TOL.
 2. The LP often has many optimal vertices, and structural verdicts (regime,
-   bifurcation, single-dippedness) read the vertex.  Stage 2 keeps the cells
-   (s, r) with zero reduced cost under the stage-1 dual,
-   phi(s) - G(r) - lambda(r)(v(s,r) - 1/2) <= FACE_TOL, and on them finds a
-   vertex of maximum packed mass (r = s).  Every feasible point on those
-   cells is complementary to the stage-1 dual, so it is optimal and the
-   stage-1 certificate stays valid for it.
+   bifurcation, single-dippedness) read the vertex.  Stage 2 (``linprog``
+   dual simplex) finds a vertex of maximum packed mass (r = s) on the face
+   cells.  Every feasible point on them is complementary to the stage-1
+   dual, so it is optimal and the stage-1 certificate stays valid for it.
+   The reported objective is this vertex's value.
 """
 
 from __future__ import annotations
@@ -34,6 +39,12 @@ PRIMAL_TOL = 1e-8      # feasibility residuals
 DUAL_TOL = 1e-7        # complementary slackness / strong duality
 FACE_TOL = 1e-9        # reduced cost at or below which a cell is on the optimal face
 AT_TOL = 1e-12         # a type this close to a threshold sits at it
+IPM_TOL = 1e-10        # relative primal and dual residuals at which stage 1 stops...
+IPM_GAP = 1e-14        # ...once the complementarity sum x*z is also below this
+IPM_ACCEPT_GAP = 1e-11 # a failed factorization below this sum x*z accepts the iterate
+IPM_MAX_ITER = 60      # stage-1 Newton steps before HiGHS takes over
+IPM_SHIFT = 1e-14      # normal-matrix diagonal shift, relative to each diagonal entry
+IPM_ETA = 0.99995      # fraction of the step to the boundary that is taken
 
 HIGHS_OPTIONS = {
     "presolve": True,
@@ -160,19 +171,140 @@ def _assignment(lp: LinearProgram, x: np.ndarray) -> AssignmentMatrix:
     return assignment
 
 
-def _max_packed_on_face(lp: LinearProgram, res) -> tuple[np.ndarray, dict]:
-    """Stage 2: the vertex of maximum packed mass on the optimal face of the
-    stage-1 result ``res``.
+class _Stage1Failure(Exception):
+    """The structured interior point gave up; stage 1 falls back to HiGHS."""
+
+
+def _step(v: np.ndarray, dv: np.ndarray) -> float:
+    """Largest step in [0, 1] that keeps v + step * dv nonnegative."""
+    neg = dv < 0
+    return float(np.min(-v[neg] / dv[neg], initial=1.0))
+
+
+@np.errstate(divide="raise", over="raise", invalid="raise")
+def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Stage 1 by a Mehrotra predictor-corrector that uses the LP's structure.
+
+    Column (s, r) has two nonzeros, 1 in type row s and a = v(s,r) - 1/2 in
+    threshold row r, so for a diagonal scaling d the normal matrix
+    A diag(d) A^T is [[D1, B], [B^T, D2]] with D1 = row sums of d, B = d * a
+    and D2 = column sums of d * a^2.  Each Newton step factorizes only the
+    n_r x n_r Schur complement D2 - B^T D1^-1 B, and the predictor and the
+    corrector share that factor.  The optimal face is the strictly
+    complementary partition x > z (Mehrotra & Ye 1993).
+
+    Returns the dual y (type rows, then threshold rows), the face cells and
+    the statistics.  Raises ``_Stage1Failure``, ``LinAlgError`` or
+    ``FloatingPointError`` when HiGHS must take over.
+    """
+    a = lp.vote - 0.5
+    c = lp.c.reshape(a.shape)
+    f = lp.inst.type_weights
+    n_r = a.shape[1]
+
+    def factor(d):
+        """Solver of A diag(d) A^T (u, w) = (p, q) through the Schur complement."""
+        d1, b = d.sum(axis=1), d * a
+        d2 = (b * a).sum(axis=0)
+        # scaled to the unit diagonal of A diag(d) A^T (a threshold row with
+        # a = 0 throughout is empty) and shifted by IPM_SHIFT
+        sc = 1.0 / np.sqrt(np.where(d2 > 0, d2, 1.0))
+        schur = (np.diag(d2) - b.T @ (b / d1[:, None])) * sc[:, None] * sc
+        schur[np.diag_indices(n_r)] += IPM_SHIFT
+        li = np.linalg.inv(np.linalg.cholesky(schur)) * sc
+
+        def solve(p, q):
+            w = li.T @ (li @ (q - b.T @ (p / d1)))
+            return (p - b @ w) / d1, w
+
+        return solve
+
+    # Mehrotra's starting point: least-norm x and least-squares z, shifted inside
+    solve = factor(np.ones_like(a))
+    ys, yr = solve(c.sum(axis=1), (a * c).sum(axis=0))
+    z = c - ys[:, None] - a * yr
+    u, w = solve(f, np.zeros(n_r))
+    x = u[:, None] + a * w
+    x += max(-1.5 * x.min(), 0.0)
+    z += max(-1.5 * z.min(), 0.0)
+    xz = float(np.vdot(x, z))
+    x += 0.5 * xz / z.sum()
+    z += 0.5 * xz / x.sum()
+
+    scale_p, scale_d = 1.0 + np.linalg.norm(f), 1.0 + np.linalg.norm(c)
+    for it in range(IPM_MAX_ITER + 1):
+        rp_s, rp_r = f - x.sum(axis=1), -(a * x).sum(axis=0)
+        rd = c - ys[:, None] - a * yr - z
+        gap = float(np.vdot(x, z))
+        if (
+            np.hypot(np.linalg.norm(rp_s), np.linalg.norm(rp_r)) <= IPM_TOL * scale_p
+            and np.linalg.norm(rd) <= IPM_TOL * scale_d
+            and gap < IPM_GAP
+        ):
+            break
+        if it == IPM_MAX_ITER:
+            raise _Stage1Failure(f"iteration limit {IPM_MAX_ITER} at sum x*z = {gap:.1e}")
+        d = x / z
+        try:
+            solve = factor(d)
+        except np.linalg.LinAlgError:
+            if gap < IPM_ACCEPT_GAP:
+                break
+            raise _Stage1Failure(f"Schur complement not positive definite at sum x*z = {gap:.1e}") from None
+
+        def direction(rc):  # Newton step with complementarity target z dx + x dz = rc
+            t = d * rd - rc / z
+            dys, dyr = solve(rp_s + t.sum(axis=1), rp_r + (a * t).sum(axis=0))
+            dz = rd - dys[:, None] - a * dyr
+            return (rc - x * dz) / z, dys, dyr, dz
+
+        dx, _, _, dz = direction(-x * z)
+        mu = gap / x.size
+        mu_aff = float(np.vdot(x + _step(x, dx) * dx, z + _step(z, dz) * dz)) / x.size
+        dx, dys, dyr, dz = direction((mu_aff / mu) ** 3 * mu - x * z - dx * dz)
+        step_p, step_d = min(1.0, IPM_ETA * _step(x, dx)), min(1.0, IPM_ETA * _step(z, dz))
+        x += step_p * dx
+        ys += step_d * dys
+        yr += step_d * dyr
+        z += step_d * dz
+    stats = {
+        "stage1_method": "structured-ipm",
+        "stage1_iterations": it,
+        "stage1_crossover_iterations": 0,
+        "stage1_complementarity": gap,
+    }
+    return np.concatenate([ys, yr]), np.flatnonzero((x > z).ravel()), stats
+
+
+def _stage1_highs(lp: LinearProgram, method: str = "highs-ipm") -> tuple[np.ndarray, np.ndarray, dict]:
+    """Stage 1 by HiGHS (crossover on: the result is a basic solution).
+
+    The face is the cells of zero reduced cost under its dual,
+    phi(s) - G(r) - lambda(r)(v(s,r) - 1/2) <= FACE_TOL.
+    """
+    res = linprog(lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None), method=method, options=HIGHS_OPTIONS)
+    if res.status != 0:
+        raise LPSolveError(f"stage 1 ({method}): HiGHS status {res.status}: {res.message}")
+    y = np.asarray(res.eqlin.marginals, dtype=float)
+    reduced = lp.c - lp.a_eq.T @ y
+    stats = {
+        "stage1_method": method,
+        "stage1_iterations": int(res.nit),
+        "stage1_crossover_iterations": int(res.crossover_nit),
+        "stage1_complementarity": float(res.x @ reduced),
+    }
+    return y, np.flatnonzero(reduced <= FACE_TOL), stats
+
+
+def _max_packed_on_face(lp: LinearProgram, face: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Stage 2: the vertex of maximum packed mass on the optimal face.
 
     Returns the primal point on the full (type, threshold) grid and the
     stage-2 statistics.
     """
-    # scipy's reduced cost c - A^T y is phi(s) - G(r) - lambda(r)(v(s,r) - 1/2)
-    reduced = lp.c - lp.a_eq.T @ np.asarray(res.eqlin.marginals, dtype=float)
-    face = np.flatnonzero(reduced <= FACE_TOL)
     # a packed cell puts type s in a district with threshold r = s
     packed = np.abs(lp.threshold_grid[None, :] - lp.inst.type_grid[:, None]).ravel()[face] <= AT_TOL
-    res2 = linprog(
+    res = linprog(
         -packed.astype(float),
         A_eq=lp.a_eq[:, face],
         b_eq=lp.b_eq,
@@ -180,42 +312,36 @@ def _max_packed_on_face(lp: LinearProgram, res) -> tuple[np.ndarray, dict]:
         method="highs-ds",
         options=HIGHS_OPTIONS,
     )
-    if res2.status != 0:
-        raise LPSolveError(f"stage 2 (max packed on face): HiGHS status {res2.status}: {res2.message}")
+    if res.status != 0:
+        raise LPSolveError(f"stage 2 (max packed on face): HiGHS status {res.status}: {res.message}")
     x = np.zeros(lp.c.size)
-    x[face] = res2.x
-    return x, {"face_cells": int(face.size), "stage2_iterations": int(res2.nit)}
+    x[face] = res.x
+    return x, {"face_cells": int(face.size), "stage2_iterations": int(res.nit)}
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Solve by interior point, then return the canonical vertex of the
-    optimal face with the interior-point objective and duals."""
-    method = "highs-ipm"  # crossover on (the HiGHS default): res carries a basic solution
-    res = linprog(lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None), method=method, options=HIGHS_OPTIONS)
-    if res.status != 0:
-        raise LPSolveError(f"stage 1 (interior point): HiGHS status {res.status}: {res.message}")
-    x, face_stats = _max_packed_on_face(lp, res)
+    """Solve stage 1 by the structured interior point (HiGHS interior point
+    if it gives up), then return the vertex of maximum packed mass on the
+    optimal face with its objective and the stage-1 duals."""
+    try:
+        y, face, stats = _stage1_ipm(lp)
+        stats["stage1_fallback"] = None
+    except (_Stage1Failure, np.linalg.LinAlgError, FloatingPointError) as exc:
+        y, face, stats = _stage1_highs(lp)
+        stats["stage1_fallback"] = str(exc)
+    x, face_stats = _max_packed_on_face(lp, face)
 
     n_s = lp.n_types
-    marginals = np.asarray(res.eqlin.marginals, dtype=float)
-    # scipy minimizes -G . pi; dual feasibility y_s + y_r (v - 1/2) <= -G(r)
+    # stage 1 minimizes -G . pi; dual feasibility y_s + y_r (v - 1/2) <= -G(r)
     # rearranges to phi(s) >= G(r) + lambda(r)(v - 1/2) with phi = -y_s, lambda = y_r
-    phi = -marginals[:n_s]
-    lam = marginals[n_s:]
     cert = DualCertificate(
-        lambda_=lam,
-        phi=phi,
+        lambda_=y[n_s:],
+        phi=-y[:n_s],
         type_grid=lp.inst.type_grid.copy(),
         threshold_grid=lp.threshold_grid.copy(),
     )
-    stats = {
-        "stage1_method": method,
-        "stage1_iterations": int(res.nit),
-        "stage1_crossover_iterations": int(res.crossover_nit),
-        **face_stats,
-        "face_tol": FACE_TOL,
-    }
-    return LPSolution(assignment=_assignment(lp, x), objective=float(-res.fun), certificate=cert, stats=stats)
+    stats.update(face_stats, face_tol=FACE_TOL)
+    return LPSolution(assignment=_assignment(lp, x), objective=float(-(lp.c @ x)), certificate=cert, stats=stats)
 
 
 def extract_plan(assignment: AssignmentMatrix) -> Plan:

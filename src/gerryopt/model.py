@@ -136,8 +136,8 @@ class ProblemInstance:
             raise GerryOptError("type_weights must be nonnegative")
         if abs(w.sum() - 1.0) > MASS_TOL:
             raise GerryOptError(f"type_weights sum to {w.sum()!r}, expected 1")
-        if not self.gamma > 0:
-            raise GerryOptError("gamma must be positive")
+        if not (math.isfinite(self.gamma) and self.gamma > 0):
+            raise GerryOptError(f"gamma must be finite and positive, got {self.gamma!r}")
 
     def G(self, r):
         """Aggregate shock CDF, G(r) = Q(gamma * r)."""

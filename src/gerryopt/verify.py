@@ -315,8 +315,8 @@ def check_dual_support_optimality(
         U = min over v(s,r) > 1/2 of (phi(s) - G(r)) / (v(s,r) - 1/2).
     An active cell with v != 1/2 pins [L, U] to a point; on a packed column
     the only active cell has v = 1/2 and [L, U] can be wide, even unbounded,
-    so the lambda(r) HiGHS returns there is one vertex among many and is not
-    compared.  Each column's distance from the formula to [L, U] is divided
+    so the lambda(r) the solver returns there is one choice among many and is
+    not compared.  Each column's distance from the formula to [L, U] is divided
     by the largest formula value on the support, so tail columns where both
     are ~0 do not dominate.
     """

@@ -29,7 +29,9 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert summary["gamma"] == 2.0
     assert 0.5 <= summary["objective"] <= 1.0
     assert summary["duality_gap"] < 1e-7
-    assert summary["solver"]["stage1_method"] == "highs-ipm"
+    assert summary["solver"]["stage1_method"] == "structured-ipm"
+    assert summary["solver"]["stage1_fallback"] is None
+    assert summary["solver"]["stage1_complementarity"] < 1e-14
     assert summary["solver"]["face_cells"] >= 41
     # stdout carries the same summary
     assert json.loads(out.strip())["objective"] == summary["objective"]
@@ -101,6 +103,16 @@ def test_benchmark_non_finite_r0_exit_2(tmp_path, capsys):
     assert code == 2
     error = json.loads(err.strip())
     assert error["error"] == "config" and "r0" in error["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["solve", "benchmark"])
+@pytest.mark.parametrize("gamma", ["inf", "nan"])
+def test_non_finite_gamma_exit_2(tmp_path, capsys, command, gamma):
+    code, _out, err = run(capsys, command, "--gamma", gamma, "--grid", "11", "--out", str(tmp_path))
+    assert code == 2
+    error = json.loads(err.strip())
+    assert error["error"] == "config" and "gamma" in error["message"]
     assert not list(tmp_path.iterdir())
 
 
@@ -247,6 +259,18 @@ def test_estimate_round_trip(tmp_path, capsys):
     assert float(rows[0]["gamma_hat"]) > 0
     for name in ("share_hist.csv", "swing_hist.csv", "qq.csv"):
         assert (tmp_path / name).exists()
+
+
+@pytest.mark.parametrize("alpha", ["1.5", "0", "nan"])
+def test_estimate_alpha_out_of_range_exit_2(tmp_path, capsys, alpha):
+    returns = tmp_path / "returns.csv"
+    E.simulate_returns(str(returns), gamma=10.0, T=3, n_precincts=50, seed=0)
+    out = tmp_path / "out"
+    code, _out, err = run(capsys, "estimate", "--input", str(returns), "--alpha", alpha, "--out", str(out))
+    assert code == 2
+    error = json.loads(err.strip())
+    assert error["error"] == "config" and "alpha" in error["message"]
+    assert not out.exists()
 
 
 def test_estimate_missing_input(tmp_path, capsys):

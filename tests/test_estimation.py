@@ -210,6 +210,13 @@ def test_gamma_estimate_errors():
         E.estimate_gamma(make_returns({2016: [0.5], 2018: [0.5]}))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, float("nan")])
+def test_gamma_estimate_alpha_range(alpha):
+    returns = make_returns({2016: [0.35, 0.45], 2018: [0.5, 0.52], 2020: [0.6, 0.66]})
+    with pytest.raises(GerryOptError, match="alpha"):
+        E.estimate_gamma(returns, alpha=alpha)
+
+
 def test_estimate_f_moments():
     # within-election spread drives the F moments, not the between spread
     shares = {2016: [0.4, 0.6], 2018: [0.4, 0.6]}

@@ -117,47 +117,101 @@ def test_dual_certificate_shapes():
     assert cert.phi.shape == inst.type_grid.shape
 
 
-@pytest.mark.parametrize("gamma", [0.2, 0.5, 1.0, 1.2, 1.4, 1.6, 1.7, 3.0, 6.0, 10.0, 15.0, 30.0])
-def test_face_vertex_independent_of_stage1_method(gamma):
-    # Dual simplex and interior point return different optimal vertices (and
-    # duals); after the max-packed face stage both give the same verdicts.
-    inst = M.uniform_instance(n=101, gamma=gamma)
-    prog = L.build_lp(inst)
-    verdicts = []
-    for method in ("highs-ds", "highs-ipm"):
-        res = linprog(
-            prog.c, A_eq=prog.a_eq, b_eq=prog.b_eq, bounds=(0, None), method=method, options=L.HIGHS_OPTIONS
-        )
-        assert res.status == 0
-        x, _stats = L._max_packed_on_face(prog, res)
-        assert abs(prog.c @ x - res.fun) <= 1e-12
-        phi = -res.eqlin.marginals[: prog.n_types]
-        assert abs(-(prog.c @ x) - inst.type_weights @ phi) <= L.DUAL_TOL
-        asg = L._assignment(prog, x)
-        decomp = V.decompose_pack_and_pair(asg)
-        verdicts.append((V.classify_regime(decomp), decomp.bifurcation))
-    assert verdicts[0] == verdicts[1]
+FACE_GAMMAS = [0.2, 0.5, 1.0, 1.2, 1.4, 1.6, 1.7, 2.0, 3.0, 6.0, 10.0, 15.0, 30.0]
+
+
+def face_vertex(prog, stage1):
+    """The stage-2 vertex on the face of a stage-1 result, with its regime and r_b."""
+    y, face, _stats = stage1
+    x, _stats = L._max_packed_on_face(prog, face)
+    # strong duality: the vertex value equals the stage-1 dual value
+    assert abs(prog.c @ x - prog.b_eq @ y) <= 1e-12
+    asg = L._assignment(prog, x)
+    decomp = V.decompose_pack_and_pair(asg)
+    return V.classify_regime(decomp), decomp.bifurcation, asg.pi
+
+
+@pytest.mark.parametrize(
+    "n,gamma",
+    [pytest.param(101, g, id=str(g)) for g in FACE_GAMMAS]
+    + [pytest.param(201, g, id=f"n201-{g}") for g in (0.2, 1.0, 3.0)],
+)
+def test_face_vertex_independent_of_stage1_method(n, gamma):
+    # The structured interior point, HiGHS interior point and HiGHS dual
+    # simplex return different optimal duals and faces; the max-packed vertex
+    # on each face is the same.  HiGHS is the oracle.
+    prog = L.build_lp(M.uniform_instance(n=n, gamma=gamma))
+    label, rb, pi = face_vertex(prog, L._stage1_ipm(prog))
+    for method in ("highs-ipm", "highs-ds"):
+        label_h, rb_h, pi_h = face_vertex(prog, L._stage1_highs(prog, method))
+        assert (label, rb) == (label_h, rb_h), method
+        assert np.max(np.abs(pi - pi_h)) <= 1e-12, method
 
 
 def test_solver_stats():
     sol = L.solve_lp(L.build_lp(M.uniform_instance(n=41, gamma=2.0)))
-    assert sol.stats["stage1_method"] == "highs-ipm"
+    assert sol.stats["stage1_method"] == "structured-ipm"
+    assert sol.stats["stage1_fallback"] is None
     assert sol.stats["stage1_iterations"] > 0
+    assert sol.stats["stage1_crossover_iterations"] == 0
+    assert sol.stats["stage1_complementarity"] < L.IPM_GAP
     assert 41 <= sol.stats["face_cells"] < 41 * 41
     assert sol.stats["face_tol"] == L.FACE_TOL
+
+
+def _fail_cholesky(monkeypatch, from_call):
+    """Make np.linalg.cholesky raise from its ``from_call``-th call on."""
+    cholesky, calls = np.linalg.cholesky, []
+
+    def failing(m):
+        calls.append(m)
+        if len(calls) >= from_call:
+            raise np.linalg.LinAlgError("forced failure")
+        return cholesky(m)
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+
+
+@pytest.mark.parametrize("cause", ["start", "early", "iteration_limit"])
+def test_stage1_falls_back_to_highs(monkeypatch, cause):
+    prog = L.build_lp(M.uniform_instance(n=101, gamma=2.0))
+    reference = L.solve_lp(prog)
+    if cause == "iteration_limit":
+        monkeypatch.setattr(L, "IPM_MAX_ITER", 3)
+    else:
+        _fail_cholesky(monkeypatch, 1 if cause == "start" else 3)
+    sol = L.solve_lp(prog)
+    assert sol.stats["stage1_method"] == "highs-ipm"
+    assert sol.stats["stage1_fallback"]
+    assert np.max(np.abs(sol.assignment.pi - reference.assignment.pi)) <= 1e-12
+    assert abs(sol.objective - reference.objective) <= 1e-12
+    assert sol.duality_gap(prog.inst.type_weights) <= L.DUAL_TOL
+
+
+def test_late_factorization_failure_accepts_the_iterate(monkeypatch):
+    prog = L.build_lp(M.uniform_instance(n=101, gamma=2.0))
+    reference = L.solve_lp(prog)
+    # one factorization for the starting point and one per Newton step
+    last_call = reference.stats["stage1_iterations"] + 1
+    _fail_cholesky(monkeypatch, last_call)
+    sol = L.solve_lp(prog)
+    assert sol.stats["stage1_method"] == "structured-ipm"
+    assert sol.stats["stage1_fallback"] is None
+    assert sol.stats["stage1_iterations"] == last_call - 2
+    assert sol.stats["stage1_complementarity"] < L.IPM_ACCEPT_GAP
+    assert np.max(np.abs(sol.assignment.pi - reference.assignment.pi)) <= 1e-12
 
 
 def test_stage2_failure_names_the_stage(monkeypatch):
     calls = []
 
-    def fail_second_call(*args, **kwargs):
+    def fail_first_call(*args, **kwargs):
         res = linprog(*args, **kwargs)
         calls.append(res)
-        if len(calls) == 2:
-            res.status, res.message = 4, "numerical difficulties"
+        res.status, res.message = 4, "numerical difficulties"
         return res
 
-    monkeypatch.setattr(L, "linprog", fail_second_call)
+    monkeypatch.setattr(L, "linprog", fail_first_call)
     with pytest.raises(L.LPSolveError, match="stage 2"):
         L.solve_lp(L.build_lp(small_instance()))
-    assert len(calls) == 2
+    assert len(calls) == 1  # stage 1 solves without linprog

@@ -192,3 +192,9 @@ def test_degenerate_instance_errors():
         )
     with pytest.raises(M.GerryOptError):
         M.uniform_instance(gamma=-1.0)
+
+
+@pytest.mark.parametrize("gamma", [0.0, float("inf"), float("nan")])
+def test_gamma_must_be_finite_and_positive(gamma):
+    with pytest.raises(M.GerryOptError, match="finite and positive"):
+        M.uniform_instance(n=11, gamma=gamma)
