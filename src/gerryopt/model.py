@@ -58,7 +58,9 @@ class TasteDistribution:
 
 
 def _logistic_cdf(x):
-    return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float) / _SQRT3_OVER_PI))
+    # exp overflows to inf for very negative x; 1/(1 + inf) = 0 is the exact limit
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float) / _SQRT3_OVER_PI))
 
 
 def _logistic_pdf(x):

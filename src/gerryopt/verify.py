@@ -366,42 +366,38 @@ def check_pap_condition(gamma: float, taste: TasteDistribution = NORMAL) -> list
     Both inequalities must clear ``PAP_MARGIN``: deep in the distribution tails
     the two sides saturate to 1.0 in double precision and tie exactly, while
     in exact arithmetic the second inequality fails by ~1e-18 there.
+
+    Q and q are evaluated once on the table of grid differences x[a] - x[b],
+    and the packed alternative alt[s, s''] and its suffix minimum over
+    s'' >= s' once per row.  Each threshold r then tests every (s < r, s' > r)
+    cell in one array pass; a violating cell's s'' is the first minimiser of
+    alt[s, s':].  All tables are n x n; no n^3 array is built.
     """
-    if gamma <= 0:
-        raise GerryOptError("gamma must be positive")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
     x = PAP_GRID
-    n = x.size
     Q = lambda z: np.asarray(taste.cdf(z), dtype=float)
     q = lambda z: np.asarray(taste.pdf(z), dtype=float)
-    G = lambda z: np.asarray(taste.cdf(gamma * np.asarray(z, dtype=float)), dtype=float)
-    g = lambda z: gamma * q(gamma * np.asarray(z, dtype=float))
-    q0 = float(q(0.0))
-
-    G_all = G(x)
-    g_all = g(x)
+    G_all = Q(gamma * x)
+    g_all = gamma * q(gamma * x)
+    diff = x[:, None] - x[None, :]
+    Qd, qd = Q(diff), q(diff)
+    # G(s'') + g(s'')/q(0) * (Q(s - s'') - 1/2), and its minimum over s'' >= s'
+    alt = G_all + (g_all / float(q(0.0))) * (Qd - 0.5)
+    suffix_min = np.minimum.accumulate(alt[:, ::-1], axis=1)[:, ::-1]
     violations = []
-    for i_s in range(n - 2):
-        s = x[i_s]
-        # packed-alternative values G(s'') + g(s'')/q(0) * (Q(s - s'') - 1/2), all s''
-        alt = G_all + (g_all / q0) * (Q(s - x) - 0.5)
-        # suffix minimum over s'' >= s'
-        suffix_min = np.minimum.accumulate(alt[::-1])[::-1]
-        for i_r in range(i_s + 1, n - 1):
-            r = x[i_r]
-            sp = x[i_r + 1 :]
-            qs = float(q(s - r))
-            Qs = float(Q(s - r))
-            Qsp = Q(sp - r)
-            denom = (Qsp - 0.5) * qs - (Qs - 0.5) * q(sp - r)
-            lam = float(g_all[i_r]) * (Qsp - Qs) / denom
-            lhs = float(G_all[i_r]) + lam * (Qs - 0.5)
-            cond1 = lhs - float(G_all[i_s]) > PAP_MARGIN
-            cond2 = lhs - suffix_min[i_r + 1 :] > PAP_MARGIN
-            bad = np.flatnonzero(cond1 & cond2)
-            for k in bad:
-                i_sp = i_r + 1 + int(k)
-                i_spp = i_sp + int(np.argmin(alt[i_sp:]))
-                violations.append((float(s), float(r), float(x[i_sp]), float(x[i_spp])))
+    for i_r in range(1, x.size - 1):
+        Qs, qs = Qd[:i_r, i_r, None], qd[:i_r, i_r, None]  # s < r down the rows
+        Qsp, qsp = Qd[i_r + 1 :, i_r], qd[i_r + 1 :, i_r]  # s' > r across the columns
+        denom = (Qsp - 0.5) * qs - (Qs - 0.5) * qsp
+        lam = g_all[i_r] * (Qsp - Qs) / denom
+        lhs = G_all[i_r] + lam * (Qs - 0.5)
+        cond1 = lhs - G_all[:i_r, None] > PAP_MARGIN
+        cond2 = lhs - suffix_min[:i_r, i_r + 1 :] > PAP_MARGIN
+        for i_s, k in zip(*np.nonzero(cond1 & cond2)):
+            i_sp = i_r + 1 + k
+            i_spp = i_sp + np.argmin(alt[i_s, i_sp:])
+            violations.append(tuple(float(x[i]) for i in (i_s, i_r, i_sp, i_spp)))
     violations.sort()
     return violations
 
@@ -421,8 +417,8 @@ def y_necessary_conditions(gamma: float) -> YConditions:
     and beta2 = gamma^2 / 2 the plan is admissible iff gamma > 1 and
     beta1 >= beta2 + 1, i.e. gamma in (1, sqrt(1 + sqrt(3))].
     """
-    if gamma <= 0:
-        raise GerryOptError("gamma must be positive")
+    if not (np.isfinite(gamma) and gamma > 0):
+        raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
     if gamma == 1.0:
         raise GerryOptError("gamma = 1 is degenerate: the limit slopes coincide")
     g2 = gamma * gamma

@@ -175,6 +175,15 @@ def test_verify_pap_exit_zero(tmp_path, capsys):
     assert report["checks"]["pap_condition"]["ok"]
 
 
+@pytest.mark.filterwarnings("error")
+def test_verify_pap_logistic_large_gamma_is_quiet(tmp_path, capsys):
+    # G(-5) = Q(-500) overflows exp in the logistic cdf; 1/(1 + inf) = 0 is the exact limit
+    code, _out, err = run(
+        capsys, "verify", "--pap", "--taste", "logistic", "--gamma", "100", "--out", str(tmp_path)
+    )
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize(
     "argv", [["--pap"], ["--pap", "--gamma", "2", "--grid", "40"]], ids=["no_gamma", "even_grid"]
 )

@@ -273,10 +273,10 @@ def test_pap_condition_holds_normal(gamma):
 
 
 def test_pap_condition_rejects_bad_gamma():
-    with pytest.raises(M.GerryOptError):
-        V.check_pap_condition(0.0)
-    with pytest.raises(M.GerryOptError):
-        V.check_pap_condition(-2.0)
+    # an empty list would certify pack-and-pair optimality
+    for gamma in (0.0, -2.0, math.nan, math.inf):
+        with pytest.raises(M.GerryOptError, match="finite and positive"):
+            V.check_pap_condition(gamma)
 
 
 def test_pap_grid_shape():
@@ -324,6 +324,75 @@ def test_pap_condition_reports_cauchy_violations(gamma):
     assert V.check_pap_condition(gamma, taste=CAUCHY) == CAUCHY_PAP_VIOLATIONS[gamma]
 
 
+def _pap_scan_reference(gamma, taste):
+    """The quadruple scan as a scalar double loop over (s, r)."""
+    x = V.PAP_GRID
+    n = x.size
+    Q = lambda z: np.asarray(taste.cdf(z), dtype=float)
+    q = lambda z: np.asarray(taste.pdf(z), dtype=float)
+    G_all = Q(gamma * x)
+    g_all = gamma * q(gamma * x)
+    q0 = float(q(0.0))
+    violations = []
+    for i_s in range(n - 2):
+        s = x[i_s]
+        alt = G_all + (g_all / q0) * (Q(s - x) - 0.5)
+        suffix_min = np.minimum.accumulate(alt[::-1])[::-1]
+        for i_r in range(i_s + 1, n - 1):
+            r = x[i_r]
+            sp = x[i_r + 1 :]
+            qs = float(q(s - r))
+            Qs = float(Q(s - r))
+            Qsp = Q(sp - r)
+            denom = (Qsp - 0.5) * qs - (Qs - 0.5) * q(sp - r)
+            lam = float(g_all[i_r]) * (Qsp - Qs) / denom
+            lhs = float(G_all[i_r]) + lam * (Qs - 0.5)
+            cond1 = lhs - float(G_all[i_s]) > V.PAP_MARGIN
+            cond2 = lhs - suffix_min[i_r + 1 :] > V.PAP_MARGIN
+            for k in np.flatnonzero(cond1 & cond2):
+                i_sp = i_r + 1 + int(k)
+                i_spp = i_sp + int(np.argmin(alt[i_sp:]))
+                violations.append((float(s), float(r), float(x[i_sp]), float(x[i_spp])))
+    violations.sort()
+    return violations
+
+
+PAP_ORACLE_GAMMAS = [0.05, 0.1, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0, 6.0, 10.0, 30.0, 50.0, 100.0]
+
+# Not a taste distribution: the Cauchy cdf and pdf rounded to one decimal (pdf
+# at least 0.01).  Its plateaus give ties in the packed alternative at
+# violating cells, so the first-minimiser rule matters, and second-inequality
+# margins inside (0, PAP_MARGIN].  Cells where both Q round to 1/2 are 0/0.
+STEPPED = M.TasteDistribution(
+    name="stepped",
+    cdf=lambda x: np.round(CAUCHY.cdf(x), 1),
+    pdf=lambda x: np.maximum(np.round(CAUCHY.pdf(x), 1), 0.01),
+    ppf=None,
+    log_density_dd=None,
+)
+
+
+@pytest.mark.parametrize(
+    "taste, gammas, n_violations",
+    [
+        (M.NORMAL, PAP_ORACLE_GAMMAS, 0),
+        (M.LOGISTIC, PAP_ORACLE_GAMMAS, 0),
+        (CAUCHY, PAP_ORACLE_GAMMAS, 96),
+        (STEPPED, [2.0, 6.0], 19842),
+    ],
+    ids=["normal", "logistic", "cauchy", "stepped"],
+)
+def test_pap_condition_matches_loop_reference(taste, gammas, n_violations):
+    # the table scan returns exactly the scalar loop's list, order included
+    total = 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for gamma in gammas:
+            expected = _pap_scan_reference(gamma, taste)
+            assert V.check_pap_condition(gamma, taste=taste) == expected, gamma
+            total += len(expected)
+    assert total == n_violations
+
+
 # ---------------------------------------------------------------------------
 # necessary conditions for a Y-shaped (negative assortative top) optimum
 # ---------------------------------------------------------------------------
@@ -351,8 +420,9 @@ def test_y_condition_spot_values():
 def test_y_conditions_invalid_gamma():
     with pytest.raises(M.GerryOptError):
         V.y_necessary_conditions(1.0)
-    with pytest.raises(M.GerryOptError):
-        V.y_necessary_conditions(0.0)
+    for gamma in (0.0, math.nan, math.inf):
+        with pytest.raises(M.GerryOptError, match="finite and positive"):
+            V.y_necessary_conditions(gamma)
 
 
 # ---------------------------------------------------------------------------
