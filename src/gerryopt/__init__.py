@@ -25,7 +25,7 @@ from .model import (
     expected_seat_share,
     check_assumption1,
 )
-from .lp import build_lp, solve_lp, extract_plan, sweep_gamma, LPSolution
+from .lp import build_lp, solve_lp, solve_and_classify, extract_plan, sweep_gamma, LPSolution
 from .verify import (
     RegimeLabel,
     check_single_dipped,

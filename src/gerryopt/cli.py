@@ -82,17 +82,10 @@ def _instance(args) -> ProblemInstance:
     return uniform_instance(n=args.grid, gamma=args.gamma, taste=get_taste(args.taste))
 
 
-def _solve_and_analyze(inst: ProblemInstance):
-    sol = lpmod.solve_lp(lpmod.build_lp(inst))
-    decomp = vf.decompose_pack_and_pair(sol.assignment)
-    regime = vf.classify_regime(decomp)
-    return sol, decomp, regime
-
-
 def cmd_solve(args) -> int:
     inst = _instance(args)
     out = _outdir(args)
-    sol, decomp, regime = _solve_and_analyze(inst)
+    sol, decomp, regime = lpmod.solve_and_classify(inst)
 
     plan = lpmod.extract_plan(sol.assignment)
     with open(os.path.join(out, "plan.json"), "w") as fh:
@@ -169,7 +162,7 @@ def cmd_benchmark(args) -> int:
         "traditional_pc": {"cutoff": pc.cutoff, "value": pc.value},
     }
     if args.with_lp:
-        sol, _, regime = _solve_and_analyze(inst)
+        sol, _, regime = lpmod.solve_and_classify(inst)
         result["lp_objective"] = sol.objective
         result["lp_regime"] = regime.value
     path = os.path.join(out, "benchmarks.json")
@@ -190,7 +183,7 @@ def cmd_verify(args) -> int:
             "detail": {"n_violations": len(violations), "first": violations[:10]},
         }
     else:
-        sol, decomp, regime = _solve_and_analyze(inst)
+        sol, decomp, regime = lpmod.solve_and_classify(inst)
         sd = vf.check_single_dipped(sol.assignment)
         dual = vf.check_dual_support_optimality(
             inst, sol.assignment, sol.certificate, tol_multiplier=vf.POOLING_TOL
@@ -246,13 +239,13 @@ def cmd_estimate(args) -> int:
             rows.append((state, est.estimate_gamma(sub, alpha=args.alpha)))
         except GerryOptError as exc:  # e.g. single-election state
             skipped.append({"state": state, "reason": str(exc)})
-    try:
-        if len(states) > 1:
+    if len(states) > 1:
+        try:
             rows.append(("ALL", est.estimate_gamma(returns, alpha=args.alpha)))
-        elif not rows:
-            rows.append((states[0], est.estimate_gamma(returns, alpha=args.alpha)))
-    except GerryOptError as exc:  # e.g. all records from a single election
-        return _fail(EXIT_DATA, "data", str(exc))
+        except GerryOptError as exc:  # e.g. all records from a single election
+            return _fail(EXIT_DATA, "data", str(exc))
+    elif skipped:  # the only state is all the records
+        return _fail(EXIT_DATA, "data", skipped[0]["reason"])
     est.estimates_csv(os.path.join(out, "estimates.csv"), rows)
     if args.descriptives:
         ds = est.descriptive_summaries(returns)

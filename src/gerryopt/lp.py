@@ -22,23 +22,26 @@ Solved in two stages:
    cells.  Every feasible point on them is complementary to the stage-1
    dual, so it is optimal and the stage-1 certificate stays valid for it.
    The reported objective is this vertex's value.
+
+``solve_and_classify`` runs the whole pipeline, instance to solution,
+pack-and-pair decomposition and regime; every command and sweep row uses it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from concurrent import futures
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .model import GerryOptError, Plan, ProblemInstance, vote_share
+from .model import AT_TOL, SUPPORT_TOL, GerryOptError, Plan, ProblemInstance, vote_share
+from .verify import PackAndPairDecomposition, RegimeLabel, classify_regime, decompose_pack_and_pair
 
-SUPPORT_TOL = 1e-9     # assignment mass below this is numerically zero
 PRIMAL_TOL = 1e-8      # feasibility residuals
 DUAL_TOL = 1e-7        # complementary slackness / strong duality
 FACE_TOL = 1e-9        # reduced cost at or below which a cell is on the optimal face
-AT_TOL = 1e-12         # a type this close to a threshold sits at it
 IPM_TOL = 1e-10        # relative primal and dual residuals at which stage 1 stops...
 IPM_GAP = 1e-14        # ...once the complementarity sum x*z is also below this
 IPM_ACCEPT_GAP = 1e-11 # a failed factorization below this sum x*z accepts the iterate
@@ -276,15 +279,21 @@ def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
     return np.concatenate([ys, yr]), np.flatnonzero((x > z).ravel()), stats
 
 
+def _highs(c: np.ndarray, a_eq, b_eq: np.ndarray, method: str, stage: str):
+    """The one HiGHS call: min c.x subject to a_eq x = b_eq, x >= 0."""
+    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method=method, options=HIGHS_OPTIONS)
+    if res.status != 0:
+        raise LPSolveError(f"{stage}: HiGHS status {res.status}: {res.message}")
+    return res
+
+
 def _stage1_highs(lp: LinearProgram, method: str = "highs-ipm") -> tuple[np.ndarray, np.ndarray, dict]:
     """Stage 1 by HiGHS (crossover on: the result is a basic solution).
 
     The face is the cells of zero reduced cost under its dual,
     phi(s) - G(r) - lambda(r)(v(s,r) - 1/2) <= FACE_TOL.
     """
-    res = linprog(lp.c, A_eq=lp.a_eq, b_eq=lp.b_eq, bounds=(0, None), method=method, options=HIGHS_OPTIONS)
-    if res.status != 0:
-        raise LPSolveError(f"stage 1 ({method}): HiGHS status {res.status}: {res.message}")
+    res = _highs(lp.c, lp.a_eq, lp.b_eq, method, f"stage 1 ({method})")
     y = np.asarray(res.eqlin.marginals, dtype=float)
     reduced = lp.c - lp.a_eq.T @ y
     stats = {
@@ -304,16 +313,7 @@ def _max_packed_on_face(lp: LinearProgram, face: np.ndarray) -> tuple[np.ndarray
     """
     # a packed cell puts type s in a district with threshold r = s
     packed = np.abs(lp.threshold_grid[None, :] - lp.inst.type_grid[:, None]).ravel()[face] <= AT_TOL
-    res = linprog(
-        -packed.astype(float),
-        A_eq=lp.a_eq[:, face],
-        b_eq=lp.b_eq,
-        bounds=(0, None),
-        method="highs-ds",
-        options=HIGHS_OPTIONS,
-    )
-    if res.status != 0:
-        raise LPSolveError(f"stage 2 (max packed on face): HiGHS status {res.status}: {res.message}")
+    res = _highs(-packed.astype(float), lp.a_eq[:, face], lp.b_eq, "highs-ds", "stage 2 (max packed on face)")
     x = np.zeros(lp.c.size)
     x[face] = res.x
     return x, {"face_cells": int(face.size), "stage2_iterations": int(res.nit)}
@@ -356,6 +356,13 @@ def extract_plan(assignment: AssignmentMatrix) -> Plan:
     return Plan(district, assignment.type_grid[types], w / sums[district], mass / sum(mass.tolist()))
 
 
+def solve_and_classify(inst: ProblemInstance) -> tuple[LPSolution, PackAndPairDecomposition, RegimeLabel]:
+    """Solve the instance's LP, then decompose and label its vertex."""
+    sol = solve_lp(build_lp(inst))
+    decomp = decompose_pack_and_pair(sol.assignment)
+    return sol, decomp, classify_regime(decomp)
+
+
 @dataclass
 class SweepRow:
     gamma: float
@@ -365,29 +372,25 @@ class SweepRow:
     error: str | None = None
 
 
-def _solve_one_gamma(args) -> SweepRow:
-    inst_json, gamma = args
-    from . import verify  # local import: verify depends on lp types
-
-    base = ProblemInstance.from_json(inst_json)
-    inst = ProblemInstance(
-        type_grid=base.type_grid, type_weights=base.type_weights, taste=base.taste, gamma=gamma
-    )
+def _sweep_row(inst: ProblemInstance) -> SweepRow:
     try:
-        sol = solve_lp(build_lp(inst))
-        decomp = verify.decompose_pack_and_pair(sol.assignment)
-        regime = verify.classify_regime(decomp)
-        return SweepRow(gamma=gamma, objective=sol.objective, regime=regime.value, bifurcation=decomp.bifurcation)
+        sol, decomp, regime = solve_and_classify(inst)
     except GerryOptError as exc:
-        return SweepRow(gamma=gamma, error=str(exc))
+        return SweepRow(gamma=inst.gamma, error=str(exc))
+    return SweepRow(inst.gamma, sol.objective, regime.value, decomp.bifurcation)
 
 
 def sweep_gamma(inst_template: ProblemInstance, gamma_list, jobs: int = 1) -> list[SweepRow]:
-    """Solve the LP for each gamma; per-row failures do not stop the sweep."""
-    tasks = [(inst_template.to_json(), float(g)) for g in gamma_list]
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    """Solve the LP for each gamma; per-row failures do not stop the sweep.
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_solve_one_gamma, tasks))
-    return [_solve_one_gamma(t) for t in tasks]
+    Every gamma is checked before any solve.  ``jobs`` worker processes, at
+    most one per gamma, share the rows.
+    """
+    if jobs < 1:
+        raise GerryOptError(f"jobs must be at least 1, got {jobs!r}")
+    tasks = [replace(inst_template, gamma=float(g)) for g in gamma_list]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(_sweep_row, tasks))
+    return list(map(_sweep_row, tasks))

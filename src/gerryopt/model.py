@@ -25,6 +25,8 @@ MASS_TOL = 1e-12      # probability masses must sum to 1 within this
 ROOT_TOL = 1e-10      # |mean vote share at r* - 1/2|
 FEAS_TOL = 1e-8       # per-type plan marginal deviation
 BRACKET_PAD = 40.0    # bisection bracket padding around the type support
+SUPPORT_TOL = 1e-9    # assignment mass below this is numerically zero
+AT_TOL = 1e-12        # a type this close to a threshold sits at it
 
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi  # logistic scale for unit variance
 
@@ -79,17 +81,30 @@ def _logistic_log_density_dd(x):
     return -2.0 * p * (1.0 - p) / _SQRT3_OVER_PI**2
 
 
+def _normal_cdf(x):
+    return ndtr(np.asarray(x, dtype=float))
+
+
 def _normal_pdf(x):
     x = np.asarray(x, dtype=float)
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
+def _normal_ppf(u):
+    return ndtri(np.asarray(u, dtype=float))
+
+
+def _normal_log_density_dd(x):
+    return np.full_like(np.asarray(x, dtype=float), -1.0)
+
+
+# module-level functions, not lambdas, so instances pickle into sweep workers
 NORMAL = TasteDistribution(
     name="normal",
-    cdf=lambda x: ndtr(np.asarray(x, dtype=float)),
+    cdf=_normal_cdf,
     pdf=_normal_pdf,
-    ppf=lambda u: ndtri(np.asarray(u, dtype=float)),
-    log_density_dd=lambda x: np.full_like(np.asarray(x, dtype=float), -1.0),
+    ppf=_normal_ppf,
+    log_density_dd=_normal_log_density_dd,
 )
 
 LOGISTIC = TasteDistribution(
@@ -148,26 +163,6 @@ class ProblemInstance:
     def g(self, r):
         """Aggregate shock density, g(r) = gamma * q(gamma * r)."""
         return self.gamma * self.taste.pdf(self.gamma * np.asarray(r, dtype=float))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "type_grid": self.type_grid.tolist(),
-                "type_weights": self.type_weights.tolist(),
-                "taste": self.taste.name,
-                "gamma": self.gamma,
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "ProblemInstance":
-        d = json.loads(text)
-        return ProblemInstance(
-            type_grid=np.array(d["type_grid"], dtype=float),
-            type_weights=np.array(d["type_weights"], dtype=float),
-            taste=get_taste(d["taste"]),
-            gamma=float(d["gamma"]),
-        )
 
 
 def uniform_instance(

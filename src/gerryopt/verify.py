@@ -16,11 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import NORMAL, GerryOptError, ProblemInstance, TasteDistribution
-from .lp import AT_TOL, AssignmentMatrix, DualCertificate, SUPPORT_TOL
+from .model import AT_TOL, NORMAL, SUPPORT_TOL, GerryOptError, ProblemInstance, TasteDistribution
+
+if TYPE_CHECKING:  # lp imports this module to classify its solutions
+    from .lp import AssignmentMatrix, DualCertificate
 
 DUST = 1e-13
 SPLIT_FRAC = 0.01      # a type splits when its packed and its paired mass both exceed this share
@@ -238,54 +241,29 @@ def classify_regime(decomp: PackAndPairDecomposition) -> RegimeLabel:
     if not decomp.ok:
         return RegimeLabel.NOT_PACK_AND_PAIR
 
-    f = decomp.type_weights
-    seg_mass = decomp.districts.seg_mass
-    pair_mass = decomp.districts.pair_mass
-    live = np.flatnonzero(f > 0)
-    status = []
-    for i in live:
-        seg, pair = seg_mass[i], pair_mass[i]
-        if pair <= SPLIT_FRAC * f[i]:
-            status.append("seg")
-        elif seg <= SPLIT_FRAC * f[i]:
-            status.append("pair")
-        else:
-            status.append("split")
-
-    n = len(status)
-    n_seg = status.count("seg")
-    if n_seg == n:
+    live = decomp.type_weights > 0
+    tol = SPLIT_FRAC * decomp.type_weights[live]
+    seg = decomp.districts.pair_mass[live] <= tol
+    pair = ~seg & (decomp.districts.seg_mass[live] <= tol)
+    split = ~seg & ~pair
+    if seg.all():
         return RegimeLabel.SEGREGATION
-    if n_seg == 0 and "split" not in status:
+    if pair.all():
         return RegimeLabel.NEGATIVE_ASSORTATIVE
 
-    seg_idx = [k for k, st in enumerate(status) if st == "seg"]
-    split_idx = [k for k, st in enumerate(status) if st == "split"]
-    pure = False
-    if seg_idx:
-        a, b = seg_idx[0], seg_idx[-1]
-        contiguous = seg_idx == list(range(a, b + 1))
-        edge_ok = all(k in (a - 1, b + 1) for k in split_idx)
-        if contiguous and edge_ok:
-            pure = True
-            # fold the edge artifacts into the block
-            a = min([a] + [k for k in split_idx if k == a - 1])
-            b = max([b] + [k for k in split_idx if k == b + 1])
-
-    if pure:
-        if a == 0 and b < n - 1:
-            return RegimeLabel.POP
-        if 0 < a and b < n - 1:
-            return RegimeLabel.PMP
-        return RegimeLabel.OTHER_Y
+    # pure: one segregated interval, its edge splits folded in as artifacts
+    block = np.flatnonzero(seg | split)
+    a, b = block[0], block[-1]
+    if seg.any() and block.size == b - a + 1 and not split[a + 1 : b].any():
+        if b == seg.size - 1:
+            return RegimeLabel.OTHER_Y
+        return RegimeLabel.POP if a == 0 else RegimeLabel.PMP
 
     # mixed: family determined by the extreme low types
-    first = next((st for st in status if st != "split"), None)
-    if first == "seg":
-        return RegimeLabel.MIXED_POP
-    if first == "pair":
-        return RegimeLabel.MIXED_PMP
-    return RegimeLabel.OTHER_Y
+    unsplit = np.flatnonzero(~split)
+    if unsplit.size == 0:
+        return RegimeLabel.OTHER_Y
+    return RegimeLabel.MIXED_POP if seg[unsplit[0]] else RegimeLabel.MIXED_PMP
 
 
 @dataclass(frozen=True)

@@ -124,6 +124,15 @@ def test_sweep_bad_grid_exit_2(tmp_path, capsys, grid):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_bad_jobs_exit_2(tmp_path, capsys, jobs):
+    code, _out, err = run(capsys, "sweep", "--gammas", "2", "--grid", "11", "--jobs", jobs, "--out", str(tmp_path))
+    assert code == 2
+    error = json.loads(err.strip())
+    assert error["error"] == "config" and "jobs" in error["message"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_simulate_nan_gamma_exit_2(tmp_path, capsys):
     code, _out, err = run(capsys, "simulate", "--gamma", "nan", "--out", str(tmp_path))
     assert code == 2

@@ -45,15 +45,6 @@ def test_uniform_instance_grid():
     assert inst.type_grid[0] == -1.0 and inst.type_grid[-1] == 1.0
 
 
-def test_instance_json_round_trip():
-    inst = M.uniform_instance(n=11, gamma=2.5, taste=M.LOGISTIC)
-    back = M.ProblemInstance.from_json(inst.to_json())
-    assert np.array_equal(back.type_grid, inst.type_grid)
-    assert np.array_equal(back.type_weights, inst.type_weights)
-    assert back.gamma == inst.gamma
-    assert back.taste.name == "logistic"
-
-
 def test_shock_scaling():
     inst = M.uniform_instance(gamma=4.0)
     # G(r) = Q(gamma r), g its density

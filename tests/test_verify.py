@@ -262,6 +262,131 @@ def test_decomposition_failure_reasons():
         assert V.classify_regime(failed) == V.RegimeLabel.NOT_PACK_AND_PAIR
 
 
+def _classify_reference(decomp):
+    """The per-type status loop ``classify_regime`` replaced, kept as its oracle."""
+    if not decomp.ok:
+        return V.RegimeLabel.NOT_PACK_AND_PAIR
+
+    f = decomp.type_weights
+    seg_mass = decomp.districts.seg_mass
+    pair_mass = decomp.districts.pair_mass
+    live = np.flatnonzero(f > 0)
+    status = []
+    for i in live:
+        seg, pair = seg_mass[i], pair_mass[i]
+        if pair <= V.SPLIT_FRAC * f[i]:
+            status.append("seg")
+        elif seg <= V.SPLIT_FRAC * f[i]:
+            status.append("pair")
+        else:
+            status.append("split")
+
+    n = len(status)
+    n_seg = status.count("seg")
+    if n_seg == n:
+        return V.RegimeLabel.SEGREGATION
+    if n_seg == 0 and "split" not in status:
+        return V.RegimeLabel.NEGATIVE_ASSORTATIVE
+
+    seg_idx = [k for k, st in enumerate(status) if st == "seg"]
+    split_idx = [k for k, st in enumerate(status) if st == "split"]
+    pure = False
+    if seg_idx:
+        a, b = seg_idx[0], seg_idx[-1]
+        contiguous = seg_idx == list(range(a, b + 1))
+        edge_ok = all(k in (a - 1, b + 1) for k in split_idx)
+        if contiguous and edge_ok:
+            pure = True
+            a = min([a] + [k for k in split_idx if k == a - 1])
+            b = max([b] + [k for k in split_idx if k == b + 1])
+
+    if pure:
+        if a == 0 and b < n - 1:
+            return V.RegimeLabel.POP
+        if 0 < a and b < n - 1:
+            return V.RegimeLabel.PMP
+        return V.RegimeLabel.OTHER_Y
+
+    first = next((st for st in status if st != "split"), None)
+    if first == "seg":
+        return V.RegimeLabel.MIXED_POP
+    if first == "pair":
+        return V.RegimeLabel.MIXED_PMP
+    return V.RegimeLabel.OTHER_Y
+
+
+@pytest.mark.parametrize("n", [41, 101])
+def test_classify_matches_loop_reference_on_sweeps(n):
+    gammas = [0.05, 0.2, 0.5, 1.0, 1.2, 1.4, 1.6, 1.7, 2.0, 3.0, 6.0, 10.0, 15.0, 30.0, 60.0]
+    labels = set()
+    for gamma in gammas:
+        _sol, decomp, label = L.solve_and_classify(M.uniform_instance(n=n, gamma=gamma))
+        assert label == _classify_reference(decomp), gamma
+        labels.add(label)
+    assert {V.RegimeLabel.PMP, V.RegimeLabel.MIXED_PMP, V.RegimeLabel.POP} <= labels
+
+
+def _mass_pattern_decomposition(status, f, rng, ok=True):
+    """A decomposition whose per-type seg and pair masses give each type the
+    wanted status; masses sit on the SPLIT_FRAC boundary now and then."""
+    n = f.size
+    minor = V.SPLIT_FRAC * f * rng.choice([0.0, 0.5, 1.0], size=n)
+    split = f * rng.uniform(2 * V.SPLIT_FRAC, 1.0 - 2 * V.SPLIT_FRAC, size=n)
+    seg = np.select([status == "seg", status == "pair"], [f - minor, minor], split)
+    pair = f - seg
+    idx = np.arange(n)
+    # one packed district per type with seg mass, one unpacked one-type district per type with pair mass
+    low = np.concatenate([idx, idx])
+    mass = np.concatenate([seg, pair])
+    districts = V.Districts(
+        threshold=np.zeros(2 * n),
+        low=low,
+        high=low,
+        rho=np.ones(2 * n),
+        mass=mass,
+        packed=np.repeat([True, False], n),
+        type_grid=np.linspace(-1.0, 1.0, n),
+        leftover=0.0 if ok else 1.0,
+        refined=False,
+    )
+    return V.PackAndPairDecomposition(ok, None, None, districts, f)
+
+
+def _random_status(rng, n):
+    kind = rng.integers(6)
+    if kind == 0:  # independent statuses: mostly mixed
+        return rng.choice(["seg", "pair", "split"], size=n)
+    if kind == 1:  # nothing segregated
+        return rng.choice(["pair", "split"], size=n, p=[0.8, 0.2])
+    status = np.full(n, "pair", dtype=object)
+    a = int(rng.integers(0, n))
+    b = int(rng.integers(a, n)) if kind != 2 else n - 1
+    status[a : b + 1] = "seg"
+    for edge in (a - 1, b + 1):
+        if 0 <= edge < n and rng.random() < 0.5:
+            status[edge] = "split"
+    if kind == 3:  # one stray status anywhere
+        status[rng.integers(n)] = rng.choice(["seg", "pair", "split"])
+    if kind == 4 and rng.random() < 0.2:
+        status[:] = "seg"
+    return status.astype(str)
+
+
+def test_classify_matches_loop_reference_on_mass_patterns():
+    rng = np.random.default_rng(14)
+    labels = set()
+    for trial in range(3000):
+        n = int(rng.integers(1, 9))
+        f = rng.uniform(0.1, 1.0, size=n) * (rng.random(n) > 0.15)
+        if not f.any():
+            f[rng.integers(n)] = 1.0
+        decomp = _mass_pattern_decomposition(_random_status(rng, n), f, rng, ok=rng.random() > 0.02)
+        label = V.classify_regime(decomp)
+        assert label == _classify_reference(decomp), trial
+        labels.add(label)
+    assert labels == set(V.RegimeLabel)
+
+
 # ---------------------------------------------------------------------------
 # sufficient condition for pack-and-pair optimality (quadruple scan)
 # ---------------------------------------------------------------------------
