@@ -11,7 +11,6 @@ call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,16 +60,6 @@ class BenchmarkResult:
     pool_mean: float | None
     value: float
     plan: Plan
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "cutoff": self.cutoff,
-                "pool_mean": self.pool_mean,
-                "value": self.value,
-                "plan": json.loads(self.plan.to_json()),
-            }
-        )
 
 
 def perfect_info_value(m: float) -> float:

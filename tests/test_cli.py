@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import importlib
@@ -399,6 +400,32 @@ def test_out_env_var(tmp_path, capsys, monkeypatch):
     code, _out, _err = run(capsys, "solve", "--gamma", "2", "--grid", "41")
     assert code == 0
     assert (tmp_path / "envout" / "summary.json").exists()
+
+
+def _write_opens(tree, scope=None):
+    """(outermost enclosing function, or None) of every ``open(...)`` call in
+    ``tree`` whose mode is not a read-only constant."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = scope or node.name
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            if modes and not (isinstance(modes[0], ast.Constant) and set(modes[0].value) <= set("rbt")):
+                yield scope
+        yield from _write_opens(node, inner)
+
+
+def test_only_cli_writes_output_files():
+    # the library returns values and cli writes the report files; the one other
+    # writer is the simulator, which writes the returns format ingest reads
+    writers = {
+        (path.stem, fn)
+        for path in sorted(pathlib.Path(cli.__file__).parent.glob("*.py"))
+        for fn in _write_opens(ast.parse(path.read_text()))
+    }
+    assert {m for m, _ in writers} == {"cli", "estimation"}
+    assert {fn for m, fn in writers if m != "cli"} == {"simulate_returns"}
 
 
 def test_benchmark_trace_targets_exist(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import chi2
 
+from gerryopt import cli
 from gerryopt import estimation as E
 from gerryopt.model import GerryOptError
 
@@ -288,16 +289,19 @@ def test_descriptive_summaries_empty():
         E.descriptive_summaries([])
 
 
-def test_estimates_csv_format(tmp_path):
+def test_estimates_csv_format(tmp_path, capsys):
     shares = {y: [float(E.norm_cdf(m))] * 4 for y, m in [(2016, -0.1), (2018, 0.0), (2020, 0.1)]}
-    est = E.estimate_gamma(make_returns(shares))
-    out = tmp_path / "estimates.csv"
-    E.estimates_csv(str(out), [("AA", est)])
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert rows[0]["state"] == "AA"
-    assert float(rows[0]["gamma_hat"]) == pytest.approx(10.0, abs=1e-5)
-    assert int(rows[0]["T"]) == 3
+    path = tmp_path / "returns.csv"
+    records = make_records(shares)
+    write_csv(path, [[r.state, r.year, r.precinct_id, r.district_id, r.total_votes, r.rep_share, 1] for r in records])
+    assert cli.main(["estimate", "--input", str(path), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    with open(tmp_path / "estimates.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["state", "gamma_hat", "ci_low", "ci_high", "T", "n_precincts"]
+    assert len(rows) == 2 and rows[1][0] == "AA" and rows[1][4:] == ["3", "12"]
+    assert float(rows[1][1]) == pytest.approx(10.0, abs=1e-5)
+    assert all(len(x.split(".")[1]) == 6 for x in rows[1][1:4])
 
 
 def test_ingest_integer_outside_int64_is_malformed(tmp_path):

@@ -1,6 +1,8 @@
 import ast
 import concurrent.futures
 import itertools
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +182,18 @@ def test_module_graph_is_acyclic():
         for node in _imports(fn)
     ]
     assert local == []
+
+
+@pytest.mark.parametrize("module", ["model", "estimation", "benchmarks"])
+def test_lp_free_modules_do_not_load_the_solver(module):
+    # in a fresh interpreter: only lp needs scipy.optimize, and the package root imports nothing
+    src = str(Path(M.__file__).parents[1])
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import gerryopt.{module}; "
+        "print(sorted({'gerryopt.lp', 'scipy.optimize'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_dual_certificate_shapes():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,33 @@ def test_assumption1_holds_for_builtin_tastes():
         report = M.check_assumption1(inst)
         assert report.holds
         assert report.worst_log_concavity < 0
+
+
+def _single_dipped_loop(inst):
+    """Reference for ``check_assumption1``'s broadcast check: one r at a time,
+    the density q(s - r) must not rise again in s once it has started falling."""
+    s = inst.type_grid
+    for r in s:
+        d = np.diff(np.asarray(inst.taste.pdf(s - r), dtype=float))
+        falling = d < -1e-15
+        if falling.any() and np.any(d[int(np.argmax(falling)) :] > 1e-15):
+            return False
+    return True
+
+
+def _bimodal_pdf(x):
+    x = np.asarray(x, dtype=float)
+    return 0.5 * (M._normal_pdf(x - 1.5) + M._normal_pdf(x + 1.5))
+
+
+@pytest.mark.parametrize("n", [3, 11, 41, 201])
+def test_assumption1_single_dipped_matches_loop_reference(n):
+    bimodal = replace(M.NORMAL, name="bimodal", pdf=_bimodal_pdf)  # q(s - r) dips between the modes
+    for taste in (M.NORMAL, M.LOGISTIC, bimodal):
+        inst = M.uniform_instance(n=n, gamma=2.0, taste=taste)
+        report = M.check_assumption1(inst)
+        assert report.single_dipped_ok == _single_dipped_loop(inst) == (taste is not bimodal)
+        assert report.holds == (report.worst_log_concavity < 0 and report.single_dipped_ok)
 
 
 def test_degenerate_instance_errors():

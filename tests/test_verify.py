@@ -83,7 +83,7 @@ def test_refinement_splits_each_column_on_its_own_types():
     assert d.leftover <= 1e-12
     j = np.searchsorted(thresholds, d.threshold)
     assert np.array_equal(thresholds[j], d.threshold)
-    assert np.all(pi[d.low, j] > L.SUPPORT_TOL) and np.all(pi[d.high, j] > L.SUPPORT_TOL)
+    assert np.all(pi[d.low, j] > M.SUPPORT_TOL) and np.all(pi[d.high, j] > M.SUPPORT_TOL)
     placed = np.zeros_like(pi)
     np.add.at(placed, (d.low, j), d.mass * d.rho)
     np.add.at(placed, (d.high, j), d.mass * (1 - d.rho))
@@ -172,7 +172,7 @@ def test_district_table_matches_loop_reference():
         for r_mid, lo, hi, *_ in rows
         for s in {grid[lo], grid[hi]}
         for r, a, b in spans
-        if r_mid > r and a + L.AT_TOL < s < b - L.AT_TOL
+        if r_mid > r and a + M.AT_TOL < s < b - M.AT_TOL
     )
     assert len(expected) > 100
     assert V.check_single_dipped(assignment).violations == expected
@@ -600,7 +600,7 @@ def test_dual_multiplier_check_ignores_packed_vertex_choice(solve_cached):
     assert all(r > -1.0 + 1e-9 for r, *_ in base.part2_errors)
 
     g_of_r = np.asarray(inst.G(a.threshold_grid), dtype=float)
-    active = a.pi > L.SUPPORT_TOL
+    active = a.pi > M.SUPPORT_TOL
     packed = np.flatnonzero(active.sum(axis=0) == 1)
     assert a.threshold_grid[packed[0]] == -1.0
     lower, upper = np.empty(packed.size), np.empty(packed.size)
