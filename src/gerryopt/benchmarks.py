@@ -1,12 +1,11 @@
 """Closed-form benchmark values and heuristic plan families.
 
-Four limiting benchmarks (perfect information, no aggregate uncertainty, no
-idiosyncratic uncertainty, linear vote shares) plus the two classic plan
-families: pack-opponents-and-pool (segregate the bottom, pool the rest) and
-traditional pack-and-crack (two pooled districts), each built as one
-``model.Plan`` table.  Cutoffs are optimized by exhaustive scan over the type
-grid, solving every candidate plan's thresholds in one ``district_threshold``
-call.
+Three limiting benchmarks (perfect information, no aggregate uncertainty, no
+idiosyncratic uncertainty) plus the two classic plan families:
+pack-opponents-and-pool (segregate the bottom, pool the rest) and traditional
+pack-and-crack (two pooled districts), each built as one ``model.Plan`` table.
+Cutoffs are optimized by exhaustive scan over the type grid, solving every
+candidate plan's thresholds in one ``district_threshold`` call.
 """
 
 from __future__ import annotations
@@ -25,33 +24,6 @@ from .model import (
     uniform_plan,
     vote_share,
 )
-
-SHAPE_TOL = 1e-9  # numerical slack of the S-shape and linearity checks
-
-
-@dataclass(frozen=True)
-class SShapeProfile:
-    """Seat payoff of a pooled district as a function of its mean type."""
-
-    U: object               # callable x -> G(r*(x))
-    inflection: float       # convexity flips from convex to concave here
-
-    def validate(self, grid: np.ndarray) -> bool:
-        """U increasing, convex below the inflection, concave above (on grid)."""
-        x = np.asarray(grid, dtype=float)
-        u = np.asarray(self.U(x), dtype=float)
-        if np.any(np.diff(u) < -SHAPE_TOL):
-            return False
-        second = np.diff(u, 2)
-        mid = x[1:-1]
-        lo = second[mid < self.inflection - 1e-12]
-        hi = second[mid > self.inflection + 1e-12]
-        return bool(np.all(lo >= -SHAPE_TOL) and np.all(hi <= SHAPE_TOL))
-
-
-def s_shape_from_instance(inst: ProblemInstance) -> SShapeProfile:
-    """In the linear case a pool's threshold is its mean, so U(x) = G(x)."""
-    return SShapeProfile(U=lambda x: inst.G(x), inflection=0.0)
 
 
 @dataclass(frozen=True)
@@ -230,58 +202,3 @@ def optimize_cutoff(inst: ProblemInstance, builder) -> BenchmarkResult:
     w = inst.type_weights[above]
     pool_mean = float(w @ inst.type_grid[above] / w.sum()) if w.sum() > 0 else None
     return BenchmarkResult(cutoff=s_star, pool_mean=pool_mean, value=expected_seat_share(inst, plan), plan=plan)
-
-
-@dataclass(frozen=True)
-class LinearPopResult:
-    s_star: float
-    x_star: float
-    value: float
-    boundary: bool  # no interior optimum; the scan stopped at a grid endpoint
-
-
-def linear_pop_foc(
-    profile: SShapeProfile, type_grid: np.ndarray, type_weights: np.ndarray
-) -> LinearPopResult:
-    """Optimal pack-opponents-and-pool cutoff in the linear case.
-
-    Scans the cutoff s* over the grid maximizing
-        sum_{s < s*} U(s) f(s) + U(x*) (1 - F(s*)),   x* = E[s | s >= s*],
-    which at an interior optimum satisfies u(x*)(x* - s*) = U(x*) - U(s*).
-    """
-    grid = np.asarray(type_grid, dtype=float)
-    f = np.asarray(type_weights, dtype=float)
-    if not profile.validate(grid):
-        raise GerryOptError("payoff profile is not S-shaped on the grid")
-    u_at = np.asarray(profile.U(grid), dtype=float)
-    best = None
-    for k in range(grid.size):
-        pool_w = f[k:]
-        mass = float(pool_w.sum())
-        seg_value = float(f[:k] @ u_at[:k])
-        if mass <= 0:
-            value, x_star = seg_value, grid[-1]
-        else:
-            x_star = float(pool_w @ grid[k:] / mass)
-            value = seg_value + float(profile.U(x_star)) * mass
-        if best is None or value > best[1] + 1e-15:
-            best = (k, value, x_star)
-    k, value, x_star = best
-    return LinearPopResult(
-        s_star=float(grid[k]),
-        x_star=float(x_star),
-        value=float(value),
-        boundary=k in (0, grid.size - 1),
-    )
-
-
-def check_linearity(inst: ProblemInstance) -> bool:
-    """True iff v(s, r) is affine in s across the grid support for every r."""
-    live = inst.type_grid[inst.type_weights > 0]
-    if live.size <= 2:
-        return True
-    v = np.asarray(vote_share(inst, live[:, None], inst.type_grid[None, :]), dtype=float)
-    span = live[-1] - live[0]
-    w = (live - live[0]) / span
-    interp = v[0][None, :] + w[:, None] * (v[-1] - v[0])[None, :]
-    return bool(np.max(np.abs(v - interp)) <= SHAPE_TOL)

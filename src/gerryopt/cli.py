@@ -130,7 +130,12 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     _check_grid(args.grid)
-    gammas = [float(x) for x in args.gammas.split(",") if x.strip()]
+    gammas = []
+    for token in filter(str.strip, args.gammas.split(",")):
+        try:
+            gammas.append(float(token))
+        except ValueError:
+            raise GerryOptError(f"--gammas value {token.strip()!r} is not a number") from None
     if not gammas:
         raise GerryOptError("--gammas requires at least one value")
     template = uniform_instance(n=args.grid, gamma=gammas[0], taste=get_taste(args.taste))
@@ -231,7 +236,7 @@ def cmd_estimate(args) -> int:
     out = _outdir(args)
     try:
         returns, report = est.ingest(args.input, strict=args.strict)
-    except GerryOptError as exc:
+    except (GerryOptError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 text is bad data
         return _fail(EXIT_DATA, "data", str(exc))
     if not len(returns):
         return _fail(EXIT_DATA, "data", "no records remain after filtering")

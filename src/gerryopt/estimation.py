@@ -355,20 +355,6 @@ def estimate_gamma(returns: Returns, alpha: float = 0.1) -> GammaEstimate:
     )
 
 
-def estimate_F_moments(returns: Returns) -> tuple[float, float]:
-    """Vote-weighted mean of w and the within-election standard deviation
-    sqrt(sum k (w - w_t)^2 / sum k)."""
-    if not len(returns):
-        raise GerryOptError("no records")
-    w = probit_transform(returns)
-    _, row_year, means = _election_means(returns, w)
-    k = returns.total_votes.astype(float)
-    centered = w - means[row_year]
-    mean = float(k @ w / k.sum())
-    sd = math.sqrt(float(k @ centered**2 / k.sum()))
-    return mean, sd
-
-
 def simulate_returns(
     path: str,
     gamma: float,
@@ -387,6 +373,8 @@ def simulate_returns(
     the csv module."""
     if not gamma > 0 or T < 1 or n_precincts < 1 or votes_per_precinct < 1:
         raise GerryOptError("simulator parameters must be positive")
+    if seed < 0:
+        raise GerryOptError(f"seed must be nonnegative, got {seed!r}")
     rng = np.random.default_rng(seed)
     s = rng.uniform(-1.0, 1.0, size=n_precincts)
     r = rng.normal(0.0, 1.0 / gamma, size=T)
@@ -462,4 +450,3 @@ def descriptive_summaries(returns: Returns) -> DescriptiveSummaries:
         qq_curves=curves,
         base_year=base,
     )
-

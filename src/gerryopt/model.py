@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 # Tolerances (see also the lp and verify constants).
 MASS_TOL = 1e-12      # probability masses must sum to 1 within this
@@ -48,15 +48,11 @@ class TasteDistribution:
     """Idiosyncratic taste shock distribution.
 
     Must be symmetric about 0 with unit variance and strictly increasing CDF.
-    ``log_density_dd`` is the second derivative of ln(density); strictly
-    negative everywhere iff the density is strictly log-concave.
     """
 
     name: str
     cdf: Callable[[np.ndarray], np.ndarray]
     pdf: Callable[[np.ndarray], np.ndarray]
-    ppf: Callable[[np.ndarray], np.ndarray]
-    log_density_dd: Callable[[np.ndarray], np.ndarray]
 
 
 def _logistic_cdf(x):
@@ -71,16 +67,6 @@ def _logistic_pdf(x):
     return p * (1.0 - p) / _SQRT3_OVER_PI
 
 
-def _logistic_ppf(u):
-    u = np.asarray(u, dtype=float)
-    return _SQRT3_OVER_PI * np.log(u / (1.0 - u))
-
-
-def _logistic_log_density_dd(x):
-    p = _logistic_cdf(x)
-    return -2.0 * p * (1.0 - p) / _SQRT3_OVER_PI**2
-
-
 def _normal_cdf(x):
     return ndtr(np.asarray(x, dtype=float))
 
@@ -90,30 +76,10 @@ def _normal_pdf(x):
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _normal_ppf(u):
-    return ndtri(np.asarray(u, dtype=float))
-
-
-def _normal_log_density_dd(x):
-    return np.full_like(np.asarray(x, dtype=float), -1.0)
-
-
 # module-level functions, not lambdas, so instances pickle into sweep workers
-NORMAL = TasteDistribution(
-    name="normal",
-    cdf=_normal_cdf,
-    pdf=_normal_pdf,
-    ppf=_normal_ppf,
-    log_density_dd=_normal_log_density_dd,
-)
+NORMAL = TasteDistribution(name="normal", cdf=_normal_cdf, pdf=_normal_pdf)
 
-LOGISTIC = TasteDistribution(
-    name="logistic",
-    cdf=_logistic_cdf,
-    pdf=_logistic_pdf,
-    ppf=_logistic_ppf,
-    log_density_dd=_logistic_log_density_dd,
-)
+LOGISTIC = TasteDistribution(name="logistic", cdf=_logistic_cdf, pdf=_logistic_pdf)
 
 _TASTES = {"normal": NORMAL, "logistic": LOGISTIC}
 
@@ -314,31 +280,3 @@ def expected_seat_share(inst: ProblemInstance, plan: Plan) -> float:
         )
     r = district_threshold(inst, plan.district, plan.types, plan.weights)
     return float(plan.mass @ inst.G(r))
-
-
-@dataclass(frozen=True)
-class Assumption1Report:
-    holds: bool
-    worst_log_concavity: float   # max of (ln q)''; must be < 0
-    single_dipped_ok: bool       # q(s - r) unimodal in s for every r checked
-
-
-def check_assumption1(inst: ProblemInstance) -> Assumption1Report:
-    """Swingy-moderates check for the additive case.
-
-    Holds iff (ln q)'' < 0 at every s - r grid point.  Also verifies that the
-    implied single-dipped shape of the swing d v / d r = -q(s - r) holds on the
-    grid: q(s - r) rises then falls in s, for every r.
-    """
-    s = inst.type_grid
-    diffs = s[:, None] - s[None, :]  # (s, r)
-    worst = float(np.asarray(inst.taste.log_density_dd(diffs), dtype=float).max())
-    d = np.diff(np.asarray(inst.taste.pdf(diffs), dtype=float), axis=0)
-    # once the density starts falling in s it must not rise again
-    fallen = np.logical_or.accumulate(d < -1e-15, axis=0)
-    dipped_ok = not np.any(fallen & (d > 1e-15))
-    return Assumption1Report(
-        holds=(worst < 0.0) and dipped_ok,
-        worst_log_concavity=worst,
-        single_dipped_ok=dipped_ok,
-    )

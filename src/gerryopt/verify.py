@@ -404,46 +404,3 @@ def y_necessary_conditions(gamma: float) -> YConditions:
     beta2 = g2 / 2.0
     admissible = gamma > 1.0 and beta1 - (beta2 + 1.0) >= -1e-12
     return YConditions(r_b_required=0.0, beta1=beta1, beta2=beta2, admissible=admissible)
-
-
-@dataclass(frozen=True)
-class SegNadReport:
-    n_pool_preferred: int
-    n_split_preferred: int
-    pool_triples: list
-    split_triples: list
-
-    @property
-    def mixed(self) -> bool:
-        return self.n_pool_preferred > 0 and self.n_split_preferred > 0
-
-
-def check_seg_nad_conditions(inst: ProblemInstance, triples=None) -> SegNadReport:
-    """For sampled s < r < s', compare pooling the pair {s, s'} at threshold r
-    against splitting into packed districts: pooling wins iff
-    G(r) > rho G(s) + (1 - rho) G(s') with rho the balancing weight on s."""
-    if triples is None:
-        grid = inst.type_grid
-        stride = max(1, grid.size // 12)
-        pts = grid[::stride]
-        triples = [
-            (float(a), float(b), float(c))
-            for a in pts
-            for b in pts
-            for c in pts
-            if a < b < c
-        ][:500]
-    pool, split = [], []
-    for s, r, sp in triples:
-        num = float(inst.taste.cdf(sp - r)) - 0.5
-        den = float(inst.taste.cdf(sp - r)) - float(inst.taste.cdf(s - r))
-        rho = num / den
-        pooled = float(inst.G(r))
-        separated = rho * float(inst.G(s)) + (1.0 - rho) * float(inst.G(sp))
-        (pool if pooled > separated else split).append((s, r, sp))
-    return SegNadReport(
-        n_pool_preferred=len(pool),
-        n_split_preferred=len(split),
-        pool_triples=pool,
-        split_triples=split,
-    )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from gerryopt import benchmarks as B
 from gerryopt import model as M
@@ -24,7 +25,7 @@ def known_shock_instance():
     # types placed so that vote shares v(s, r0=0) are uniform on (0, 0.8]:
     # s_i = Q^{-1}(u_i) for u_i an even grid on (0, 0.8]
     u = np.linspace(0.8 / 400, 0.8, 400)
-    grid = np.asarray(M.NORMAL.ppf(u), dtype=float)
+    grid = ndtri(u)
     weights = np.full(grid.size, 1.0 / grid.size)
     return M.ProblemInstance(type_grid=grid, type_weights=weights, taste=M.NORMAL, gamma=1.0)
 
@@ -212,70 +213,6 @@ def test_optimized_benchmarks_close_to_reference(solve_cached):
         assert sol.objective == pytest.approx(lp_target, abs=2e-3)
         assert pc.value == pytest.approx(pc_target, abs=2e-3)
         assert sol.objective >= pc.value - 1e-9
-
-
-# ---------------------------------------------------------------------------
-# linear pooled-payoff analysis
-# ---------------------------------------------------------------------------
-
-
-def test_s_shape_profile_validates():
-    inst = M.uniform_instance(gamma=2.0)
-    profile = B.s_shape_from_instance(inst)
-    assert profile.validate(inst.type_grid)
-
-
-def test_linear_pop_foc_concave_region():
-    # population supported on the concave side: pooling everything is optimal
-    grid = np.linspace(0.1, 1.0, 50)
-    f = np.full(50, 0.02)
-    profile = B.SShapeProfile(U=lambda x: np.asarray(M.NORMAL.cdf(2.0 * np.asarray(x))), inflection=0.0)
-    res = B.linear_pop_foc(profile, grid, f)
-    assert res.s_star == pytest.approx(0.1)
-    assert res.boundary
-    assert res.value == pytest.approx(float(profile.U(float(f @ grid))), abs=1e-12)
-
-
-def test_linear_pop_foc_convex_region():
-    # population supported on the convex side: fully segregate
-    grid = np.linspace(-1.0, -0.1, 50)
-    f = np.full(50, 0.02)
-    profile = B.SShapeProfile(U=lambda x: np.asarray(M.NORMAL.cdf(2.0 * np.asarray(x))), inflection=0.0)
-    res = B.linear_pop_foc(profile, grid, f)
-    u = np.asarray(profile.U(grid), dtype=float)
-    assert res.value == pytest.approx(float(f @ u), abs=1e-12)
-
-
-def test_linear_pop_foc_interior_tangency():
-    # symmetric population: interior cutoff satisfies the tangency condition
-    inst = M.uniform_instance(gamma=2.0)
-    profile = B.s_shape_from_instance(inst)
-    res = B.linear_pop_foc(profile, inst.type_grid, inst.type_weights)
-    assert not res.boundary
-    U = lambda x: float(profile.U(x))
-    eps = 1e-6
-    u_x = (U(res.x_star + eps) - U(res.x_star - eps)) / (2 * eps)
-    residual = u_x * (res.x_star - res.s_star) - (U(res.x_star) - U(res.s_star))
-    assert abs(residual) < 5e-4
-
-
-def test_linear_pop_foc_rejects_non_s_shape():
-    grid = np.linspace(-1, 1, 21)
-    f = np.full(21, 1.0 / 21)
-    wiggly = B.SShapeProfile(U=lambda x: np.sin(3 * np.asarray(x)), inflection=0.0)
-    with pytest.raises(M.GerryOptError):
-        B.linear_pop_foc(wiggly, grid, f)
-
-
-def test_check_linearity():
-    # a two-type support is trivially affine; the full grid is not
-    inst = M.uniform_instance(n=51, gamma=2.0)
-    assert not B.check_linearity(inst)
-    grid = inst.type_grid
-    w = np.zeros(51)
-    w[0] = w[-1] = 0.5
-    thin = M.ProblemInstance(type_grid=grid, type_weights=w, taste=M.NORMAL, gamma=2.0)
-    assert B.check_linearity(thin)
 
 
 def test_benchmark_result_json_round_trip():

@@ -125,6 +125,14 @@ def test_sweep_bad_grid_exit_2(tmp_path, capsys, grid):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_non_numeric_gamma_exit_2(tmp_path, capsys):
+    code, _out, err = run(capsys, "sweep", "--gammas", "2,abc", "--grid", "11", "--out", str(tmp_path))
+    assert code == 2
+    error = json.loads(err.strip())
+    assert error["error"] == "config" and "'abc'" in error["message"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_sweep_bad_jobs_exit_2(tmp_path, capsys, jobs):
     code, _out, err = run(capsys, "sweep", "--gammas", "2", "--grid", "11", "--jobs", jobs, "--out", str(tmp_path))
@@ -138,6 +146,14 @@ def test_simulate_nan_gamma_exit_2(tmp_path, capsys):
     code, _out, err = run(capsys, "simulate", "--gamma", "nan", "--out", str(tmp_path))
     assert code == 2
     assert json.loads(err.strip())["error"] == "config"
+    assert not (tmp_path / "returns.csv").exists()
+
+
+def test_simulate_negative_seed_exit_2(tmp_path, capsys):
+    code, _out, err = run(capsys, "simulate", "--seed", "-1", "--out", str(tmp_path))
+    assert code == 2
+    error = json.loads(err.strip())
+    assert error["error"] == "config" and "seed" in error["message"]
     assert not (tmp_path / "returns.csv").exists()
 
 
@@ -306,6 +322,15 @@ def test_estimate_malformed_data_exit_3(tmp_path, capsys):
     code, _out, err = run(capsys, "estimate", "--input", str(bad), "--out", str(tmp_path))
     assert code == 3
     assert json.loads(err.strip())["error"] == "data"
+
+
+def test_estimate_non_utf8_input_exit_3(tmp_path, capsys):
+    binary = tmp_path / "bin.csv"
+    binary.write_bytes(b"\xff\xfe\x00bad")
+    code, _out, err = run(capsys, "estimate", "--input", str(binary), "--out", str(tmp_path))
+    assert code == 3
+    assert json.loads(err.strip())["error"] == "data"
+    assert not (tmp_path / "estimates.csv").exists()
 
 
 @pytest.mark.parametrize(

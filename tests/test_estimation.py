@@ -218,15 +218,6 @@ def test_gamma_estimate_alpha_range(alpha):
         E.estimate_gamma(returns, alpha=alpha)
 
 
-def test_estimate_f_moments():
-    # within-election spread drives the F moments, not the between spread
-    shares = {2016: [0.4, 0.6], 2018: [0.4, 0.6]}
-    mean, sd = E.estimate_F_moments(make_returns(shares))
-    w = E.norm_ppf(0.6)
-    assert mean == pytest.approx(0.0, abs=1e-12)
-    assert sd == pytest.approx(w, abs=1e-9)
-
-
 # ---------------------------------------------------------------------------
 # simulator
 # ---------------------------------------------------------------------------

@@ -184,6 +184,33 @@ def test_module_graph_is_acyclic():
     assert local == []
 
 
+def _names(node):
+    """Every identifier a node reads, imports or looks up as an attribute."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_every_public_definition_is_reached():
+    # a public top-level function or class must be named by another statement
+    # of the package or by an acceptance criterion; otherwise nothing reaches it
+    package = Path(M.__file__).parent
+    statements = [stmt for path in sorted(package.glob("*.py")) for stmt in ast.parse(path.read_text()).body]
+    named = [_names(stmt) for stmt in statements]
+    acceptance = _names(ast.parse((Path(__file__).parent / "test_acceptance.py").read_text()))
+    unreached = [
+        stmt.name
+        for i, stmt in enumerate(statements)
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and stmt.name not in acceptance
+        and not any(stmt.name in names for j, names in enumerate(named) if j != i)
+    ]
+    assert unreached == []
+
+
 @pytest.mark.parametrize("module", ["model", "estimation", "benchmarks"])
 def test_lp_free_modules_do_not_load_the_solver(module):
     # in a fresh interpreter: only lp needs scipy.optimize, and the package root imports nothing

@@ -412,13 +412,11 @@ def test_pap_grid_shape():
 
 
 # Cauchy taste shock: heavy tails break the sufficient condition in the far
-# left tail of the grid.  ppf and log_density_dd are not used by the scan.
+# left tail of the grid.
 CAUCHY = M.TasteDistribution(
     name="cauchy",
     cdf=lambda x: 0.5 + np.arctan(np.asarray(x, dtype=float)) / np.pi,
     pdf=lambda x: 1.0 / (np.pi * (1.0 + np.asarray(x, dtype=float) ** 2)),
-    ppf=None,
-    log_density_dd=None,
 )
 
 # (s, r, s', s'') of every violating quadruple; s'' is the first grid point
@@ -492,8 +490,6 @@ STEPPED = M.TasteDistribution(
     name="stepped",
     cdf=lambda x: np.round(CAUCHY.cdf(x), 1),
     pdf=lambda x: np.maximum(np.round(CAUCHY.pdf(x), 1), 0.01),
-    ppf=None,
-    log_density_dd=None,
 )
 
 
@@ -548,33 +544,6 @@ def test_y_conditions_invalid_gamma():
     for gamma in (0.0, math.nan, math.inf):
         with pytest.raises(M.GerryOptError, match="finite and positive"):
             V.y_necessary_conditions(gamma)
-
-
-# ---------------------------------------------------------------------------
-# local swap conditions on segregated / paired blocks
-# ---------------------------------------------------------------------------
-
-
-def test_seg_nad_spot_triples():
-    # asymmetric pair {-1, 0.5} pooled at threshold 0: with a steep seat
-    # curve splitting wins, with a flat one pooling wins
-    triple = [(-1.0, 0.0, 0.5)]
-    steep = V.check_seg_nad_conditions(M.uniform_instance(n=11, gamma=6.0), triples=triple)
-    assert steep.n_split_preferred == 1 and steep.n_pool_preferred == 0
-    flat = V.check_seg_nad_conditions(M.uniform_instance(n=11, gamma=0.5), triples=triple)
-    assert flat.n_pool_preferred == 1 and flat.n_split_preferred == 0
-
-
-@pytest.mark.parametrize("gamma", [2.0, 6.0])
-def test_seg_nad_default_sampling(gamma):
-    inst = M.uniform_instance(gamma=gamma)
-    report = V.check_seg_nad_conditions(inst)
-    n = report.n_pool_preferred + report.n_split_preferred
-    assert n > 0
-    assert len(report.pool_triples) == report.n_pool_preferred
-    assert len(report.split_triples) == report.n_split_preferred
-    # interior regimes mix both local incentives
-    assert report.mixed == (report.n_pool_preferred > 0 and report.n_split_preferred > 0)
 
 
 # ---------------------------------------------------------------------------
