@@ -110,9 +110,10 @@ def cmd_solve(args) -> int:
         fh.write(plan.to_json())
     asg, cert = sol.assignment, sol.certificate
     cells = zip(*np.nonzero(asg.pi > SUPPORT_TOL))
-    rows = ([f"{asg.type_grid[i]:.10g}", f"{asg.threshold_grid[j]:.10g}", f"{asg.pi[i, j]:.12g}"] for i, j in cells)
+    grid = asg.type_grid  # also the threshold grid
+    rows = ([f"{grid[i]:.10g}", f"{grid[j]:.10g}", f"{asg.pi[i, j]:.12g}"] for i, j in cells)
     _write_csv(out, "assignment.csv", "type,threshold,mass", rows)
-    dual = (("phi", cert.type_grid, cert.phi), ("lambda", cert.threshold_grid, cert.lambda_))
+    dual = (("phi", grid, cert.phi), ("lambda", grid, cert.lambda_))
     rows = ([kind, f"{x:.10g}", f"{v:.12g}"] for kind, points, values in dual for x, v in zip(points, values))
     _write_csv(out, "dual.csv", "kind,point,value", rows)
     summary = {
@@ -120,7 +121,7 @@ def cmd_solve(args) -> int:
         "objective": sol.objective,
         "regime": regime.value,
         "bifurcation": decomp.bifurcation,
-        "duality_gap": sol.duality_gap(inst.type_weights),
+        "duality_gap": sol.duality_gap(),
         "n_districts": plan.mass.size,
         "solver": sol.stats,
     }
@@ -200,7 +201,7 @@ def cmd_verify(args) -> int:
         dual = vf.check_dual_support_optimality(
             inst, sol.assignment, sol.certificate, tol_multiplier=vf.POOLING_TOL
         )
-        gap = sol.duality_gap(inst.type_weights)
+        gap = sol.duality_gap()
         checks["single_dipped"] = {"ok": sd.ok, "detail": {"n_violations": len(sd.violations)}}
         checks["pack_and_pair"] = {
             "ok": decomp.ok,
@@ -231,8 +232,10 @@ def cmd_verify(args) -> int:
 def cmd_estimate(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise GerryOptError(f"--alpha must lie strictly between 0 and 1, got {args.alpha!r}")
-    if not args.input or not os.path.exists(args.input):
-        raise FileNotFoundError(args.input or "--input is required")
+    if not args.input:
+        raise GerryOptError("--input is required")
+    if not os.path.exists(args.input):
+        raise FileNotFoundError(args.input)
     out = _outdir(args)
     try:
         returns, report = est.ingest(args.input, strict=args.strict)

@@ -244,7 +244,7 @@ def ingest(path: str, strict: bool = False) -> tuple[Returns, FilterReport]:
     """
     bad: list = []
     chunks: list = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = [c for c in CSV_FIELDS if c not in header]
@@ -301,9 +301,7 @@ class GammaEstimate:
     gamma_hat: float
     ci_low: float
     ci_high: float
-    alpha: float
     election_means: dict   # year -> vote-weighted mean of w
-    grand_mean: float
     T: int
     n_precincts: int
 
@@ -342,14 +340,11 @@ def estimate_gamma(returns: Returns, alpha: float = 0.1) -> GammaEstimate:
     # chdtri(k, y) is the chi-squared quantile with upper-tail probability y
     lo = math.sqrt(chdtri(T - 1, 1.0 - alpha / 2.0) / (T - 1)) * gamma_hat
     hi = math.sqrt(chdtri(T - 1, alpha / 2.0) / (T - 1)) * gamma_hat
-    k_all = returns.total_votes.astype(float)
     return GammaEstimate(
         gamma_hat=gamma_hat,
         ci_low=lo,
         ci_high=hi,
-        alpha=alpha,
         election_means=dict(zip(years.tolist(), w_t.tolist())),
-        grand_mean=float(k_all @ w / k_all.sum()),
         T=T,
         n_precincts=len(returns),
     )
@@ -371,7 +366,9 @@ def simulate_returns(
     The file is what ``csv.writer`` writes (``\\r\\n`` line ends, shares with
     12 decimals); only ``state`` can need quoting, so it alone goes through
     the csv module."""
-    if not gamma > 0 or T < 1 or n_precincts < 1 or votes_per_precinct < 1:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
+    if T < 1 or n_precincts < 1 or votes_per_precinct < 1:
         raise GerryOptError("simulator parameters must be positive")
     if seed < 0:
         raise GerryOptError(f"seed must be nonnegative, got {seed!r}")

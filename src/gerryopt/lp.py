@@ -36,7 +36,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linprog
 
-from .model import AT_TOL, SUPPORT_TOL, GerryOptError, Plan, ProblemInstance, vote_share
+from .model import SUPPORT_TOL, GerryOptError, Plan, ProblemInstance, vote_share
 from .verify import PackAndPairDecomposition, RegimeLabel, classify_regime, decompose_pack_and_pair
 
 PRIMAL_TOL = 1e-8      # feasibility residuals
@@ -63,28 +63,19 @@ class LPSolveError(GerryOptError):
 @dataclass(frozen=True)
 class LinearProgram:
     inst: ProblemInstance
-    threshold_grid: np.ndarray
     c: np.ndarray           # minimization costs, -G(r) per column
     a_eq: sparse.csr_matrix
     b_eq: np.ndarray
     vote: np.ndarray        # v(s, r) on the (type, threshold) grid
 
-    @property
-    def n_types(self) -> int:
-        return self.inst.type_grid.size
-
-    @property
-    def n_thresholds(self) -> int:
-        return self.threshold_grid.size
-
 
 @dataclass(frozen=True)
 class AssignmentMatrix:
-    """Optimal joint assignment pi over (type, threshold) grid pairs."""
+    """Optimal joint assignment pi over (type, threshold) grid pairs; the
+    type grid is also the threshold grid."""
 
     pi: np.ndarray
     type_grid: np.ndarray
-    threshold_grid: np.ndarray
     type_weights: np.ndarray
     vote: np.ndarray
 
@@ -118,12 +109,6 @@ class DualCertificate:
 
     lambda_: np.ndarray
     phi: np.ndarray
-    type_grid: np.ndarray
-    threshold_grid: np.ndarray
-
-    def support_values(self, g_of_r: np.ndarray, vote: np.ndarray) -> np.ndarray:
-        """Matrix G(r) + lambda(r) * (v(s,r) - 1/2) over all (s, r)."""
-        return g_of_r[None, :] + self.lambda_[None, :] * (vote - 0.5)
 
 
 @dataclass(frozen=True)
@@ -133,17 +118,14 @@ class LPSolution:
     certificate: DualCertificate
     stats: dict  # solver methods, iteration counts, face size and FACE_TOL
 
-    def duality_gap(self, type_weights: np.ndarray) -> float:
-        return float(abs(self.objective - type_weights @ self.certificate.phi))
+    def duality_gap(self) -> float:
+        return float(abs(self.objective - self.assignment.type_weights @ self.certificate.phi))
 
 
-def build_lp(inst: ProblemInstance, threshold_grid: np.ndarray | None = None) -> LinearProgram:
-    """Assemble costs and equality constraints on the given threshold grid."""
-    r = inst.type_grid.copy() if threshold_grid is None else np.asarray(threshold_grid, dtype=float)
-    if r.size == 0:
-        raise GerryOptError("threshold grid must be nonempty")
-    s = inst.type_grid
-    n_s, n_r = s.size, r.size
+def build_lp(inst: ProblemInstance) -> LinearProgram:
+    """Assemble costs and equality constraints; the thresholds are the type grid."""
+    s = r = inst.type_grid
+    n_s = n_r = s.size
     vote = vote_share(inst, s[:, None], r[None, :])
 
     c = -np.tile(np.asarray(inst.G(r), dtype=float), n_s)
@@ -157,17 +139,16 @@ def build_lp(inst: ProblemInstance, threshold_grid: np.ndarray | None = None) ->
     data = np.concatenate([np.ones(n_s * n_r), (vote - 0.5).ravel()])
     a_eq = sparse.coo_matrix((data, (rows, cols)), shape=(n_s + n_r, n_s * n_r)).tocsr()
     b_eq = np.concatenate([inst.type_weights, np.zeros(n_r)])
-    return LinearProgram(inst=inst, threshold_grid=r, c=c, a_eq=a_eq, b_eq=b_eq, vote=vote)
+    return LinearProgram(inst=inst, c=c, a_eq=a_eq, b_eq=b_eq, vote=vote)
 
 
 def _assignment(lp: LinearProgram, x: np.ndarray) -> AssignmentMatrix:
     """The assignment matrix of a primal point, checked for feasibility."""
-    pi = x.reshape(lp.n_types, lp.n_thresholds)
+    pi = x.reshape(lp.vote.shape)
     assignment = AssignmentMatrix(
         pi=np.where(pi > 0, pi, 0.0),
-        type_grid=lp.inst.type_grid.copy(),
-        threshold_grid=lp.threshold_grid.copy(),
-        type_weights=lp.inst.type_weights.copy(),
+        type_grid=lp.inst.type_grid,
+        type_weights=lp.inst.type_weights,
         vote=lp.vote,
     )
     assignment.validate()
@@ -312,7 +293,7 @@ def _max_packed_on_face(lp: LinearProgram, face: np.ndarray) -> tuple[np.ndarray
     stage-2 statistics.
     """
     # a packed cell puts type s in a district with threshold r = s
-    packed = np.abs(lp.threshold_grid[None, :] - lp.inst.type_grid[:, None]).ravel()[face] <= AT_TOL
+    packed = np.eye(lp.inst.type_grid.size, dtype=bool).ravel()[face]
     res = _highs(-packed.astype(float), lp.a_eq[:, face], lp.b_eq, "highs-ds", "stage 2 (max packed on face)")
     x = np.zeros(lp.c.size)
     x[face] = res.x
@@ -331,15 +312,10 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         stats["stage1_fallback"] = str(exc)
     x, face_stats = _max_packed_on_face(lp, face)
 
-    n_s = lp.n_types
+    n_s = lp.inst.type_grid.size
     # stage 1 minimizes -G . pi; dual feasibility y_s + y_r (v - 1/2) <= -G(r)
     # rearranges to phi(s) >= G(r) + lambda(r)(v - 1/2) with phi = -y_s, lambda = y_r
-    cert = DualCertificate(
-        lambda_=y[n_s:],
-        phi=-y[:n_s],
-        type_grid=lp.inst.type_grid.copy(),
-        threshold_grid=lp.threshold_grid.copy(),
-    )
+    cert = DualCertificate(lambda_=y[n_s:], phi=-y[:n_s])
     stats.update(face_stats, face_tol=FACE_TOL)
     return LPSolution(assignment=_assignment(lp, x), objective=float(-(lp.c @ x)), certificate=cert, stats=stats)
 

@@ -26,7 +26,6 @@ ROOT_TOL = 1e-10      # |mean vote share at r* - 1/2|
 FEAS_TOL = 1e-8       # per-type plan marginal deviation
 BRACKET_PAD = 40.0    # bisection bracket padding around the type support
 SUPPORT_TOL = 1e-9    # assignment mass below this is numerically zero
-AT_TOL = 1e-12        # a type this close to a threshold sits at it
 
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi  # logistic scale for unit variance
 
@@ -254,21 +253,17 @@ def segregation_plan(inst: ProblemInstance) -> Plan:
 
 @dataclass(frozen=True)
 class FeasibilityReport:
-    deviations: np.ndarray
     max_deviation: float
-    tolerance: float
 
     @property
     def feasible(self) -> bool:
-        return self.max_deviation <= self.tolerance
+        return self.max_deviation <= FEAS_TOL
 
 
 def check_feasibility(inst: ProblemInstance, plan: Plan) -> FeasibilityReport:
     """Per-type deviation between the plan's marginal and the population."""
     dev = plan.type_marginal(inst) - inst.type_weights
-    return FeasibilityReport(
-        deviations=dev, max_deviation=float(np.max(np.abs(dev))), tolerance=FEAS_TOL
-    )
+    return FeasibilityReport(max_deviation=float(np.max(np.abs(dev))))
 
 
 def expected_seat_share(inst: ProblemInstance, plan: Plan) -> float:

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import AT_TOL, NORMAL, SUPPORT_TOL, GerryOptError, ProblemInstance, TasteDistribution
+from .model import NORMAL, SUPPORT_TOL, GerryOptError, ProblemInstance, TasteDistribution
 
 if TYPE_CHECKING:  # lp imports this module to classify its solutions
     from .lp import AssignmentMatrix, DualCertificate
@@ -68,7 +68,7 @@ class Districts:
     packed: np.ndarray        # True if the type is its column's only active type;
                               # a one-type district that is not packed sits at
                               # a pooled column's threshold
-    type_grid: np.ndarray
+    type_grid: np.ndarray     # also the threshold grid
     leftover: float           # column mass the per-column split could not place
     refined: bool             # True if any column pools three or more types
 
@@ -102,7 +102,6 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
     """
     pi = assignment.pi
     grid = assignment.type_grid
-    thr = assignment.threshold_grid
     vote = assignment.vote
     col_mass = pi.sum(axis=0)
 
@@ -111,7 +110,7 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
     refined = False
 
     for j in np.flatnonzero(col_mass > SUPPORT_TOL):
-        r = float(thr[j])
+        r = float(grid[j])
         active = np.flatnonzero(pi[:, j] > SUPPORT_TOL)
         if active.size == 1:
             i = int(active[0])
@@ -126,7 +125,7 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
             if alive.size == 0:
                 break
             lo, hi = int(alive[0]), int(alive[-1])
-            if grid[lo] < r - AT_TOL and grid[hi] > r + AT_TOL:
+            if lo < j < hi:
                 v_lo, v_hi = vote[lo, j], vote[hi, j]
                 rho = (v_hi - 0.5) / (v_hi - v_lo)  # weight on the low type
                 t = float(min(budget, rem[lo] / rho, rem[hi] / (1.0 - rho)))
@@ -134,10 +133,9 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
                 # A type sitting exactly at this threshold is balanced by
                 # itself: place it as a degenerate pool member
                 # (payoff-equivalent to joining the pool).
-                at_r = alive[np.abs(grid[alive] - r) <= AT_TOL]
-                if at_r.size == 0:
+                if rem[j] <= DUST:
                     break
-                lo = hi = int(at_r[0])
+                lo = hi = int(j)
                 rho = 1.0
                 t = min(budget, float(rem[lo]))
             rows.append((r, lo, hi, rho, t, False))
@@ -168,13 +166,13 @@ def check_single_dipped(assignment: AssignmentMatrix) -> SingleDippedReport:
     grid = d.type_grid
     two = d.low != d.high
     # members: every district's low type and every two-type district's high type
-    s_mid = grid[np.concatenate([d.low, d.high[two]])]
+    mid = np.concatenate([d.low, d.high[two]])
     r_mid = np.concatenate([d.threshold, d.threshold[two]])
     # spans: every two-type district
-    a, b, r = grid[d.low[two]], grid[d.high[two]], d.threshold[two]
-    inside = (a + AT_TOL < s_mid[:, None]) & (s_mid[:, None] < b - AT_TOL)
+    low, high, r = d.low[two], d.high[two], d.threshold[two]
+    inside = (low < mid[:, None]) & (mid[:, None] < high)
     m, k = np.nonzero(inside & (r_mid[:, None] > r))
-    violations = sorted(zip(*(x.tolist() for x in (a[k], s_mid[m], b[k], r[k], r_mid[m]))))
+    violations = sorted(zip(*(x.tolist() for x in (grid[low[k]], grid[mid[m]], grid[high[k]], r[k], r_mid[m]))))
     return SingleDippedReport(ok=not violations, violations=violations)
 
 
@@ -191,27 +189,28 @@ def decompose_pack_and_pair(assignment: AssignmentMatrix) -> PackAndPairDecompos
     """Read off the bifurcation point and the pairing maps s1 (nonincreasing)
     and s2 (nondecreasing) from a canonicalized solution."""
     districts = refine_assignment(assignment)
-    reason, r_b = _pack_and_pair(districts, assignment.threshold_grid)
+    reason, r_b = _pack_and_pair(districts)
     return PackAndPairDecomposition(reason is None, reason, r_b, districts, assignment.type_weights)
 
 
-def _pack_and_pair(d: Districts, thr_grid: np.ndarray) -> tuple[str | None, float | None]:
+def _pack_and_pair(d: Districts) -> tuple[str | None, float | None]:
     """(failure reason, None), or (None, bifurcation point)."""
     if not d.ok:
         return f"column split left {d.leftover:.2e} unplaced mass", None
     if d.mass.size == 0:
         return "empty assignment", None
-    step = float(np.min(np.diff(thr_grid))) if thr_grid.size > 1 else 0.0
+    grid = d.type_grid
+    step = float(np.min(np.diff(grid))) if grid.size > 1 else 0.0
     # Districts that are not packed: pairs, and pool members at their own threshold.
     pair = ~d.packed
     # Bifurcation: the largest grid threshold at or below which every district
     # is degenerate.  With no pairs that is the top of the grid.
     if pair.any():
-        below = thr_grid[thr_grid < d.threshold[pair].min() - AT_TOL]
-        r_b = float(below[-1]) if below.size else float(thr_grid[0]) - step
+        below = grid[grid < d.threshold[pair].min()]
+        r_b = float(below[-1]) if below.size else float(grid[0]) - step
     else:
-        r_b = float(thr_grid[-1])
-    above = d.threshold[d.packed & (d.threshold > r_b + AT_TOL)]
+        r_b = float(grid[-1])
+    above = d.threshold[d.packed & (d.threshold > r_b)]
     if above.size:
         return f"packed district at {float(above[0])} lies above the bifurcation point {r_b}", None
     # Monotone pairing maps: across distinct thresholds the stronger column's
@@ -219,8 +218,8 @@ def _pack_and_pair(d: Districts, thr_grid: np.ndarray) -> tuple[str | None, floa
     cols, col = np.unique(d.threshold[pair], return_inverse=True)
     s1 = np.full(cols.size, np.inf)
     s2 = np.full(cols.size, -np.inf)
-    np.minimum.at(s1, col, d.type_grid[d.low[pair]])
-    np.maximum.at(s2, col, d.type_grid[d.high[pair]])
+    np.minimum.at(s1, col, grid[d.low[pair]])
+    np.maximum.at(s2, col, grid[d.high[pair]])
     slack = step + 1e-9
     if np.any(s1[1:] > s1[:-1] + slack) or np.any(s2[1:] < s2[:-1] - slack):
         return "pairing maps are not monotone in the threshold", None
@@ -298,8 +297,8 @@ def check_dual_support_optimality(
     by the largest formula value on the support, so tail columns where both
     are ~0 do not dominate.
     """
-    g_of_r = np.asarray(inst.G(assignment.threshold_grid), dtype=float)
-    values = cert.support_values(g_of_r, assignment.vote)
+    g_of_r = np.asarray(inst.G(assignment.type_grid), dtype=float)
+    values = g_of_r[None, :] + cert.lambda_[None, :] * (assignment.vote - 0.5)
     best = values.max(axis=1)
     active = assignment.pi > SUPPORT_TOL
     slack = np.where(active, best[:, None] - values, 0.0)
@@ -307,7 +306,7 @@ def check_dual_support_optimality(
 
     col_mass = assignment.column_mass()
     cols = np.flatnonzero(col_mass > SUPPORT_TOL)
-    r = assignment.threshold_grid[cols]
+    r = assignment.type_grid[cols]
     w = assignment.pi[:, cols] / col_mass[cols]
     q_mean = (w * inst.taste.pdf(assignment.type_grid[:, None] - r[None, :])).sum(axis=0)
     formula = np.asarray(inst.g(r), dtype=float) / q_mean
@@ -382,7 +381,6 @@ def check_pap_condition(gamma: float, taste: TasteDistribution = NORMAL) -> list
 
 @dataclass(frozen=True)
 class YConditions:
-    r_b_required: float
     beta1: float
     beta2: float
     admissible: bool
@@ -403,4 +401,4 @@ def y_necessary_conditions(gamma: float) -> YConditions:
     beta1 = 3.0 * g2 / (2.0 * (g2 - 1.0))
     beta2 = g2 / 2.0
     admissible = gamma > 1.0 and beta1 - (beta2 + 1.0) >= -1e-12
-    return YConditions(r_b_required=0.0, beta1=beta1, beta2=beta2, admissible=admissible)
+    return YConditions(beta1=beta1, beta2=beta2, admissible=admissible)

@@ -113,7 +113,7 @@ def test_criterion_7_duality(solve_cached):
     worst_gap, worst_slack, worst_mult = 0.0, 0.0, 0.0
     for gamma in (0.5, 2.0, 6.0):
         inst, sol = solve_cached(gamma)
-        gap = sol.duality_gap(inst.type_weights)
+        gap = sol.duality_gap()
         rep = V.check_dual_support_optimality(
             inst, sol.assignment, sol.certificate, tol_multiplier=POOLING_TOL
         )

@@ -143,10 +143,11 @@ def test_sweep_bad_jobs_exit_2(tmp_path, capsys, jobs):
 
 
 def test_simulate_nan_gamma_exit_2(tmp_path, capsys):
-    code, _out, err = run(capsys, "simulate", "--gamma", "nan", "--out", str(tmp_path))
-    assert code == 2
-    assert json.loads(err.strip())["error"] == "config"
-    assert not (tmp_path / "returns.csv").exists()
+    for gamma in ("nan", "inf"):
+        code, _out, err = run(capsys, "simulate", "--gamma", gamma, "--out", str(tmp_path / gamma))
+        assert code == 2
+        assert json.loads(err.strip())["error"] == "config"
+        assert not (tmp_path / gamma / "returns.csv").exists()
 
 
 def test_simulate_negative_seed_exit_2(tmp_path, capsys):
@@ -314,6 +315,28 @@ def test_estimate_missing_input(tmp_path, capsys):
     )
     assert code == 3
     assert json.loads(err.strip())["error"] == "data"
+
+
+def test_estimate_without_input_exit_2(tmp_path, capsys):
+    code, _out, err = run(capsys, "estimate", "--out", str(tmp_path))
+    assert code == 2
+    error = json.loads(err.strip())
+    assert error["error"] == "config" and "--input" in error["message"]
+
+
+def test_estimate_byte_order_mark(tmp_path, capsys):
+    # a UTF-8 byte-order mark before the header estimates like the plain file
+    plain = tmp_path / "plain.csv"
+    E.simulate_returns(str(plain), gamma=12.0, T=3, n_precincts=200, seed=5)
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    estimates = []
+    for path in (plain, marked):
+        out = tmp_path / path.stem
+        code, _out, err = run(capsys, "estimate", "--input", str(path), "--out", str(out))
+        assert code == 0, err
+        estimates.append((out / "estimates.csv").read_bytes())
+    assert estimates[0] == estimates[1]
 
 
 def test_estimate_malformed_data_exit_3(tmp_path, capsys):

@@ -62,7 +62,7 @@ def test_solution_residuals_and_gap():
     a = sol.assignment
     assert np.max(np.abs(a.row_residuals())) < L.PRIMAL_TOL
     assert np.max(np.abs(a.threshold_residuals())) < L.PRIMAL_TOL
-    assert abs(sol.duality_gap(inst.type_weights)) < 1e-8
+    assert abs(sol.duality_gap()) < 1e-8
     a.validate()  # raises on residual violation
 
 
@@ -81,15 +81,6 @@ def test_extract_plan_round_trip():
     plan = L.extract_plan(sol.assignment)
     assert M.check_feasibility(inst, plan).feasible
     assert M.expected_seat_share(inst, plan) == pytest.approx(sol.objective, abs=1e-7)
-
-
-def test_custom_threshold_grid():
-    inst = small_instance()
-    thresholds = np.linspace(-1.2, 1.2, 25)
-    sol = L.solve_lp(L.build_lp(inst, threshold_grid=thresholds))
-    # a finer threshold menu can only help
-    coarse = L.solve_lp(L.build_lp(inst, threshold_grid=inst.type_grid))
-    assert sol.objective >= coarse.objective - 1e-9
 
 
 def test_monotone_in_gamma_precision():
@@ -228,7 +219,7 @@ def test_dual_certificate_shapes():
     prog = L.build_lp(inst)
     sol = L.solve_lp(prog)
     cert = sol.certificate
-    assert cert.lambda_.shape == sol.assignment.threshold_grid.shape
+    assert cert.lambda_.shape == sol.assignment.type_grid.shape
     assert cert.phi.shape == inst.type_grid.shape
 
 
@@ -300,7 +291,7 @@ def test_stage1_falls_back_to_highs(monkeypatch, cause):
     assert sol.stats["stage1_fallback"]
     assert np.max(np.abs(sol.assignment.pi - reference.assignment.pi)) <= 1e-12
     assert abs(sol.objective - reference.objective) <= 1e-12
-    assert sol.duality_gap(prog.inst.type_weights) <= L.DUAL_TOL
+    assert sol.duality_gap() <= L.DUAL_TOL
 
 
 def test_late_factorization_failure_accepts_the_iterate(monkeypatch):

@@ -48,31 +48,31 @@ def test_refinement_threshold_exact_balance(solve_cached):
 
 def test_refinement_splits_each_column_on_its_own_types():
     # Two adjacent pooled columns that share types; type 0 sits exactly at
-    # the threshold of the first column.
+    # the threshold of the first column.  The second column's threshold 0.1
+    # is a type of zero mass.
     inst = M.ProblemInstance(
-        type_grid=np.array([-1.0, -0.5, 0.0, 0.5, 1.0]),
-        type_weights=np.full(5, 0.2),
+        type_grid=np.array([-1.0, -0.5, 0.0, 0.1, 0.5, 1.0]),
+        type_weights=np.array([0.2, 0.2, 0.2, 0.0, 0.2, 0.2]),
         taste=M.NORMAL,
         gamma=1.0,
     )
-    thresholds = np.array([0.0, 0.1])
+    thresholds = inst.type_grid
     v = M.vote_share(inst, inst.type_grid[:, None], thresholds[None, :])
-    pi = np.zeros((5, 2))
+    pi = np.zeros((6, 6))
 
     def add_pair(lo, hi, j, mass):
         rho = (v[hi, j] - 0.5) / (v[hi, j] - v[lo, j])
         pi[lo, j] += mass * rho
         pi[hi, j] += mass * (1 - rho)
 
-    add_pair(0, 3, 0, 0.2)
-    add_pair(1, 4, 0, 0.2)
-    pi[2, 0] = 0.1
-    add_pair(0, 4, 1, 0.2)
-    add_pair(1, 3, 1, 0.2)
+    add_pair(0, 4, 2, 0.2)
+    add_pair(1, 5, 2, 0.2)
+    pi[2, 2] = 0.1
+    add_pair(0, 5, 3, 0.2)
+    add_pair(1, 4, 3, 0.2)
     assignment = L.AssignmentMatrix(
         pi=pi,
         type_grid=inst.type_grid,
-        threshold_grid=thresholds,
         type_weights=pi.sum(axis=1),
         vote=v,
     )
@@ -112,28 +112,28 @@ def test_optimal_solutions_single_dipped(solve_cached, gamma):
 def test_single_dipped_violation_detected():
     # Hand-built infeasible-in-shape assignment: a pair straddling -0.5 has a
     # LOWER threshold than the interior point district at -0.5, so the point
-    # type sits strictly inside the span of a weaker district.
+    # type sits strictly inside the span of a weaker district.  The pair's
+    # threshold -0.75 is a type of zero mass.
     inst = M.ProblemInstance(
-        type_grid=np.array([-1.0, -0.5, 0.0]),
-        type_weights=np.array([0.4, 0.2, 0.4]),
+        type_grid=np.array([-1.0, -0.75, -0.5, 0.0]),
+        type_weights=np.array([0.4, 0.0, 0.2, 0.4]),
         taste=M.NORMAL,
         gamma=1.0,
     )
-    thresholds = np.array([-0.75, -0.5, 0.0])
+    thresholds = inst.type_grid
     v = M.vote_share(inst, inst.type_grid[:, None], thresholds[None, :])
-    pi = np.zeros((3, 3))
+    pi = np.zeros((4, 4))
     # pair {-1, 0} balanced at threshold -0.75
-    lo, hi = v[0, 0] - 0.5, v[2, 0] - 0.5
+    lo, hi = v[0, 1] - 0.5, v[3, 1] - 0.5
     rho = hi / (hi - lo)
     pair_mass = 0.4 / rho  # exhaust the low type
-    pi[0, 0] = pair_mass * rho
-    pi[2, 0] = pair_mass * (1 - rho)
-    pi[1, 1] = 0.2          # point district at -0.5, threshold -0.5
-    pi[2, 2] = 0.4 - pi[2, 0]  # leftover packed at 0
+    pi[0, 1] = pair_mass * rho
+    pi[3, 1] = pair_mass * (1 - rho)
+    pi[2, 2] = 0.2          # point district at -0.5, threshold -0.5
+    pi[3, 3] = 0.4 - pi[3, 1]  # leftover packed at 0
     assignment = L.AssignmentMatrix(
         pi=pi,
         type_grid=inst.type_grid,
-        threshold_grid=thresholds,
         type_weights=inst.type_weights,
         vote=v,
     )
@@ -153,7 +153,7 @@ def test_district_table_matches_loop_reference():
     pi = rng.random((41, 41)) * (rng.random((41, 41)) < 0.15)
     v = M.vote_share(inst, grid[:, None], grid[None, :])
     assignment = L.AssignmentMatrix(
-        pi=pi, type_grid=grid, threshold_grid=grid.copy(), type_weights=pi.sum(axis=1), vote=v
+        pi=pi, type_grid=grid, type_weights=pi.sum(axis=1), vote=v
     )
     d = V.refine_assignment(assignment)
     rows = list(zip(d.threshold, d.low, d.high, d.rho, d.mass, d.packed))
@@ -172,7 +172,7 @@ def test_district_table_matches_loop_reference():
         for r_mid, lo, hi, *_ in rows
         for s in {grid[lo], grid[hi]}
         for r, a, b in spans
-        if r_mid > r and a + M.AT_TOL < s < b - M.AT_TOL
+        if r_mid > r and a < s < b
     )
     assert len(expected) > 100
     assert V.check_single_dipped(assignment).violations == expected
@@ -244,8 +244,7 @@ def test_decomposition_failure_reasons():
         for i in packed:
             pi[i, i] += 0.1
         return V.decompose_pack_and_pair(
-            L.AssignmentMatrix(pi=pi, type_grid=grid, threshold_grid=grid,
-                               type_weights=pi.sum(axis=1), vote=v)
+            L.AssignmentMatrix(pi=pi, type_grid=grid, type_weights=pi.sum(axis=1), vote=v)
         )
 
     nested = decompose((3, 7, 5), (2, 8, 6), packed=[0])
@@ -568,10 +567,10 @@ def test_dual_multiplier_check_ignores_packed_vertex_choice(solve_cached):
     base = V.check_dual_support_optimality(inst, a, cert)
     assert all(r > -1.0 + 1e-9 for r, *_ in base.part2_errors)
 
-    g_of_r = np.asarray(inst.G(a.threshold_grid), dtype=float)
+    g_of_r = np.asarray(inst.G(a.type_grid), dtype=float)
     active = a.pi > M.SUPPORT_TOL
     packed = np.flatnonzero(active.sum(axis=0) == 1)
-    assert a.threshold_grid[packed[0]] == -1.0
+    assert a.type_grid[packed[0]] == -1.0
     lower, upper = np.empty(packed.size), np.empty(packed.size)
     for k, j in enumerate(packed):
         dv = a.vote[:, j] - 0.5
@@ -585,9 +584,7 @@ def test_dual_multiplier_check_ignores_packed_vertex_choice(solve_cached):
     for t in (0.0, 0.5, 1.0):
         lam = cert.lambda_.copy()
         lam[packed] = lower + t * (upper - lower)
-        moved = L.DualCertificate(
-            lambda_=lam, phi=cert.phi, type_grid=cert.type_grid, threshold_grid=cert.threshold_grid
-        )
+        moved = L.DualCertificate(lambda_=lam, phi=cert.phi)
         report = V.check_dual_support_optimality(inst, a, moved)
         assert report.worst_slack < 1e-8  # still an optimal dual
         assert report.part2_ok == base.part2_ok
@@ -603,7 +600,6 @@ def test_full_segregation_assignment_classified():
     assignment = L.AssignmentMatrix(
         pi=pi,
         type_grid=inst.type_grid,
-        threshold_grid=inst.type_grid,
         type_weights=inst.type_weights,
         vote=v,
     )
