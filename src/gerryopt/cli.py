@@ -55,6 +55,7 @@ SCHEMAS = {
         "share_hist.csv": "bin_low,bin_high,density",
         "swing_hist.csv": "bin_low,bin_high,count",
         "qq.csv": "grid_v,year,matched_v",
+        "bad_rows.csv": "line,message (each malformed row, in file order)",
     },
     "simulate": {"returns.csv": "state,year,precinct_id,district_id,total_votes,rep_share,contested"},
 }
@@ -241,6 +242,7 @@ def cmd_estimate(args) -> int:
         returns, report = est.ingest(args.input, strict=args.strict)
     except (GerryOptError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 text is bad data
         return _fail(EXIT_DATA, "data", str(exc))
+    _write_csv(out, "bad_rows.csv", "line,message", report.bad_rows)
     if not len(returns):
         return _fail(EXIT_DATA, "data", "no records remain after filtering")
     rows, skipped = [], []

@@ -17,7 +17,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from itertools import islice, zip_longest
+from itertools import chain, islice, zip_longest
 
 import numpy as np
 from scipy.special import chdtri, ndtr, ndtri
@@ -49,13 +49,27 @@ class FilterReport:
 CSV_FIELDS = ["state", "year", "precinct_id", "district_id", "total_votes", "rep_share", "contested"]
 # (code column, label column) of the string fields
 _LABELLED = (("state", "states"), ("precinct_id", "precincts"), ("district_id", "districts"))
-_CONTESTED = frozenset(("1", "true", "True"))
-# Rows read and converted per batch.  Small batches bound the transient string
-# lists, and their row lists are freed before the cyclic garbage collector
-# promotes most of them to its oldest generation: 32768-row batches set off
-# about three full collections (0.23 s) per 160k-row file in a process holding
-# 300k other objects, 2048-row batches none or one.
+# the fields read as (labels, codes) per chunk, and the numeric fields' dtypes
+_CODED = ("state", "precinct_id", "district_id", "contested")
+_NUMERIC = {"year": "i8", "total_votes": "i8", "rep_share": "f8"}
+# the accepted spellings of ``contested``, after ``strip`` and ``lower``
+_CONTESTED = {"0": False, "1": True, "false": False, "true": True}
+# Records read per chunk.  A chunk whose text is clean is parsed by numpy's C
+# reader, any other by ``csv`` and Python's ``int``/``float``, so a dirty
+# record costs only its own chunk the slow path.  Small chunks also bound the
+# transient arrays and lists, and the fallback's row lists are freed before
+# the cyclic garbage collector promotes most of them to its oldest
+# generation: 32768-row batches set off about three full collections (0.23 s)
+# per 160k-row file in a process holding 300k other objects, 2048-row
+# batches none or one.
 CHUNK_ROWS = 2048
+# The characters the C reader takes: printable ASCII but space and the quote
+# character, and the line terminators.
+_FAST_CHARS = bytes(range(0x21, 0x7F)).replace(b'"', b"") + b"\r\n"
+# The longest line the C reader takes.  Its four text fields are stored this
+# wide, so a chunk's structured array stays under CHUNK_ROWS * (4 * 256 + 24)
+# bytes, about 2 MB.
+_FAST_LINE = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +141,7 @@ def _parse_row(row: dict, line: int) -> PrecinctRecord:
             district_id=row["district_id"].strip(),
             total_votes=int(row["total_votes"]),
             rep_share=float(row["rep_share"]),
-            contested=row["contested"].strip() in _CONTESTED,
+            contested=_CONTESTED.get(row["contested"].strip().lower()),
         )
     except (KeyError, ValueError, AttributeError, TypeError) as exc:
         raise GerryOptError(f"line {line}: malformed row ({exc})") from exc
@@ -135,6 +149,8 @@ def _parse_row(row: dict, line: int) -> PrecinctRecord:
         raise GerryOptError(f"line {line}: total_votes must be >= 1")
     if not 0.0 <= rec.rep_share <= 1.0:
         raise GerryOptError(f"line {line}: rep_share outside [0, 1]")
+    if rec.contested is None:
+        raise GerryOptError(f"line {line}: contested must be 0, 1, true or false")
     return rec
 
 
@@ -172,35 +188,76 @@ def _codes(texts) -> tuple[np.ndarray, np.ndarray]:
     return np.array(list(code), dtype=str), np.fromiter(map(code.__getitem__, stripped), np.intp, len(stripped))
 
 
-def _read_chunk(chunk: list, header: list, index: list, first_line: int, bad: list, strict: bool) -> dict:
-    """Columns of the well-formed rows of ``chunk`` (csv rows, the first on
-    line ``first_line``); string fields as (labels, codes).  Each other row is
-    parsed alone for its message and appended to ``bad``, or raised under
-    ``strict``."""
-    short = np.fromiter(map(len, chunk), np.intp, len(chunk)) <= max(index)
-    full = np.flatnonzero(~short)
-    rows = [chunk[i] for i in full] if short.any() else chunk
-    columns = list(zip(*rows)) or [()] * len(header)
+def _read_chunk(chunk: list, index: list) -> tuple:
+    """``chunk`` (csv rows) converted with Python's ``int``, ``float`` and
+    ``strip``: the columns, the mask of rows that parsed, and the row lookup."""
+    width = max(index) + 1
+    short = np.fromiter(map(len, chunk), np.intp, len(chunk)) < width
+    rows = [row + [""] * width for row in chunk] if short.any() else chunk  # a short row is rejected
+    columns = list(zip(*rows)) or [()] * width
     field = {name: columns[i] for name, i in zip(CSV_FIELDS, index)}
-    year, bad_year = _numbers(field["year"], int, np.int64)
-    votes, bad_votes = _numbers(field["total_votes"], int, np.int64)
-    share, bad_share = _numbers(field["rep_share"], float, np.float64)
-    ok = ~(bad_year | bad_votes | bad_share) & (votes >= 1) & (share >= 0.0) & (share <= 1.0)
-    for i in np.union1d(np.flatnonzero(short), full[~ok]).tolist():
+    out = {name: _codes(field[name]) for name in _CODED}
+    out["year"], bad_year = _numbers(field["year"], int, np.int64)
+    out["total_votes"], bad_votes = _numbers(field["total_votes"], int, np.int64)
+    out["rep_share"], bad_share = _numbers(field["rep_share"], float, np.float64)
+    return out, ~(short | bad_year | bad_votes | bad_share), chunk.__getitem__
+
+
+def _load_chunk(lines: list, index: list) -> tuple | None:
+    """``lines`` (text lines) parsed by one ``np.loadtxt`` call, in the form
+    ``_read_chunk`` returns; or None when a line is one that numpy might read
+    otherwise than ``csv`` and Python do: non-ASCII, quoted, blank, padded,
+    holding a control character or longer than ``_FAST_LINE``; or when numpy
+    rejects a value or warns about one."""
+    import warnings
+
+    text = "".join(lines)
+    if not (
+        lines
+        and text.isascii()
+        and not text.encode().translate(None, _FAST_CHARS)
+        and all(map(str.strip, lines))  # no blank line: only line terminators are left to strip
+        and (width := max(map(len, lines))) <= _FAST_LINE
+    ):
+        return None
+    dtype = [(name, _NUMERIC.get(name, f"S{width}")) for name in CSV_FIELDS]  # no field outruns its line
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # older numpy only warned when it read 2016.0 as an int
+        try:
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, usecols=index, ndmin=1)
+        except (ValueError, Warning):
+            return None
+    out = {name: table[name].copy() for name in _NUMERIC}  # a field view would keep the wide table alive
+    for name in _CODED:
+        # cut to the longest value: np.unique compares all `width` bytes of equal labels
+        texts = table[name].astype(f"S{max(int(np.char.str_len(table[name]).max()), 1)}")
+        labels, codes = np.unique(texts, return_inverse=True)
+        out[name] = (labels.astype(str), codes)
+    return out, True, lambda i: lines[i].rstrip("\r\n").split(",")
+
+
+def _kept(columns: dict, parsed, record, header: list, first_line: int, bad: list, strict: bool) -> dict:
+    """The chunk dict of the rows that parsed (``parsed``) and pass the range
+    and ``contested`` checks, the first on line ``first_line``; string fields
+    as (labels, codes).  Each other row ``i`` is parsed alone from
+    ``record(i)``, its csv fields, for its message and appended to ``bad``,
+    or raised under ``strict``."""
+    labels, codes = columns["contested"]
+    flags = [_CONTESTED.get(label.lower()) for label in labels.tolist()]
+    contested = np.array([f is True for f in flags], bool)[codes]
+    known = np.array([f is not None for f in flags], bool)[codes]
+    votes, share = columns["total_votes"], columns["rep_share"]
+    ok = parsed & (votes >= 1) & (share >= 0.0) & (share <= 1.0) & known
+    for i in np.flatnonzero(~ok).tolist():
         # a short row reads its missing fields as None, as csv.DictReader does
-        exc = _rejection(dict(zip_longest(header, chunk[i])), first_line + i)
+        exc = _rejection(dict(zip_longest(header, record(i))), first_line + i)
         if strict:
             raise exc
         bad.append((first_line + i, str(exc)))
-    contested = map(_CONTESTED.__contains__, map(str.strip, field["contested"]))
-    out = {
-        "year": year[ok],
-        "total_votes": votes[ok],
-        "rep_share": share[ok],
-        "contested": np.fromiter(contested, bool, len(rows))[ok],
-    }
+    out = {name: columns[name][ok] for name in _NUMERIC}
+    out["contested"] = contested[ok]
     for name, _ in _LABELLED:
-        labels, codes = _codes(field[name])
+        labels, codes = columns[name]
         out[name] = (labels, codes[ok])
     return out
 
@@ -237,28 +294,46 @@ def ingest(path: str, strict: bool = False) -> tuple[Returns, FilterReport]:
 
     Malformed rows are fatal under ``strict``, otherwise skipped and reported
     with their line numbers, which count non-blank records from 2 (as
-    ``csv.DictReader`` does).  Rows are read in chunks of ``CHUNK_ROWS`` and
-    converted a column at a time with Python's ``int`` and ``float``; an
-    integer field outside the 64-bit range makes its row malformed.  The kept
-    rows come back in file order.
+    ``csv.DictReader`` does).  A ``contested`` value is 0, 1, true or false in
+    any case; any other makes its row malformed, as does an integer field
+    outside the 64-bit range.  The kept rows come back in file order.
+
+    Records are read in chunks of ``CHUNK_ROWS``.  A chunk whose lines are
+    ASCII, unquoted, not blank, at most ``_FAST_LINE`` characters long and
+    free of whitespace and control characters (but the line terminators) is
+    parsed by one ``np.loadtxt`` call: each
+    number numpy accepts there, Python's ``int``/``float`` read to the same
+    value.  Any other chunk, or one where numpy rejects or warns about a
+    value (``1_000``, ``2016.0`` in an integer column, an integer outside the
+    64-bit range), is read by ``csv.reader`` and converted with Python's
+    ``int``, ``float`` and ``strip``.  Either way every kept row, message and
+    line number is the one a row-at-a-time reader gives.
     """
     bad: list = []
     chunks: list = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header = next(csv.reader(fh), [])
         missing = [c for c in CSV_FIELDS if c not in header]
         if missing:
             raise GerryOptError(f"input CSV missing columns: {', '.join(missing)}")
         position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
         index = [position[c] for c in CSV_FIELDS]
-        records = filter(None, reader)  # blank lines are skipped and not counted
         line = 2
         while True:
-            chunk = list(islice(records, CHUNK_ROWS))
-            chunks.append(_read_chunk(chunk, header, index, line, bad, strict))
-            line += len(chunk)
-            if len(chunk) < CHUNK_ROWS:
+            lines = list(islice(fh, CHUNK_ROWS))
+            parsed = _load_chunk(lines, index)
+            n = len(lines)
+            if parsed is None:
+                # CHUNK_ROWS records span at least CHUNK_ROWS lines, so the csv
+                # reader consumes every line read above, then reads on to the
+                # end of its last record (a quoted field can hold a newline)
+                records = filter(None, csv.reader(chain(lines, fh)))  # blank lines are skipped and not counted
+                rows = list(islice(records, CHUNK_ROWS))
+                parsed = _read_chunk(rows, index)
+                n = len(rows)
+            chunks.append(_kept(*parsed, header, line, bad, strict))
+            line += n
+            if n < CHUNK_ROWS:
                 break
     table = _concat(chunks)
 

@@ -599,6 +599,8 @@ def test_golden_estimate_outputs(tmp_path, capsys):
     code, stdout, err = run(capsys, "estimate", "--input", str(path), "--descriptives", "--out", str(out))
     assert code == 0, err
     assert {name: _sha256(out / name) for name in GOLDEN_SHA256} == GOLDEN_SHA256
+    with open(out / "bad_rows.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["line", "message"]] + [[str(n), m] for n, m in GOLDEN_BAD_ROWS]
     summary = json.loads(stdout)
     assert (summary["states"], summary["kept"], summary["dropped"]) == (3, 1716, 94)
     assert summary["bad_rows"] == len(GOLDEN_BAD_ROWS)

@@ -1,9 +1,13 @@
 import csv
+import io
+import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import chi2
@@ -293,6 +297,7 @@ def test_estimates_csv_format(tmp_path, capsys):
     assert len(rows) == 2 and rows[1][0] == "AA" and rows[1][4:] == ["3", "12"]
     assert float(rows[1][1]) == pytest.approx(10.0, abs=1e-5)
     assert all(len(x.split(".")[1]) == 6 for x in rows[1][1:4])
+    assert (tmp_path / "bad_rows.csv").read_bytes() == b"line,message\r\n"  # header only: no malformed row
 
 
 def test_ingest_integer_outside_int64_is_malformed(tmp_path):
@@ -301,3 +306,229 @@ def test_ingest_integer_outside_int64_is_malformed(tmp_path):
     records, report = E.ingest(str(path))
     assert len(records) == 1
     assert report.bad_rows == [(3, "line 3: malformed row (integer outside the 64-bit range)")]
+
+
+# ---------------------------------------------------------------------------
+# the contested column, and ingest against a row-at-a-time reader
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("padded", [False, True], ids=["numpy", "csv"])  # a padded value sends its chunk to csv
+@pytest.mark.parametrize("value, contested", [("TRUE", True), ("False", False), ("yes", None), ("", None)])
+def test_contested_spellings(tmp_path, capsys, value, contested, padded):
+    path = tmp_path / "returns.csv"
+    write_csv(path, [
+        ["AA", 2016, "p1", "d1", 900, 0.61, f" {value} " if padded else value],
+        ["AA", 2018, "p1", "d1", 900, 0.35, 1],
+        ["AA", 2016, "p2", "d2", 900, 0.5, 1],
+    ])
+    if contested is None:
+        message = "line 2: contested must be 0, 1, true or false"
+        _returns, report = E.ingest(str(path))
+        assert report.bad_rows == [(2, message)]
+        assert (report.n_input, report.n_kept) == (2, 2)
+        with pytest.raises(GerryOptError, match=message):
+            E.ingest(str(path), strict=True)
+        assert cli.main(["estimate", "--input", str(path), "--strict", "--out", str(tmp_path)]) == 3
+        assert json.loads(capsys.readouterr().err) == {"error": "data", "message": message}
+        return
+    for strict in (False, True):
+        returns, report = E.ingest(str(path), strict=strict)
+        assert report.bad_rows == []
+        # an uncontested d1 drops in both years
+        assert report.dropped_uncontested == (0 if contested else 2)
+        assert [r.contested for r in returns.rows()] == [True] * (3 if contested else 1)
+
+
+def test_contested_checked_after_the_other_fields(tmp_path):
+    path = tmp_path / "returns.csv"
+    write_csv(path, [["AA", 2016, "p1", "d1", 0, 0.61, "yes"], ["AA", 2016, "p2", "d1", 900, 1.5, "yes"]])
+    _returns, report = E.ingest(str(path))
+    assert report.bad_rows == [(2, "line 2: total_votes must be >= 1"), (3, "line 3: rep_share outside [0, 1]")]
+
+
+INT64 = (-(2**63), 2**63)
+
+
+def read_row_at_a_time(path):
+    """The oracle: ``csv.DictReader``, ``_parse_row`` on each record, then the
+    three filters on record objects.  Returns the kept records and the report."""
+    records, bad = [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for line, row in enumerate(csv.DictReader(fh), start=2):
+            try:
+                rec = E._parse_row(row, line)
+            except GerryOptError as exc:
+                bad.append((line, str(exc)))
+                continue
+            if not all(INT64[0] <= v < INT64[1] for v in (rec.year, rec.total_votes)):
+                bad.append((line, f"line {line}: malformed row (integer outside the 64-bit range)"))
+                continue
+            records.append(rec)
+    uncontested = {(r.state, r.district_id) for r in records if not r.contested}
+    kept1 = [r for r in records if (r.state, r.district_id) not in uncontested]
+    kept2 = [r for r in kept1 if r.total_votes >= 50]
+    kept3 = [r for r in kept2 if 0.0 < r.rep_share < 1.0]
+    report = E.FilterReport(
+        n_input=len(records),
+        n_kept=len(kept3),
+        dropped_uncontested=len(records) - len(kept1),
+        dropped_small=len(kept1) - len(kept2),
+        dropped_degenerate=len(kept2) - len(kept3),
+        bad_rows=bad,
+    )
+    return kept3, report
+
+
+def assert_ingest_matches_oracle(path, monkeypatch):
+    kept, report = read_row_at_a_time(path)
+    for chunk_rows in (1, 7, 2048):
+        monkeypatch.setattr(E, "CHUNK_ROWS", chunk_rows)
+        returns, got = E.ingest(str(path))
+        assert got == report, chunk_rows
+        assert list(returns.rows()) == kept, chunk_rows
+        if report.bad_rows:
+            with pytest.raises(GerryOptError, match=re.escape(report.bad_rows[0][1])):
+                E.ingest(str(path), strict=True)
+
+
+# (kept, odd, dirty) spellings of each field.  A line of kept and odd
+# spellings passes the fast reader's guard; an odd one makes its row
+# malformed or filtered out.  A dirty one sends its chunk to csv, or numpy
+# rejects it and the chunk falls back.
+SPELLINGS = {
+    "state": (["AA", "BB"], [""], [" AA ", "A,A", 'A"A', "A\nA", "Ä", "A\tA"]),
+    "year": (["2016", "2018", "+2020", "02018"], [], [" 2018", "2_018", "２０１８", "2016.0", "1e3", "", str(2**63), str(-(2**63) - 1)]),
+    "precinct_id": (["p1", "p2", "p3"], [], [" p1", "p1 ", "p\n1", "p,1", "p\r\n2", "p\x001", '"p2"']),
+    "district_id": (["d1", "d2"], [], ["d1 ", "d\t1", "d\x0c1"]),
+    "total_votes": (["900", "50", "+70", str(2**63 - 1)], ["49", "0", "-3"], ["9_00", "９００", " 900 ", "1e3", "", str(2**63)]),
+    "rep_share": (
+        ["0.25", "0.5", "1e-1", ".5"],
+        ["0", "1", "1.0", "1.5", "-0", "nan", "inf", "-inf", "NaN", "Infinity"],
+        ["0_5", "0.5 ", "٠.٥", "nan(1)", "0x1p-1", "", "0.5\x7f"],
+    ),
+    "contested": (["1", "true", "TRUE"], ["0", "False", "yes", ""], [" 1", "\t1", "TRUE ", "ｔｒｕｅ"]),
+}
+
+
+@st.composite
+def returns_files(draw):
+    """The text of a returns CSV: a reordered header, maybe an extra column,
+    and rows mostly of kept spellings, with odd and dirty fields, blank lines
+    and short and long rows among them."""
+    header = list(draw(st.permutations(E.CSV_FIELDS))) + draw(st.sampled_from([[], ["note"]]))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator=draw(st.sampled_from(["\r\n", "\n"])))
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 40))):
+        row = {}
+        for name, (kept, odd, _dirty) in SPELLINGS.items():
+            row[name] = draw(st.sampled_from(odd if odd and draw(st.integers(0, 9)) == 0 else kept))
+        if draw(st.integers(0, 5)) == 0:
+            name = draw(st.sampled_from(E.CSV_FIELDS))
+            row[name] = draw(st.sampled_from(SPELLINGS[name][2]))
+        fields = [row.get(name, "x") for name in header]
+        shape = draw(st.sampled_from(["row"] * 12 + ["blank", "short", "long"]))
+        if shape == "blank":
+            out.write("\r\n")
+            continue
+        if shape == "short":
+            fields = fields[: draw(st.integers(1, len(fields) - 1))]
+        elif shape == "long":
+            fields.append("x")
+        writer.writerow(fields)
+    return out.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=returns_files())
+def test_ingest_matches_row_at_a_time_reader(tmp_path, monkeypatch, text):
+    path = tmp_path / "returns.csv"
+    path.write_text(text, newline="")
+    assert_ingest_matches_oracle(path, monkeypatch)
+
+
+def test_ingest_quoted_newline_at_chunk_boundary(tmp_path, monkeypatch):
+    # the 7th record, the last of the first 7-record chunk, runs onto the
+    # line the next chunk would otherwise start with
+    rows = [["AA", 2016 + 2 * (i % 2), f"p{i}", "d1", 900, 0.4, 1] for i in range(20)]
+    rows[6][2] = "p\n6"
+    rows[13][2] = "p\r\n13"
+    rows[3][0] = 'A"A'  # written "A""A"
+    rows[10][3] = " d1 "
+    path = tmp_path / "returns.csv"
+    write_csv(path, rows)
+    assert_ingest_matches_oracle(path, monkeypatch)
+    returns, _report = E.ingest(str(path))
+    kept = list(returns.rows())
+    assert [r.precinct_id for r in kept[6:8]] == ["p\n6", "p7"]
+    assert (kept[3].state, kept[10].district_id) == ('A"A', "d1")
+
+
+# ---------------------------------------------------------------------------
+# which chunks take the csv fallback
+# ---------------------------------------------------------------------------
+
+
+def fallback_chunks(monkeypatch):
+    """Patch ``_read_chunk`` to record the csv rows of each chunk it reads."""
+    calls = []
+    read_chunk = E._read_chunk
+
+    def spy(chunk, index):
+        calls.append(chunk)
+        return read_chunk(chunk, index)
+
+    monkeypatch.setattr(E, "_read_chunk", spy)
+    return calls
+
+
+def test_clean_chunks_skip_the_csv_fallback(tmp_path, monkeypatch):
+    path = tmp_path / "sim.csv"
+    E.simulate_returns(str(path), gamma=8.0, T=3, n_precincts=1001, seed=5)  # 3003 records
+    monkeypatch.setattr(E, "CHUNK_ROWS", 500)
+    whole, report = E.ingest(str(path))
+    calls = fallback_chunks(monkeypatch)
+    returns, got = E.ingest(str(path))
+    assert calls == []
+    assert got == report and list(returns.rows()) == list(whole.rows())
+
+    # a year numpy rejects at record 1234 sends only its chunk, records
+    # 1000..1499, to csv; a bad contested value at record 2345 is rejected on
+    # numpy's path
+    lines = path.read_text().splitlines(keepends=True)
+    lines.insert(1 + 1234, "SY,twenty,bad,d00,1000,0.5,1\n")
+    lines.insert(1 + 2345, "SY,2016,bad,d00,1000,0.5,maybe\n")
+    path.write_text("".join(lines), newline="")
+    returns, got = E.ingest(str(path))
+    with open(path, newline="") as fh:
+        records = list(csv.reader(fh))[1:]
+    assert calls == [records[1000:1500]]
+    assert got.bad_rows == [
+        (1236, "line 1236: malformed row (invalid literal for int() with base 10: 'twenty')"),
+        (2347, "line 2347: contested must be 0, 1, true or false"),
+    ]
+    assert list(returns.rows()) == list(whole.rows())
+
+
+def test_numpy_warning_sends_the_chunk_to_csv(tmp_path, monkeypatch):
+    # older numpy read 2016.0 into an integer column with only a warning: the
+    # fast path never keeps a value numpy warned about
+    path = tmp_path / "sim.csv"
+    E.simulate_returns(str(path), gamma=8.0, T=3, n_precincts=11, seed=5)
+    monkeypatch.setattr(E, "CHUNK_ROWS", 7)
+    whole, report = E.ingest(str(path))
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("parsing an integer via a float is deprecated", DeprecationWarning, stacklevel=2)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    calls = fallback_chunks(monkeypatch)
+    returns, got = E.ingest(str(path))
+    with open(path, newline="") as fh:
+        records = list(csv.reader(fh))[1:]
+    assert calls == [records[i : i + 7] for i in range(0, 33, 7)]  # every chunk of the 33 records
+    assert got == report
+    assert list(returns.rows()) == list(whole.rows())
