@@ -7,26 +7,17 @@ Outputs are data-only (JSON/CSV) for external plotting.  Exit codes:
 
 from __future__ import annotations
 
+# Only the standard library loads here.  Each command imports the package
+# modules it runs when it runs, so --help, --schema and argparse errors load
+# neither numpy nor scipy, and only the commands that solve the LP load ``lp``
+# and scipy.optimize.  Imported names are looked up at call time, never kept
+# in this module, so a wrapper installed on a module attribute still applies.
 import argparse
 import csv
+import errno
 import json
 import os
 import sys
-
-import numpy as np
-
-from . import benchmarks as bm
-from . import estimation as est
-from . import lp as lpmod
-from . import verify as vf
-from .model import (
-    SUPPORT_TOL,
-    GerryOptError,
-    ProblemInstance,
-    uniform_instance,
-    get_taste,
-    expected_seat_share,
-)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,11 +81,15 @@ def _write_report(out: str, name: str, report: dict) -> None:
 
 
 def _check_grid(grid: int) -> None:
+    from .model import GerryOptError
+
     if grid < 3 or grid % 2 == 0:
         raise GerryOptError("--grid must be odd and at least 3")
 
 
-def _instance(args) -> ProblemInstance:
+def _instance(args):
+    from .model import GerryOptError, get_taste, uniform_instance
+
     if args.gamma is None:
         raise GerryOptError("--gamma must be given")
     _check_grid(args.grid)
@@ -102,6 +97,11 @@ def _instance(args) -> ProblemInstance:
 
 
 def cmd_solve(args) -> int:
+    import numpy as np
+
+    from . import lp as lpmod
+    from .model import SUPPORT_TOL
+
     inst = _instance(args)
     out = _outdir(args)
     sol, decomp, regime = lpmod.solve_and_classify(inst)
@@ -131,6 +131,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import lp as lpmod
+    from .model import GerryOptError, get_taste, uniform_instance
+
     _check_grid(args.grid)
     gammas = []
     for token in filter(str.strip, args.gammas.split(",")):
@@ -157,6 +160,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_benchmark(args) -> int:
+    from . import benchmarks as bm
+    from .model import expected_seat_share
+
     inst = _instance(args)
     no_aggregate = bm.no_aggregate_solution(inst, args.r0)
     out = _outdir(args)
@@ -179,6 +185,8 @@ def cmd_benchmark(args) -> int:
         "traditional_pc": {"cutoff": pc.cutoff, "value": pc.value},
     }
     if args.with_lp:
+        from . import lp as lpmod
+
         sol, _, regime = lpmod.solve_and_classify(inst)
         result["lp_objective"] = sol.objective
         result["lp_regime"] = regime.value
@@ -187,6 +195,8 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify as vf
+
     inst = _instance(args)
     out = _outdir(args)
     checks = {}
@@ -197,6 +207,8 @@ def cmd_verify(args) -> int:
             "detail": {"n_violations": len(violations), "first": violations[:10]},
         }
     else:
+        from . import lp as lpmod
+
         sol, decomp, regime = lpmod.solve_and_classify(inst)
         sd = vf.check_single_dipped(sol.assignment)
         dual = vf.check_dual_support_optimality(
@@ -231,12 +243,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from . import estimation as est
+    from .model import GerryOptError
+
     if not 0.0 < args.alpha < 1.0:
         raise GerryOptError(f"--alpha must lie strictly between 0 and 1, got {args.alpha!r}")
     if not args.input:
         raise GerryOptError("--input is required")
     if not os.path.exists(args.input):
-        raise FileNotFoundError(args.input)
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.input)
     out = _outdir(args)
     try:
         returns, report = est.ingest(args.input, strict=args.strict)
@@ -290,6 +305,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import estimation as est
+
     out = _outdir(args)
     path = os.path.join(out, "returns.csv")
     est.simulate_returns(
@@ -370,11 +387,13 @@ def main(argv=None) -> int:
     if args.schema:
         print(json.dumps(SCHEMAS[args.command], indent=2))
         return EXIT_OK
+    from .model import GerryOptError
+
     try:
         return args.func(args)
     except GerryOptError as exc:
         return _fail(EXIT_CONFIG, "config", str(exc))
-    except (OSError, FileNotFoundError) as exc:
+    except OSError as exc:
         return _fail(EXIT_DATA, "data", str(exc))
 
 

@@ -8,9 +8,10 @@ import re
 
 import pytest
 
+from gerryopt import benchmarks as B
 from gerryopt import cli
 from gerryopt import estimation as E
-from gerryopt.model import GerryOptError
+from gerryopt.model import GerryOptError, uniform_instance
 
 
 def run(capsys, *argv):
@@ -105,6 +106,15 @@ def test_benchmark_non_finite_r0_exit_2(tmp_path, capsys):
     error = json.loads(err.strip())
     assert error["error"] == "config" and "r0" in error["message"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag,r0", [(["--r0=-1e-3"], -1e-3), (["--r0", "-0.5"], -0.5)])
+def test_benchmark_negative_r0(tmp_path, capsys, flag, r0):
+    # argparse reads "-0.5" as a value but "-1e-3" as an option; "--r0=" takes either
+    code, _out, err = run(capsys, "benchmark", "--gamma", "2", "--grid", "11", *flag, "--out", str(tmp_path))
+    assert code == 0, err
+    expected = B.no_aggregate_solution(uniform_instance(n=11, gamma=2.0), r0)
+    assert json.loads((tmp_path / "benchmarks.json").read_text())["no_aggregate"]["value"] == expected.value
 
 
 @pytest.mark.parametrize("command", ["solve", "benchmark"])
@@ -310,11 +320,13 @@ def test_estimate_alpha_out_of_range_exit_2(tmp_path, capsys, alpha):
 
 
 def test_estimate_missing_input(tmp_path, capsys):
-    code, _out, err = run(
-        capsys, "estimate", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path)
-    )
+    out = tmp_path / "out"
+    code, _out, err = run(capsys, "estimate", "--input", str(tmp_path / "nope.csv"), "--out", str(out))
     assert code == 3
-    assert json.loads(err.strip())["error"] == "data"
+    error = json.loads(err.strip())
+    assert error["error"] == "data"
+    assert "No such file or directory" in error["message"] and "nope.csv" in error["message"]
+    assert not out.exists()
 
 
 def test_estimate_without_input_exit_2(tmp_path, capsys):
@@ -488,6 +500,55 @@ def test_benchmark_trace_targets_exist(monkeypatch):
     ]
     assert tracing.TARGETS
     assert missing == []
+
+
+# span name -> calls, as the benchmark's tracer counts them for one command
+# (the same counts as when cli imported every module at its top)
+TRACED_CALLS = {
+    "benchmark": {
+        "benchmarks.closed_forms": 4,
+        "benchmarks.optimize_cutoff": 2,
+        "model.district_threshold": 5,
+        "model.expected_seat_share": 3,
+    },
+    "benchmark --with-lp": {
+        "benchmarks.closed_forms": 4,
+        "benchmarks.optimize_cutoff": 2,
+        "lp.build_lp": 1,
+        "lp.highs": 1,
+        "lp.solve_lp": 1,
+        "model.district_threshold": 5,
+        "model.expected_seat_share": 3,
+        "verify.classify": 1,
+        "verify.decompose": 1,
+        "verify.refine_assignment": 1,
+    },
+    "verify": {
+        "lp.build_lp": 1,
+        "lp.highs": 1,
+        "lp.solve_lp": 1,
+        "verify.classify": 1,
+        "verify.decompose": 1,
+        "verify.dual_support": 1,
+        "verify.refine_assignment": 2,
+        "verify.single_dipped": 1,
+    },
+    "verify --pap": {"verify.pap_scan": 1},
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACED_CALLS))
+def test_traced_commands_reach_every_wrapped_binding(tmp_path, capsys, monkeypatch, command):
+    # cli imports the package modules inside each command, so the names it
+    # calls are looked up after the tracer has wrapped them
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    argv = command.split() + ["--gamma", "2", "--grid", "11", "--out", str(tmp_path)]
+    with tracing.installed(tracer):
+        code, _out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert {name: row["calls"] for name, row in tracer.summary().items()} == TRACED_CALLS[command]
 
 
 # ---------------------------------------------------------------------------

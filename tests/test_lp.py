@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog, nnls
 
+from gerryopt import estimation as E
 from gerryopt import lp as L
 from gerryopt import model as M
 from gerryopt import verify as V
@@ -202,16 +203,63 @@ def test_every_public_definition_is_reached():
     assert unreached == []
 
 
-@pytest.mark.parametrize("module", ["model", "estimation", "benchmarks"])
-def test_lp_free_modules_do_not_load_the_solver(module):
-    # in a fresh interpreter: only lp needs scipy.optimize, and the package root imports nothing
+def _fresh_run(code, cwd=None):
+    """Run ``code`` in a fresh interpreter with this package on its path; return
+    the package, numpy and scipy modules it has loaded at the end."""
     src = str(Path(M.__file__).parents[1])
     code = (
-        f"import sys; sys.path.insert(0, {src!r}); import gerryopt.{module}; "
-        "print(sorted({'gerryopt.lp', 'scipy.optimize'} & set(sys.modules)))"
+        f"import sys; sys.path.insert(0, {src!r}); {code}; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('gerryopt', 'numpy', 'scipy')))"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return set(ast.literal_eval(proc.stdout.splitlines()[-1]))
+
+
+def _cli_run(argv, cwd):
+    """The modules a fresh interpreter loads to run ``gerryopt argv`` (exit 0)."""
+    return _fresh_run(f"import gerryopt.cli as cli; assert cli.main({argv!r}) == 0", cwd)
+
+
+SOLVER = {"gerryopt.lp", "scipy.optimize", "scipy.sparse"}
+LP_FREE_COMMANDS = {
+    "simulate": ["simulate", "--precincts", "20", "--seed", "1"],
+    "estimate": ["estimate", "--input", "returns.csv"],
+    "verify-pap": ["verify", "--pap", "--gamma", "2"],
+    "benchmark": ["benchmark", "--gamma", "2", "--grid", "11"],
+}
+
+
+@pytest.mark.parametrize("module", ["model", "estimation", "benchmarks", *LP_FREE_COMMANDS])
+def test_lp_free_modules_do_not_load_the_solver(module, tmp_path):
+    # in a fresh interpreter: only lp needs scipy.optimize, and the package root
+    # imports nothing; cli imports lp only in the commands that solve
+    if module in LP_FREE_COMMANDS:
+        E.simulate_returns(str(tmp_path / "returns.csv"), gamma=10.0, T=3, n_precincts=20, seed=1)
+        loaded = _cli_run(LP_FREE_COMMANDS[module], tmp_path)
+    else:
+        loaded = _fresh_run(f"import gerryopt.{module}")
+    assert not loaded & SOLVER
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "cli.build_parser()",
+        "assert cli.main(['solve', '--schema']) == 0",
+        "assert cli.main(['--help']) == 0",
+        "assert cli.main(['solve', '--gamma', 'two']) == 2",
+    ],
+    ids=["parser", "schema", "help", "argparse-error"],
+)
+def test_cli_start_loads_only_the_cli(code):
+    # nothing of numpy, scipy or the other package modules before a command runs
+    assert _fresh_run(f"import gerryopt.cli as cli; {code}") == {"gerryopt", "gerryopt.cli"}
+
+
+def test_benchmark_with_lp_loads_the_solver(tmp_path):
+    loaded = _cli_run(["benchmark", "--gamma", "2", "--grid", "11", "--with-lp"], tmp_path)
+    assert {"gerryopt.lp", "scipy.optimize"} <= loaded
 
 
 def test_dual_certificate_shapes():
