@@ -28,7 +28,7 @@ SCHEMAS = {
     "solve": {
         "plan.json": "[{support: [[type, weight]...], mass}] per district",
         "assignment.csv": "type,threshold,mass (active cells only)",
-        "dual.csv": "kind{phi|lambda},point,value",
+        "dual.csv": "kind{phi|lambda},point,value,pinned{0|1}",
         "summary.json": "{gamma, objective, regime, bifurcation, duality_gap, n_districts, "
         "solver: {stage1_method (structured-ipm, or highs-ipm after a fallback), stage1_iterations, "
         "stage1_crossover_iterations (HiGHS crossover; 0 for structured-ipm), "
@@ -114,9 +114,15 @@ def cmd_solve(args) -> int:
     grid = asg.type_grid  # also the threshold grid
     rows = ([f"{grid[i]:.10g}", f"{grid[j]:.10g}", f"{asg.pi[i, j]:.12g}"] for i, j in cells)
     _write_csv(out, "assignment.csv", "type,threshold,mass", rows)
-    dual = (("phi", grid, cert.phi), ("lambda", grid, cert.lambda_))
-    rows = ([kind, f"{x:.10g}", f"{v:.12g}"] for kind, points, values in dual for x, v in zip(points, values))
-    _write_csv(out, "dual.csv", "kind,point,value", rows)
+    # phi is unique; lambda(r) is pinned where an active cell of column r has v != 1/2
+    pinned = ((asg.pi > SUPPORT_TOL) & (asg.vote != 0.5)).any(axis=0)
+    dual = (("phi", grid, cert.phi, np.ones_like(pinned)), ("lambda", grid, cert.lambda_, pinned))
+    rows = (
+        [kind, f"{x:.10g}", f"{v:.12g}", int(p)]
+        for kind, points, values, flags in dual
+        for x, v, p in zip(points, values, flags)
+    )
+    _write_csv(out, "dual.csv", "kind,point,value,pinned", rows)
     summary = {
         "gamma": inst.gamma,
         "objective": sol.objective,

@@ -6,11 +6,13 @@ import json
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from gerryopt import benchmarks as B
 from gerryopt import cli
 from gerryopt import estimation as E
+from gerryopt import lp as L
 from gerryopt.model import GerryOptError, uniform_instance
 
 
@@ -45,6 +47,27 @@ def test_solve_deterministic(tmp_path, capsys):
     assert run(capsys, "solve", "--gamma", "2", "--grid", "41", "--out", str(b))[0] == 0
     for name in ("plan.json", "assignment.csv", "dual.csv", "summary.json"):
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_dual_csv_flags_the_pinned_multipliers(tmp_path, capsys, solve_cached):
+    # lambda(r) is pinned iff its interval [L, U] of optimal multipliers,
+    # with check_dual_support_optimality's formulas, has width <= DUAL_TOL
+    assert run(capsys, "solve", "--gamma", "2", "--out", str(tmp_path))[0] == 0
+    with open(tmp_path / "dual.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    flags = {kind: [int(r["pinned"]) for r in rows if r["kind"] == kind] for kind in ("phi", "lambda")}
+    assert len(flags["phi"]) == len(flags["lambda"]) == 201
+    assert set(flags["phi"]) == {1}
+
+    inst, sol = solve_cached(2.0)
+    a, cert = sol.assignment, sol.certificate
+    dv = a.vote - 0.5
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (cert.phi[:, None] - np.asarray(inst.G(a.type_grid))[None, :]) / dv
+    lower = np.where(dv < 0, bound, -np.inf).max(axis=0)
+    upper = np.where(dv > 0, bound, np.inf).min(axis=0)
+    assert flags["lambda"] == (upper - lower <= L.DUAL_TOL).astype(int).tolist()
+    assert sum(flags["lambda"]) == 27
 
 
 def test_solve_config_errors(tmp_path, capsys):

@@ -272,6 +272,9 @@ def test_dual_certificate_shapes():
 
 
 FACE_GAMMAS = [0.2, 0.5, 1.0, 1.2, 1.4, 1.6, 1.7, 2.0, 3.0, 6.0, 10.0, 15.0, 30.0]
+FACE_CASES = [pytest.param(101, g, id=str(g)) for g in FACE_GAMMAS] + [
+    pytest.param(201, g, id=f"n201-{g}") for g in (0.2, 1.0, 3.0)
+]
 
 
 def face_vertex(prog, stage1):
@@ -285,11 +288,7 @@ def face_vertex(prog, stage1):
     return V.classify_regime(decomp), decomp.bifurcation, asg.pi
 
 
-@pytest.mark.parametrize(
-    "n,gamma",
-    [pytest.param(101, g, id=str(g)) for g in FACE_GAMMAS]
-    + [pytest.param(201, g, id=f"n201-{g}") for g in (0.2, 1.0, 3.0)],
-)
+@pytest.mark.parametrize("n,gamma", FACE_CASES)
 def test_face_vertex_independent_of_stage1_method(n, gamma):
     # The structured interior point, HiGHS interior point and HiGHS dual
     # simplex return different optimal duals and faces; the max-packed vertex
@@ -300,6 +299,44 @@ def test_face_vertex_independent_of_stage1_method(n, gamma):
         label_h, rb_h, pi_h = face_vertex(prog, L._stage1_highs(prog, method))
         assert (label, rb) == (label_h, rb_h), method
         assert np.max(np.abs(pi - pi_h)) <= 1e-12, method
+
+
+@pytest.mark.parametrize("n,gamma", FACE_CASES)
+def test_uniform_instances_do_not_fall_back_to_highs(n, gamma):
+    # a fallback gives the same outputs through the slow path, so only the
+    # stats show it (an overflow in the step length would be one cause)
+    sol = L.solve_lp(L.build_lp(M.uniform_instance(n=n, gamma=gamma)))
+    assert sol.stats["stage1_fallback"] is None
+    assert sol.stats["stage1_method"] == "structured-ipm"
+
+
+def test_schur_solver_matches_dense_solve():
+    prog = L.build_lp(M.uniform_instance(n=21, gamma=2.0))
+    a = prog.vote - 0.5
+    dense_a = prog.a_eq.toarray()
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        d = 10.0 ** rng.uniform(-4.0, 4.0, a.shape)
+        p, q = rng.standard_normal(a.shape[0]), rng.standard_normal(a.shape[1])
+        u, w = L._schur_solver(a, d)(p, q)
+        normal = dense_a @ np.diag(d.ravel()) @ dense_a.T
+        rhs, got = np.concatenate([p, q]), np.concatenate([u, w])
+        assert np.linalg.norm(normal @ got - rhs) <= 1e-10 * np.linalg.norm(rhs)
+        want = np.linalg.solve(normal, rhs)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_step_matches_masked_form():
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        size = int(rng.integers(1, 50))
+        v = 10.0 ** rng.uniform(-12.0, 2.0, size)
+        dv = rng.standard_normal(size) * 10.0 ** rng.uniform(-12.0, 2.0, size)
+        neg = dv < 0
+        masked = float(np.min(-v[neg] / dv[neg], initial=1.0))
+        assert abs(L._step(v, dv) - masked) <= np.spacing(masked)
+        assert L._step(v, np.abs(dv)) == 1.0
+    assert L._step(np.ones(3), np.zeros(3)) == 1.0
 
 
 def test_solver_stats():
