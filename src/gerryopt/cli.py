@@ -64,9 +64,10 @@ def _outdir(args) -> str:
 
 
 def _write_csv(out: str, name: str, header: str, rows) -> str:
-    """Write the comma-separated ``header`` and then ``rows``; return the path."""
+    """Write the comma-separated ``header`` and then ``rows`` as UTF-8; return
+    the path."""
     path = os.path.join(out, name)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header.split(","))
         w.writerows(rows)

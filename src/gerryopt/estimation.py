@@ -49,8 +49,7 @@ class FilterReport:
 CSV_FIELDS = ["state", "year", "precinct_id", "district_id", "total_votes", "rep_share", "contested"]
 # (code column, label column) of the string fields
 _LABELLED = (("state", "states"), ("precinct_id", "precincts"), ("district_id", "districts"))
-# the fields read as (labels, codes) per chunk, and the numeric fields' dtypes
-_CODED = ("state", "precinct_id", "district_id", "contested")
+# the numeric fields' dtypes
 _NUMERIC = {"year": "i8", "total_votes": "i8", "rep_share": "f8"}
 # the accepted spellings of ``contested``, after ``strip`` and ``lower``
 _CONTESTED = {"0": False, "1": True, "false": False, "true": True}
@@ -61,7 +60,8 @@ _CONTESTED = {"0": False, "1": True, "false": False, "true": True}
 # the cyclic garbage collector promotes most of them to its oldest
 # generation: 32768-row batches set off about three full collections (0.23 s)
 # per 160k-row file in a process holding 300k other objects, 2048-row
-# batches none or one.
+# batches none or one.  ``simulate_returns`` builds at most this many rows per
+# block, which bounds its transient arrays the same way.
 CHUNK_ROWS = 2048
 # The characters the C reader takes: printable ASCII but space and the quote
 # character, and the line terminators.
@@ -181,22 +181,26 @@ def _numbers(texts, parse, dtype) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _codes(texts) -> tuple[np.ndarray, np.ndarray]:
-    """Labels of the stripped ``texts`` in order of first appearance, and each
-    entry's code."""
+    """Labels of the stripped ``texts`` in order of first appearance, UTF-8
+    encoded, and each entry's code."""
     stripped = list(map(str.strip, texts))
     code = {label: i for i, label in enumerate(dict.fromkeys(stripped))}
-    return np.array(list(code), dtype=str), np.fromiter(map(code.__getitem__, stripped), np.intp, len(stripped))
+    labels = np.array([label.encode() for label in code], dtype=bytes)
+    return labels, np.fromiter(map(code.__getitem__, stripped), np.intp, len(stripped))
 
 
 def _read_chunk(chunk: list, index: list) -> tuple:
     """``chunk`` (csv rows) converted with Python's ``int``, ``float`` and
-    ``strip``: the columns, the mask of rows that parsed, and the row lookup."""
+    ``strip``: the columns, the mask of rows that parsed, and the row lookup.
+    A string field comes as (UTF-8 labels, codes), ``contested`` as its
+    stripped, lower-cased UTF-8 bytes."""
     width = max(index) + 1
     short = np.fromiter(map(len, chunk), np.intp, len(chunk)) < width
     rows = [row + [""] * width for row in chunk] if short.any() else chunk  # a short row is rejected
     columns = list(zip(*rows)) or [()] * width
     field = {name: columns[i] for name, i in zip(CSV_FIELDS, index)}
-    out = {name: _codes(field[name]) for name in _CODED}
+    out = {name: _codes(field[name]) for name, _ in _LABELLED}
+    out["contested"] = np.array([text.strip().lower().encode() for text in field["contested"]], dtype=bytes)
     out["year"], bad_year = _numbers(field["year"], int, np.int64)
     out["total_votes"], bad_votes = _numbers(field["total_votes"], int, np.int64)
     out["rep_share"], bad_share = _numbers(field["rep_share"], float, np.float64)
@@ -205,7 +209,8 @@ def _read_chunk(chunk: list, index: list) -> tuple:
 
 def _load_chunk(lines: list, index: list) -> tuple | None:
     """``lines`` (text lines) parsed by one ``np.loadtxt`` call, in the form
-    ``_read_chunk`` returns; or None when a line is one that numpy might read
+    ``_read_chunk`` returns (a string field as each row's bytes and the codes
+    0, 1, ...); or None when a line is one that numpy might read
     otherwise than ``csv`` and Python do: non-ASCII, quoted, blank, padded,
     holding a control character or longer than ``_FAST_LINE``; or when numpy
     rejects a value or warns about one."""
@@ -228,11 +233,11 @@ def _load_chunk(lines: list, index: list) -> tuple | None:
         except (ValueError, Warning):
             return None
     out = {name: table[name].copy() for name in _NUMERIC}  # a field view would keep the wide table alive
-    for name in _CODED:
-        # cut to the longest value: np.unique compares all `width` bytes of equal labels
-        texts = table[name].astype(f"S{max(int(np.char.str_len(table[name]).max()), 1)}")
-        labels, codes = np.unique(texts, return_inverse=True)
-        out[name] = (labels.astype(str), codes)
+    rows = np.arange(len(table))
+    for name, _ in _LABELLED:
+        # cut to the longest value, so the file-wide sort reads no more words than it must
+        out[name] = (table[name].astype(f"S{max(int(np.char.str_len(table[name]).max()), 1)}"), rows)
+    out["contested"] = np.frombuffer(table["contested"].tobytes().lower(), table["contested"].dtype)
     return out, True, lambda i: lines[i].rstrip("\r\n").split(",")
 
 
@@ -242,10 +247,14 @@ def _kept(columns: dict, parsed, record, header: list, first_line: int, bad: lis
     as (labels, codes).  Each other row ``i`` is parsed alone from
     ``record(i)``, its csv fields, for its message and appended to ``bad``,
     or raised under ``strict``."""
-    labels, codes = columns["contested"]
-    flags = [_CONTESTED.get(label.lower()) for label in labels.tolist()]
-    contested = np.array([f is True for f in flags], bool)[codes]
-    known = np.array([f is not None for f in flags], bool)[codes]
+    spelled = columns["contested"]
+    contested = np.zeros(len(spelled), bool)
+    known = np.zeros(len(spelled), bool)
+    for spelling, flag in _CONTESTED.items():
+        match = spelled == spelling.encode()
+        known |= match
+        if flag:
+            contested |= match
     votes, share = columns["total_votes"], columns["rep_share"]
     ok = parsed & (votes >= 1) & (share >= 0.0) & (share <= 1.0) & known
     for i in np.flatnonzero(~ok).tolist():
@@ -262,13 +271,31 @@ def _kept(columns: dict, parsed, record, header: list, first_line: int, bad: lis
     return out
 
 
+def _sorted_codes(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the bytes array ``texts`` in numpy's order, and
+    each entry's index into them.  The values are sorted as big-endian 64-bit
+    words, NUL-padded, which compares them byte by byte as numpy does."""
+    n, width = len(texts), -(-texts.itemsize // 8)
+    words = texts.astype(f"S{8 * width}").view(">u8").astype(np.uint64).reshape(n, width)
+    order = np.argsort(words[:, 0]) if width == 1 else np.lexsort(words.T[::-1])
+    ordered = words[order]
+    first = np.ones(n, bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    codes = np.empty(n, np.intp)
+    codes[order] = np.cumsum(first) - 1
+    return texts[order[first]], codes
+
+
 def _concat(chunks: list) -> Returns:
     """One table from the chunk columns, with the codes of each string field
-    re-based onto the sorted labels of all chunks."""
+    re-based onto the sorted labels of all chunks.  UTF-8 byte order is code
+    point order, so the labels come out in the order of ``np.unique`` over
+    ``str``."""
     columns = {}
     for codes, labels in _LABELLED:
         parts = [chunk[codes] for chunk in chunks]
-        columns[labels], remap = np.unique(np.concatenate([p[0] for p in parts]), return_inverse=True)
+        texts, remap = _sorted_codes(np.concatenate([p[0] for p in parts]))
+        columns[labels] = np.array([text.decode() for text in texts.tolist()], dtype=str)
         offsets = np.cumsum([0] + [p[0].size for p in parts])
         columns[codes] = np.concatenate([remap[o + p[1]] for o, p in zip(offsets, parts)])
     for name in ("year", "total_votes", "rep_share", "contested"):
@@ -280,8 +307,10 @@ def _compacted(table: Returns) -> Returns:
     """``table`` with each label array cut to the labels its rows use."""
     columns = {}
     for codes, labels in _LABELLED:
-        used, columns[codes] = np.unique(getattr(table, codes), return_inverse=True)
-        columns[labels] = getattr(table, labels)[used]
+        code, label = getattr(table, codes), getattr(table, labels)
+        used = np.bincount(code, minlength=len(label)) > 0
+        columns[codes] = (np.cumsum(used) - 1)[code]
+        columns[labels] = label[used]
     return replace(table, **columns)
 
 
@@ -307,7 +336,8 @@ def ingest(path: str, strict: bool = False) -> tuple[Returns, FilterReport]:
     value (``1_000``, ``2016.0`` in an integer column, an integer outside the
     64-bit range), is read by ``csv.reader`` and converted with Python's
     ``int``, ``float`` and ``strip``.  Either way every kept row, message and
-    line number is the one a row-at-a-time reader gives.
+    line number is the one a row-at-a-time reader gives.  The string fields
+    are kept as UTF-8 bytes and coded once for the whole file.
     """
     bad: list = []
     chunks: list = []
@@ -425,6 +455,36 @@ def estimate_gamma(returns: Returns, alpha: float = 0.1) -> GammaEstimate:
     )
 
 
+# the four-digit strings 0000..9999, each as one 32-bit word of ASCII bytes
+_QUADS = (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """``f"{n:0{width}d}"`` of each integer ``n`` in ``values`` (0 <= n <
+    10**width), as rows of ASCII bytes."""
+    groups = -(-width // 4)
+    out = np.empty((len(values), groups), np.uint32)
+    for j in range(groups - 1, -1, -1):
+        values, out[:, j] = np.divmod(values, 10000)
+    return _QUADS[out].view(np.uint8)[:, 4 * groups - width :]
+
+
+def _shares(v: np.ndarray) -> np.ndarray:
+    """``f"{x:.12f}"`` of each share ``x`` in ``v`` (0 <= x <= 1), as rows of
+    14 ASCII bytes.
+
+    ``v * 1e12`` is below 2**40, so the float product lies within 2**-14 of
+    the exact one and rounds to the same integer unless its fraction is
+    within 1e-3 of one half; Python formats those few shares."""
+    scaled = v * 1e12
+    whole = np.floor(scaled)
+    fraction = scaled - whole
+    out = np.insert(_digits(whole.astype(np.int64) + (fraction > 0.5), 13), 1, ord("."), axis=1)
+    near = np.flatnonzero(np.abs(fraction - 0.5) < 1e-3)
+    out[near] = np.frombuffer("".join(f"{x:.12f}" for x in v[near].tolist()).encode(), np.uint8).reshape(-1, 14)
+    return out
+
+
 def simulate_returns(
     path: str,
     gamma: float,
@@ -438,9 +498,10 @@ def simulate_returns(
     r_t ~ N(0, 1/gamma^2), v_nt = Q(s_n - r_t) exactly (large-precinct limit).
     Deterministic per seed.
 
-    The file is what ``csv.writer`` writes (``\\r\\n`` line ends, shares with
-    12 decimals); only ``state`` can need quoting, so it alone goes through
-    the csv module."""
+    The file is UTF-8 and what ``csv.writer`` writes (``\\r\\n`` line ends,
+    shares with 12 decimals); only ``state`` can need quoting, so it alone goes
+    through the csv module.  Each year's rows are built as blocks of bytes,
+    at most ``CHUNK_ROWS`` rows of one precinct-id width per block."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
     if T < 1 or n_precincts < 1 or votes_per_precinct < 1:
@@ -453,13 +514,24 @@ def simulate_returns(
     quoted = io.StringIO()
     csv.writer(quoted).writerow([state, ""])
     state_field = quoted.getvalue()[: -len(",\r\n")]
-    middle = [f"p{n:05d},d{n % 10:02d},{votes_per_precinct}," for n in range(n_precincts)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(CSV_FIELDS) + "\r\n")
+    votes = f",{votes_per_precinct},".encode()
+    with open(path, "wb") as fh:
+        fh.write((",".join(CSV_FIELDS) + "\r\n").encode())
         for t in range(T):
-            lead = f"{state_field},{2016 + 2 * t},"
-            v = ndtr(s - r[t]).tolist()
-            fh.writelines(f"{lead}{m}{x:.12f},1\r\n" for m, x in zip(middle, v))
+            v = ndtr(s - r[t])
+            lead = f"{state_field},{2016 + 2 * t},p".encode()
+            start = 0
+            while start < n_precincts:
+                width = max(5, len(str(start)))  # of the precinct number, as p{n:05d} writes it
+                stop = min(start + CHUNK_ROWS, 10**width, n_precincts)
+                number = _digits(np.arange(start, stop), width)
+                # {state},{year},p{n:05d},d{n % 10:02d},{votes},{share:.12f},1; a bytes part is on every row
+                parts = [lead, number, b",d0", number[:, -1:], votes, _shares(v[start:stop]), b",1\r\n"]
+                fh.write(np.hstack([
+                    np.broadcast_to(np.frombuffer(p, np.uint8), (stop - start, len(p))) if isinstance(p, bytes) else p
+                    for p in parts
+                ]))
+                start = stop
 
 
 SHARE_BINS = np.round(np.arange(0.0, 1.0 + 1e-12, 0.05), 10)

@@ -3,8 +3,11 @@ import csv
 import hashlib
 import importlib
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -372,6 +375,26 @@ def test_estimate_byte_order_mark(tmp_path, capsys):
         assert code == 0, err
         estimates.append((out / "estimates.csv").read_bytes())
     assert estimates[0] == estimates[1]
+
+
+def test_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    # a non-ASCII state is written as UTF-8 whatever the locale's encoding
+    script = (
+        "import locale, sys\n"
+        "from gerryopt import cli, estimation\n"
+        "print(locale.getpreferredencoding(False), flush=True)\n"
+        "estimation.simulate_returns(sys.argv[1] + '/returns.csv', gamma=6.0, n_precincts=50, state='\\u00d1u')\n"
+        "sys.exit(cli.main(['estimate', '--input', sys.argv[1] + '/returns.csv', '--out', sys.argv[1]]))\n"
+    )
+    src = str(pathlib.Path(E.__file__).parents[1])
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", script, str(tmp_path)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "utf" not in proc.stdout.splitlines()[0].lower()  # the locale really is not UTF-8
+    assert (tmp_path / "returns.csv").read_bytes().split(b"\r\n")[1].startswith("Ñu,2016,p00000,".encode())
+    assert (tmp_path / "estimates.csv").read_bytes().split(b"\r\n")[1].startswith("Ñu,".encode())
 
 
 def test_estimate_malformed_data_exit_3(tmp_path, capsys):

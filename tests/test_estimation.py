@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import chi2
 
 from gerryopt import cli
@@ -247,6 +247,57 @@ def test_simulator_round_trip_recovers_gamma(tmp_path):
     assert est.gamma_hat == pytest.approx(10.0, rel=0.15)
 
 
+def reference_simulate(path, gamma, T=3, n_precincts=1000, votes_per_precinct=1000, seed=0, state="SY"):
+    """The row-at-a-time writer ``simulate_returns`` must match byte for byte:
+    the state quoted by ``csv``, every other field an f-string."""
+    rng = np.random.default_rng(seed)
+    s = rng.uniform(-1.0, 1.0, size=n_precincts)
+    r = rng.normal(0.0, 1.0 / gamma, size=T)
+    quoted = io.StringIO()
+    csv.writer(quoted).writerow([state, ""])
+    state_field = quoted.getvalue()[: -len(",\r\n")]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(E.CSV_FIELDS) + "\r\n")
+        for t in range(T):
+            for n, x in enumerate(ndtr(s - r[t]).tolist()):
+                fh.write(f"{state_field},{2016 + 2 * t},p{n:05d},d{n % 10:02d},{votes_per_precinct},{x:.12f},1\r\n")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {"n_precincts": 100_003, "T": 1},  # precinct ids go from 5 to 6 digits
+        {"T": 3993, "n_precincts": 1},  # the last year is 10000
+        {"state": "A,B", "votes_per_precinct": 1},
+        {"state": 'q"x', "votes_per_precinct": 123456},
+        {"state": ""},
+        {"state": "Ñu", "n_precincts": 10},
+    ],
+    ids=["id_width", "year_width", "comma_state", "quote_state", "empty_state", "utf8_state"],
+)
+def test_simulator_matches_row_at_a_time_writer(tmp_path, params):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    E.simulate_returns(str(got), gamma=7.0, seed=4, **params)
+    reference_simulate(str(want), gamma=7.0, seed=4, **params)
+    assert got.read_bytes() == want.read_bytes()
+
+
+def test_share_text_matches_python_format():
+    rng = np.random.default_rng(21)
+    ties = (2 * rng.integers(0, 10**12, 100_000) + 1) / 2e12  # the doubles nearest to (k + 1/2) * 1e-12
+    near_ties = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, 1.0)])
+    special = np.array([0.0, 5e-324, 1 - 2**-53, 1.0])
+    for x in [*np.split(rng.uniform(0.0, 1.0, 10**6), 10), near_ties, special]:
+        assert E._shares(x).tobytes() == "".join(f"{v:.12f}" for v in x.tolist()).encode()
+    # the near-tie branch is taken, and needed: rounding the float product
+    # alone would misformat some of these shares
+    scaled = near_ties * 1e12
+    fraction = scaled - np.floor(scaled)
+    assert (np.abs(fraction - 0.5) < 1e-3).all()
+    rounded = (np.floor(scaled) + (fraction > 0.5)).astype(np.int64).tolist()
+    assert any(f"{k // 10**12}.{k % 10**12:012d}" != f"{v:.12f}" for k, v in zip(rounded, near_ties.tolist()))
+
+
 def test_simulator_rejects_bad_params(tmp_path):
     with pytest.raises(GerryOptError):
         E.simulate_returns(str(tmp_path / "x.csv"), gamma=0.0)
@@ -387,6 +438,9 @@ def assert_ingest_matches_oracle(path, monkeypatch):
         returns, got = E.ingest(str(path))
         assert got == report, chunk_rows
         assert list(returns.rows()) == kept, chunk_rows
+        # the labels are those the kept rows use, sorted, so the codes are pinned as well
+        for labels, field in (("states", "state"), ("precincts", "precinct_id"), ("districts", "district_id")):
+            assert getattr(returns, labels).tolist() == sorted({getattr(r, field) for r in kept}), chunk_rows
         if report.bad_rows:
             with pytest.raises(GerryOptError, match=re.escape(report.bad_rows[0][1])):
                 E.ingest(str(path), strict=True)
@@ -397,10 +451,16 @@ def assert_ingest_matches_oracle(path, monkeypatch):
 # malformed or filtered out.  A dirty one sends its chunk to csv, or numpy
 # rejects it and the chunk falls back.
 SPELLINGS = {
-    "state": (["AA", "BB"], [""], [" AA ", "A,A", 'A"A', "A\nA", "Ä", "A\tA"]),
+    "state": (["AA", "BB"], [""], [" AA ", "A,A", 'A"A', "A\nA", "Ä", "A\tA", "Ñu"]),
     "year": (["2016", "2018", "+2020", "02018"], [], [" 2018", "2_018", "２０１８", "2016.0", "1e3", "", str(2**63), str(-(2**63) - 1)]),
-    "precinct_id": (["p1", "p2", "p3"], [], [" p1", "p1 ", "p\n1", "p,1", "p\r\n2", "p\x001", '"p2"']),
-    "district_id": (["d1", "d2"], [], ["d1 ", "d\t1", "d\x0c1"]),
+    # labels longer than 8 bytes that share their first 8, and non-ASCII ones
+    # (which send their chunk to csv) sorting among them
+    "precinct_id": (
+        ["p1", "p2", "p3", "precinct-1", "precinct-10", "precinct-9"],
+        [],
+        [" p1", "p1 ", "p\n1", "p,1", "p\r\n2", "p\x001", '"p2"', "precinct-é", "pé"],
+    ),
+    "district_id": (["d1", "d2", "district-a", "district-b"], [], ["d1 ", "d\t1", "d\x0c1", "district-ä", "dΩ"]),
     "total_votes": (["900", "50", "+70", str(2**63 - 1)], ["49", "0", "-3"], ["9_00", "９００", " 900 ", "1e3", "", str(2**63)]),
     "rep_share": (
         ["0.25", "0.5", "1e-1", ".5"],
