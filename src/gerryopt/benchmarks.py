@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    MASS_TOL,
     GerryOptError,
     Plan,
     ProblemInstance,
@@ -73,12 +74,12 @@ def no_aggregate_solution(inst: ProblemInstance, r0: float) -> BenchmarkResult:
         i = short[-1]
         pool[:i] = 0.0
         pool[i] = f[i] * min(max(-acc[i + 1] / excess[i], 0.0), 1.0)
-    keep = pool > 1e-15
+    keep = pool > MASS_TOL
     if not keep.any():
         return BenchmarkResult(cutoff=None, pool_mean=None, value=0.0, plan=segregation_plan(inst))
 
     grid, left = inst.type_grid, f - pool
-    seg = left > 1e-15
+    seg = left > MASS_TOL
     pool_mass = float(pool.sum())
     pool_w = pool[keep] / pool_mass
     return BenchmarkResult(
@@ -120,7 +121,7 @@ def step_threshold(plan: Plan) -> np.ndarray:
     after = np.r_[np.cumsum(plan.weights[order][::-1])[::-1], 0.0]  # mass from each entry on
     ends = np.flatnonzero(np.r_[d[1:] != d[:-1], True]) + 1  # one past each district
     tail = after[:-1] - after[ends][d]  # district mass weakly above each entry
-    n_above = np.bincount(d[tail >= 0.5 - 1e-12], minlength=ends.size)
+    n_above = np.bincount(d[tail >= 0.5 - MASS_TOL], minlength=ends.size)
     return t[np.r_[0, ends[:-1]] + n_above - 1]
 
 
@@ -136,9 +137,9 @@ def matching_slices_plan(inst: ProblemInstance) -> Plan:
     lo, hi = 0, f.size - 1
     rows = []  # (low type index, high type index, mass); low == high is one type
     while lo <= hi:
-        while lo < f.size and f[lo] <= 1e-15:
+        while lo < f.size and f[lo] <= MASS_TOL:
             lo += 1
-        while hi >= 0 and f[hi] <= 1e-15:
+        while hi >= 0 and f[hi] <= MASS_TOL:
             hi -= 1
         if lo > hi:
             break

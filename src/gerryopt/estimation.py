@@ -304,13 +304,15 @@ def _concat(chunks: list) -> Returns:
 
 
 def _compacted(table: Returns) -> Returns:
-    """``table`` with each label array cut to the labels its rows use."""
+    """``table`` with each label array cut to the labels its rows use, and to
+    the width of the longest of them."""
     columns = {}
     for codes, labels in _LABELLED:
         code, label = getattr(table, codes), getattr(table, labels)
         used = np.bincount(code, minlength=len(label)) > 0
         columns[codes] = (np.cumsum(used) - 1)[code]
-        columns[labels] = label[used]
+        kept = label[used]
+        columns[labels] = kept.astype(f"<U{max(int(np.char.str_len(kept).max(initial=0)), 1)}")
     return replace(table, **columns)
 
 
@@ -504,6 +506,8 @@ def simulate_returns(
     at most ``CHUNK_ROWS`` rows of one precinct-id width per block."""
     if not (math.isfinite(gamma) and gamma > 0):
         raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
+    if not math.isfinite(1.0 / gamma):  # the shock's standard deviation
+        raise GerryOptError(f"gamma must have a finite inverse, got {gamma!r}")
     if T < 1 or n_precincts < 1 or votes_per_precinct < 1:
         raise GerryOptError("simulator parameters must be positive")
     if seed < 0:

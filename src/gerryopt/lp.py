@@ -42,23 +42,22 @@ from scipy import sparse
 from scipy.linalg import lapack
 from scipy.optimize import linprog
 
-from .model import SUPPORT_TOL, GerryOptError, Plan, ProblemInstance, vote_share
+from .model import FEAS_TOL, SUPPORT_TOL, GerryOptError, Plan, ProblemInstance, vote_share
 from .verify import PackAndPairDecomposition, RegimeLabel, classify_regime, decompose_pack_and_pair
 
-PRIMAL_TOL = 1e-8      # feasibility residuals
-DUAL_TOL = 1e-7        # complementary slackness / strong duality
-FACE_TOL = 1e-9        # reduced cost at or below which a cell is on the optimal face
-IPM_TOL = 1e-10        # relative primal and dual residuals at which stage 1 stops...
-IPM_GAP = 1e-14        # ...once the complementarity sum x*z is also below this
+# Plateaus as in model's tolerance comment.
+FACE_TOL = 1e-9        # reduced cost of a face cell, HiGHS fallback only (forced at n=61: plateau 1e-13..1e-6)
+IPM_TOL = 1e-10        # relative primal and dual residuals at which stage 1 stops (plateau 1e-11..1e-6)...
+IPM_GAP = 1e-14        # ...once the complementarity sum x*z is also below this (plateau 1e-16..1e-12)
 IPM_ACCEPT_GAP = 1e-11 # a failed factorization below this sum x*z accepts the iterate
 IPM_MAX_ITER = 60      # stage-1 Newton steps before HiGHS takes over
-IPM_SHIFT = 1e-14      # normal-matrix diagonal shift, relative to each diagonal entry
+IPM_SHIFT = 1e-14      # normal-matrix diagonal shift, relative to each diagonal entry (plateau 1e-18..1e-13)
 IPM_ETA = 0.99995      # fraction of the step to the boundary that is taken
 
 HIGHS_OPTIONS = {
     "presolve": True,
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
+    "primal_feasibility_tolerance": IPM_TOL,
+    "dual_feasibility_tolerance": IPM_TOL,
 }
 
 
@@ -99,8 +98,8 @@ class AssignmentMatrix:
     def validate(self) -> None:
         row = float(np.max(np.abs(self.row_residuals())))
         col = float(np.max(np.abs(self.threshold_residuals())))
-        if row > PRIMAL_TOL or col > PRIMAL_TOL:
-            raise LPSolveError(f"assignment residuals row={row:.2e} col={col:.2e} > {PRIMAL_TOL:.1e}")
+        if row > FEAS_TOL or col > FEAS_TOL:
+            raise LPSolveError(f"assignment residuals row={row:.2e} col={col:.2e} > {FEAS_TOL:.1e}")
 
 
 @dataclass(frozen=True)

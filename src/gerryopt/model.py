@@ -20,12 +20,21 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-# Tolerances (see also the lp and verify constants).
-MASS_TOL = 1e-12      # probability masses must sum to 1 within this
-ROOT_TOL = 1e-10      # |mean vote share at r* - 1/2|
-FEAS_TOL = 1e-8       # per-type plan marginal deviation
+# Tolerances, one per role; lp adds the stage-1 IPM_* and FACE_TOL, verify
+# DUAL_TOL and PAP_MARGIN.  A plateau is the range over which no verdict moved
+# (labels, r_b, objectives to 1e-12, district counts, single-dippedness) on the
+# seat-share figure's instances: the nine figure gammas at n=101 and gamma in
+# {2, 6, 10, 30} at n=201, both tastes.  "worst" is the largest value measured.
+MASS_TOL = 1e-12      # masses sum to 1 within this; benchmark plans drop smaller leftovers (plateau 1e-14..1e-8)
+ROOT_TOL = 1e-10      # |mean vote share at r* - 1/2|; worst 2.2e-15
+FEAS_TOL = 1e-8       # mass conservation: plan marginals, LP residuals, unplaced split mass; worst 7.5e-16
+SUPPORT_TOL = 1e-9    # mass below this is numerically zero; plateau 1e-16..1e-7
+GRID_TOL = 1e-9       # grid coordinates closer than this are one point; plateau 1e-15..1e-3
+# Bisection stops at brackets BISECT_ABS wide plus BISECT_REL of |r| (4 ulp
+# where |r| is large); r* moves by 4.3e-15 at 0.1x BISECT_ABS, 3.2e-14 at 10x.
+BISECT_ABS = 1e-14
+BISECT_REL = 8.9e-16
 BRACKET_PAD = 40.0    # bisection bracket padding around the type support
-SUPPORT_TOL = 1e-9    # assignment mass below this is numerically zero
 
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi  # logistic scale for unit variance
 
@@ -171,14 +180,13 @@ def district_threshold(inst: ProblemInstance, district, types, weights) -> np.nd
     if np.any(excess(lo) < 0) or np.any(excess(hi) > 0):
         raise ConvergenceError("threshold root finding failed: excess does not change sign on the bracket")
     mid = 0.5 * (lo + hi)
-    # halve until every bracket is 1e-14 wide, or 4 ulp where |r| is large
-    while np.any(hi - lo > 1e-14 + 8.9e-16 * np.abs(mid)):
+    while np.any(hi - lo > BISECT_ABS + BISECT_REL * np.abs(mid)):
         above = excess(mid) > 0  # still winning at mid: the root lies above
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
         mid = 0.5 * (lo + hi)
     if not np.all(np.abs(excess(mid)) <= ROOT_TOL):
-        raise ConvergenceError("threshold root did not reach tolerance 1e-10")
+        raise ConvergenceError(f"threshold root did not reach tolerance {ROOT_TOL:g}")
     r[multi] = mid
     return r
 
@@ -208,7 +216,7 @@ class Plan:
         sums = np.bincount(district, weights=weights)
         if np.any(np.abs(sums - 1.0) > MASS_TOL):
             raise GerryOptError(f"district weights sum to {sums[np.argmax(np.abs(sums - 1.0))]!r}, expected 1")
-        if abs(mass.sum() - 1.0) > 1e-9:
+        if abs(mass.sum() - 1.0) > MASS_TOL:
             raise GerryOptError(f"plan masses sum to {mass.sum()!r}, expected 1")
 
     def type_marginal(self, inst: ProblemInstance) -> np.ndarray:
@@ -218,7 +226,7 @@ class Plan:
         left = np.clip(idx - 1, 0, grid.size - 1)
         take_left = np.abs(grid[left] - self.types) < np.abs(grid[idx] - self.types)
         idx = np.where(take_left, left, idx)
-        if np.any(np.abs(grid[idx] - self.types) > 1e-9):
+        if np.any(np.abs(grid[idx] - self.types) > GRID_TOL):
             raise GerryOptError("district contains a type not on the instance grid")
         return np.bincount(idx, weights=self.mass[self.district] * self.weights, minlength=grid.size)
 

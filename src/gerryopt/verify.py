@@ -20,15 +20,18 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import NORMAL, SUPPORT_TOL, GerryOptError, ProblemInstance, TasteDistribution
+from .model import FEAS_TOL, GRID_TOL, NORMAL, SUPPORT_TOL, GerryOptError, ProblemInstance, TasteDistribution
 
 if TYPE_CHECKING:  # lp imports this module to classify its solutions
     from .lp import AssignmentMatrix, DualCertificate
 
-DUST = 1e-13
-SPLIT_FRAC = 0.01      # a type splits when its packed and its paired mass both exceed this share
-SLACK_TOL = 1e-6       # worst support slack the dual certificate may leave
-PAP_MARGIN = 1e-12     # both quadruple-scan inequalities must clear this
+# Plateaus as in model's tolerance comment.
+SPLIT_FRAC = 0.01      # a type splits when its packed and paired mass both exceed this share (plateau 1e-4..0.2)
+DUAL_TOL = 1e-7        # duality gap and support slack of the certificate; worst 3.3e-16 and 1.2e-13
+# Both quadruple-scan inequalities must clear this, and y_necessary_conditions
+# lets beta1 fall this far short of beta2 + 1.  The scan's verdicts at ten
+# gammas from 0.2 to 30, both tastes, hold for 1e-16..1e-7.
+PAP_MARGIN = 1e-12
 PAP_GRID = -5.0 + 0.1 * np.arange(101)  # types s, r, s', s'' of the quadruple scan
 
 # Allowance for grid pooling in the multiplier formula, as a share of the
@@ -74,7 +77,7 @@ class Districts:
 
     @property
     def ok(self) -> bool:
-        return self.leftover <= 1e-8
+        return self.leftover <= FEAS_TOL
 
     @property
     def seg_mass(self) -> np.ndarray:
@@ -118,10 +121,10 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
             continue
         refined |= active.size > 2
         rem = pi[:, j].copy()
-        rem[rem < DUST] = 0.0
+        rem[rem < SUPPORT_TOL] = 0.0
         budget = float(col_mass[j])
-        while budget > 1e-11:
-            alive = np.flatnonzero(rem > DUST)
+        while budget > SUPPORT_TOL:
+            alive = np.flatnonzero(rem > SUPPORT_TOL)
             if alive.size == 0:
                 break
             lo, hi = int(alive[0]), int(alive[-1])
@@ -133,7 +136,7 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
                 # A type sitting exactly at this threshold is balanced by
                 # itself: place it as a degenerate pool member
                 # (payoff-equivalent to joining the pool).
-                if rem[j] <= DUST:
+                if rem[j] <= SUPPORT_TOL:
                     break
                 lo = hi = int(j)
                 rho = 1.0
@@ -143,7 +146,7 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
             # them when lo == hi
             rem[lo] -= t * rho
             rem[hi] -= t * (1.0 - rho)
-            rem[rem < DUST] = 0.0
+            rem[rem < SUPPORT_TOL] = 0.0
             budget -= t
         leftover += max(budget, 0.0) + float(rem.sum())
 
@@ -220,7 +223,7 @@ def _pack_and_pair(d: Districts) -> tuple[str | None, float | None]:
     s2 = np.full(cols.size, -np.inf)
     np.minimum.at(s1, col, grid[d.low[pair]])
     np.maximum.at(s2, col, grid[d.high[pair]])
-    slack = step + 1e-9
+    slack = step + GRID_TOL
     if np.any(s1[1:] > s1[:-1] + slack) or np.any(s2[1:] < s2[:-1] - slack):
         return "pairing maps are not monotone in the threshold", None
     return None, r_b
@@ -323,7 +326,7 @@ def check_dual_support_optimality(
         for k in np.flatnonzero(err > tol_multiplier)
     ]
     return DualSupportReport(
-        part1_ok=worst1 <= SLACK_TOL,
+        part1_ok=worst1 <= DUAL_TOL,
         worst_slack=worst1,
         part2_ok=worst2 <= tol_multiplier,
         worst_multiplier_error=worst2,
@@ -400,5 +403,5 @@ def y_necessary_conditions(gamma: float) -> YConditions:
     g2 = gamma * gamma
     beta1 = 3.0 * g2 / (2.0 * (g2 - 1.0))
     beta2 = g2 / 2.0
-    admissible = gamma > 1.0 and beta1 - (beta2 + 1.0) >= -1e-12
+    admissible = gamma > 1.0 and beta1 - (beta2 + 1.0) >= -PAP_MARGIN
     return YConditions(beta1=beta1, beta2=beta2, admissible=admissible)

@@ -15,7 +15,7 @@ import pytest
 from gerryopt import benchmarks as B
 from gerryopt import cli
 from gerryopt import estimation as E
-from gerryopt import lp as L
+from gerryopt import verify as V
 from gerryopt.model import GerryOptError, uniform_instance
 
 
@@ -69,7 +69,7 @@ def test_dual_csv_flags_the_pinned_multipliers(tmp_path, capsys, solve_cached):
         bound = (cert.phi[:, None] - np.asarray(inst.G(a.type_grid))[None, :]) / dv
     lower = np.where(dv < 0, bound, -np.inf).max(axis=0)
     upper = np.where(dv > 0, bound, np.inf).min(axis=0)
-    assert flags["lambda"] == (upper - lower <= L.DUAL_TOL).astype(int).tolist()
+    assert flags["lambda"] == (upper - lower <= V.DUAL_TOL).astype(int).tolist()
     assert sum(flags["lambda"]) == 27
 
 
@@ -179,7 +179,8 @@ def test_sweep_bad_jobs_exit_2(tmp_path, capsys, jobs):
 
 
 def test_simulate_nan_gamma_exit_2(tmp_path, capsys):
-    for gamma in ("nan", "inf"):
+    # 1 / 1e-310 overflows to inf, which would write every share as 0 or 1
+    for gamma in ("nan", "inf", "1e-310"):
         code, _out, err = run(capsys, "simulate", "--gamma", gamma, "--out", str(tmp_path / gamma))
         assert code == 2
         assert json.loads(err.strip())["error"] == "config"

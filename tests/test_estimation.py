@@ -128,6 +128,23 @@ def test_ingest_bad_rows_reported_with_line_numbers(tmp_path):
         E.ingest(str(path), strict=True)
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        ["A" * 250, "not_a_year", "p" * 250, "d" * 250, 900, 0.35, 1],  # malformed, read by csv
+        ["A" * 60, 2016, "p" * 60, "d" * 60, 30, 0.52, 1],  # dropped by the vote filter, read by numpy
+    ],
+    ids=["malformed", "filtered"],
+)
+def test_label_arrays_are_as_wide_as_the_kept_labels(tmp_path, row):
+    path = tmp_path / "returns.csv"
+    write_csv(path, [["AA", 2016, "p1", "d1", 900, 0.61, 1], row, ["AA", 2018, "p123", "d1", 900, 0.55, 1]])
+    records, report = E.ingest(str(path))
+    assert report.n_kept == 2
+    widths = [labels.dtype.str for labels in (records.states, records.precincts, records.districts)]
+    assert widths == ["<U2", "<U4", "<U2"]
+
+
 def test_filters_idempotent(tmp_path):
     src = tmp_path / "a.csv"
     rows = [

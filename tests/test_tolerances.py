@@ -1,0 +1,76 @@
+"""Plateaus of the tolerances that shape a verdict.
+
+Each constant is scaled to 0.1x and 10x in every ``gerryopt`` module that
+binds it (``from .model import SUPPORT_TOL`` makes a second binding), and the
+verdicts of the seat-share figure's instances must not move: regime label,
+bifurcation point, objective (to 1e-12), district counts, the single-dipped
+verdict and whether stage 1 fell back to HiGHS.  Only the stage-1 constants
+need a new solve; the others act after it.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+from test_acceptance import FIG_GAMMAS
+
+from gerryopt import lp as L
+from gerryopt import model as M
+from gerryopt import verify as V
+
+CASES = [(101, g) for g in FIG_GAMMAS] + [(201, g) for g in (2.0, 6.0, 10.0, 30.0)]
+RESOLVE = ("IPM_TOL", "IPM_GAP", "IPM_SHIFT")
+
+
+def _solve_all():
+    return {(n, g): L.solve_lp(L.build_lp(M.uniform_instance(n=n, gamma=g))) for n, g in CASES}
+
+
+def _verdicts(sols):
+    """Per case: the objective, and the tuple of verdicts compared exactly."""
+    out = {}
+    for key, sol in sols.items():
+        decomp = V.decompose_pack_and_pair(sol.assignment)
+        single_dipped = V.check_single_dipped(sol.assignment)
+        out[key] = sol.objective, (
+            V.classify_regime(decomp),
+            decomp.bifurcation,
+            decomp.districts.mass.size,
+            L.extract_plan(sol.assignment).mass.size,
+            single_dipped.ok,
+            sol.stats["stage1_fallback"],
+        )
+    return out
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    sols = _solve_all()
+    return sols, _verdicts(sols)
+
+
+@pytest.mark.parametrize("scale", [0.1, 10.0])
+@pytest.mark.parametrize("name", ["SUPPORT_TOL", "SPLIT_FRAC", *RESOLVE])
+def test_verdicts_hold_across_the_tolerance_plateau(monkeypatch, baseline, name, scale):
+    sols, want = baseline
+    modules = [mod for key, mod in sys.modules.items() if key.partition(".")[0] == "gerryopt" and hasattr(mod, name)]
+    assert modules
+    for mod in modules:
+        monkeypatch.setattr(mod, name, getattr(mod, name) * scale)
+    got = _verdicts(_solve_all() if name in RESOLVE else sols)
+    for key in CASES:
+        assert got[key][1] == want[key][1], key
+        assert abs(got[key][0] - want[key][0]) <= 1e-12, key
+
+
+def test_residuals_keep_a_tenfold_margin_to_their_bounds(baseline):
+    sols, _ = baseline
+    for n, g in CASES:
+        sol = sols[n, g]
+        a = sol.assignment
+        assert np.max(np.abs(a.row_residuals())) <= 0.1 * M.FEAS_TOL
+        assert np.max(np.abs(a.threshold_residuals())) <= 0.1 * M.FEAS_TOL
+        assert V.refine_assignment(a).leftover <= 0.1 * M.FEAS_TOL
+        assert sol.duality_gap() <= 0.1 * V.DUAL_TOL
+        report = V.check_dual_support_optimality(M.uniform_instance(n=n, gamma=g), a, sol.certificate)
+        assert report.worst_slack <= 0.1 * V.DUAL_TOL
