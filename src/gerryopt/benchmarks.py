@@ -16,6 +16,7 @@ import numpy as np
 
 from .model import (
     MASS_TOL,
+    ROUNDING_TOL,
     GerryOptError,
     Plan,
     ProblemInstance,
@@ -74,12 +75,12 @@ def no_aggregate_solution(inst: ProblemInstance, r0: float) -> BenchmarkResult:
         i = short[-1]
         pool[:i] = 0.0
         pool[i] = f[i] * min(max(-acc[i + 1] / excess[i], 0.0), 1.0)
-    keep = pool > MASS_TOL
+    keep = pool > ROUNDING_TOL
     if not keep.any():
         return BenchmarkResult(cutoff=None, pool_mean=None, value=0.0, plan=segregation_plan(inst))
 
     grid, left = inst.type_grid, f - pool
-    seg = left > MASS_TOL
+    seg = left > ROUNDING_TOL
     pool_mass = float(pool.sum())
     pool_w = pool[keep] / pool_mass
     return BenchmarkResult(
@@ -137,9 +138,9 @@ def matching_slices_plan(inst: ProblemInstance) -> Plan:
     lo, hi = 0, f.size - 1
     rows = []  # (low type index, high type index, mass); low == high is one type
     while lo <= hi:
-        while lo < f.size and f[lo] <= MASS_TOL:
+        while lo < f.size and f[lo] <= ROUNDING_TOL:
             lo += 1
-        while hi >= 0 and f[hi] <= MASS_TOL:
+        while hi >= 0 and f[hi] <= ROUNDING_TOL:
             hi -= 1
         if lo > hi:
             break

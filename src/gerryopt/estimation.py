@@ -504,10 +504,9 @@ def simulate_returns(
     shares with 12 decimals); only ``state`` can need quoting, so it alone goes
     through the csv module.  Each year's rows are built as blocks of bytes,
     at most ``CHUNK_ROWS`` rows of one precinct-id width per block."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
-    if not math.isfinite(1.0 / gamma):  # the shock's standard deviation
-        raise GerryOptError(f"gamma must have a finite inverse, got {gamma!r}")
+    # 1 / gamma is the shock's standard deviation, so it must be finite too
+    if not (math.isfinite(gamma) and gamma > 0 and math.isfinite(1.0 / gamma)):
+        raise GerryOptError(f"gamma must be finite and positive with a finite inverse, got {gamma!r}")
     if T < 1 or n_precincts < 1 or votes_per_precinct < 1:
         raise GerryOptError("simulator parameters must be positive")
     if seed < 0:

@@ -47,13 +47,15 @@ from .verify import PackAndPairDecomposition, RegimeLabel, classify_regime, deco
 
 # Plateaus as in model's tolerance comment.
 FACE_TOL = 1e-9        # reduced cost of a face cell, HiGHS fallback only (forced at n=61: plateau 1e-13..1e-6)
-IPM_TOL = 1e-10        # relative primal and dual residuals at which stage 1 stops (plateau 1e-11..1e-6)...
+IPM_TOL = 1e-10        # relative primal and dual residuals at which stage 1 stops (stage-1 plateau 1e-11..1e-6)...
 IPM_GAP = 1e-14        # ...once the complementarity sum x*z is also below this (plateau 1e-16..1e-12)
 IPM_ACCEPT_GAP = 1e-11 # a failed factorization below this sum x*z accepts the iterate
 IPM_MAX_ITER = 60      # stage-1 Newton steps before HiGHS takes over
 IPM_SHIFT = 1e-14      # normal-matrix diagonal shift, relative to each diagonal entry (plateau 1e-18..1e-13)
 IPM_ETA = 0.99995      # fraction of the step to the boundary that is taken
 
+# HiGHS, the fallback, is held to the feasibility at which stage 1 stops.
+# IPM_TOL's plateau was measured on stage 1 only, not on these two.
 HIGHS_OPTIONS = {
     "presolve": True,
     "primal_feasibility_tolerance": IPM_TOL,

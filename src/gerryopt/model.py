@@ -23,17 +23,20 @@ from scipy.special import ndtr
 # Tolerances, one per role; lp adds the stage-1 IPM_* and FACE_TOL, verify
 # DUAL_TOL and PAP_MARGIN.  A plateau is the range over which no verdict moved
 # (labels, r_b, objectives to 1e-12, district counts, single-dippedness) on the
-# seat-share figure's instances: the nine figure gammas at n=101 and gamma in
-# {2, 6, 10, 30} at n=201, both tastes.  "worst" is the largest value measured.
-MASS_TOL = 1e-12      # masses sum to 1 within this; benchmark plans drop smaller leftovers (plateau 1e-14..1e-8)
+# seat-share figure's uniform-grid instances: the nine figure gammas at n=101
+# and gamma in {2, 6, 10, 30} at n=201, both tastes.  "worst" is the largest
+# value measured.
+MASS_TOL = 1e-12      # type weights and district weights sum to 1 within this (plateau 1e-14..1e-6, the largest tried)
 ROOT_TOL = 1e-10      # |mean vote share at r* - 1/2|; worst 2.2e-15
 FEAS_TOL = 1e-8       # mass conservation: plan marginals, LP residuals, unplaced split mass; worst 7.5e-16
-SUPPORT_TOL = 1e-9    # mass below this is numerically zero; plateau 1e-16..1e-7
+SUPPORT_TOL = 1e-9    # mass below this is numerically zero, and plan masses sum to 1 within it; plateau 1e-15..1e-7
 GRID_TOL = 1e-9       # grid coordinates closer than this are one point; plateau 1e-15..1e-3
-# Bisection stops at brackets BISECT_ABS wide plus BISECT_REL of |r| (4 ulp
-# where |r| is large); r* moves by 4.3e-15 at 0.1x BISECT_ABS, 3.2e-14 at 10x.
+# Rounding at unit scale, 4 ulp of 1.  Bisection stops at brackets BISECT_ABS
+# wide plus ROUNDING_TOL of |r|; r* moves by 4.3e-15 at 0.1x BISECT_ABS, 3.2e-14
+# at 10x.  Benchmark plans drop masses at or below ROUNDING_TOL as the residue
+# of subtracting masses; what they drop stays far inside SUPPORT_TOL.
 BISECT_ABS = 1e-14
-BISECT_REL = 8.9e-16
+ROUNDING_TOL = 8.9e-16
 BRACKET_PAD = 40.0    # bisection bracket padding around the type support
 
 _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi  # logistic scale for unit variance
@@ -180,7 +183,7 @@ def district_threshold(inst: ProblemInstance, district, types, weights) -> np.nd
     if np.any(excess(lo) < 0) or np.any(excess(hi) > 0):
         raise ConvergenceError("threshold root finding failed: excess does not change sign on the bracket")
     mid = 0.5 * (lo + hi)
-    while np.any(hi - lo > BISECT_ABS + BISECT_REL * np.abs(mid)):
+    while np.any(hi - lo > BISECT_ABS + ROUNDING_TOL * np.abs(mid)):
         above = excess(mid) > 0  # still winning at mid: the root lies above
         lo = np.where(above, mid, lo)
         hi = np.where(above, hi, mid)
@@ -216,7 +219,7 @@ class Plan:
         sums = np.bincount(district, weights=weights)
         if np.any(np.abs(sums - 1.0) > MASS_TOL):
             raise GerryOptError(f"district weights sum to {sums[np.argmax(np.abs(sums - 1.0))]!r}, expected 1")
-        if abs(mass.sum() - 1.0) > MASS_TOL:
+        if abs(mass.sum() - 1.0) > SUPPORT_TOL:
             raise GerryOptError(f"plan masses sum to {mass.sum()!r}, expected 1")
 
     def type_marginal(self, inst: ProblemInstance) -> np.ndarray:

@@ -168,6 +168,19 @@ def test_array_builders_match_loop_references():
     assert np.array_equal(B.step_threshold(plan), want)
 
 
+def test_builders_place_type_masses_below_mass_tol():
+    # weights of 3e-13 are real masses, not rounding residue: every plan
+    # places them, so its type marginal is the instance's weights
+    w = np.array([3e-13, 3e-13, 0.3, 0.3, 0.3, 0.1 - 9e-13, 3e-13])
+    inst = M.ProblemInstance(type_grid=np.linspace(-1, 1, 7), type_weights=w, gamma=2.0)
+    slices = B.matching_slices_plan(inst)
+    assert np.abs(slices.type_marginal(inst) - w).max() <= M.ROUNDING_TOL
+    assert 0.0 < M.expected_seat_share(inst, slices) < 1.0
+    for r0 in (0.5, 0.6):  # pools of mass 0.2 and 0.125 that hold the top type
+        plan = B.no_aggregate_solution(inst, r0).plan
+        assert np.abs(plan.type_marginal(inst) - w).max() <= M.ROUNDING_TOL
+
+
 # ---------------------------------------------------------------------------
 # cutoff-family benchmarks
 # ---------------------------------------------------------------------------
