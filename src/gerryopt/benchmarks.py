@@ -79,6 +79,7 @@ def no_aggregate_solution(inst: ProblemInstance, r0: float) -> BenchmarkResult:
     if not keep.any():
         return BenchmarkResult(cutoff=None, pool_mean=None, value=0.0, plan=segregation_plan(inst))
 
+    pool = np.where(keep, pool, 0.0)  # the residue leaves the pool mass too, so the pool weights sum to 1
     grid, left = inst.type_grid, f - pool
     seg = left > ROUNDING_TOL
     pool_mass = float(pool.sum())

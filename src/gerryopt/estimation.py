@@ -8,7 +8,8 @@ generates synthetic returns for validating the estimator.
 Returns are held as columns (``Returns``): one numpy array per CSV field, the
 string fields stored as integer codes into sorted label arrays.
 ``PrecinctRecord`` is the one-row view (``Returns.rows``,
-``Returns.from_records``).
+``Returns.from_records``).  ``ingest``'s two chunk readers hand over one shape:
+an entry per row in every column, a string field as stripped UTF-8 bytes.
 """
 
 from __future__ import annotations
@@ -151,16 +152,9 @@ def _parse_row(row: dict, line: int) -> PrecinctRecord:
         raise GerryOptError(f"line {line}: rep_share outside [0, 1]")
     if rec.contested is None:
         raise GerryOptError(f"line {line}: contested must be 0, 1, true or false")
+    if not all(-(2**63) <= n < 2**63 for n in (rec.year, rec.total_votes)):
+        raise GerryOptError(f"line {line}: malformed row (integer outside the 64-bit range)")
     return rec
-
-
-def _rejection(row: dict, line: int) -> GerryOptError:
-    """The error ``_parse_row`` raises for a row the column checks rejected."""
-    try:
-        _parse_row(row, line)
-    except GerryOptError as exc:
-        return exc
-    return GerryOptError(f"line {line}: malformed row (integer outside the 64-bit range)")
 
 
 def _numbers(texts, parse, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -180,26 +174,17 @@ def _numbers(texts, parse, dtype) -> tuple[np.ndarray, np.ndarray]:
     return values, rejected
 
 
-def _codes(texts) -> tuple[np.ndarray, np.ndarray]:
-    """Labels of the stripped ``texts`` in order of first appearance, UTF-8
-    encoded, and each entry's code."""
-    stripped = list(map(str.strip, texts))
-    code = {label: i for i, label in enumerate(dict.fromkeys(stripped))}
-    labels = np.array([label.encode() for label in code], dtype=bytes)
-    return labels, np.fromiter(map(code.__getitem__, stripped), np.intp, len(stripped))
-
-
 def _read_chunk(chunk: list, index: list) -> tuple:
     """``chunk`` (csv rows) converted with Python's ``int``, ``float`` and
-    ``strip``: the columns, the mask of rows that parsed, and the row lookup.
-    A string field comes as (UTF-8 labels, codes), ``contested`` as its
-    stripped, lower-cased UTF-8 bytes."""
+    ``strip``: the chunk's columns, the mask of rows that parsed, and the row
+    lookup.  Every column has one entry per row; a string field holds each
+    row's stripped UTF-8 bytes, ``contested`` its stripped, lower-cased ones."""
     width = max(index) + 1
     short = np.fromiter(map(len, chunk), np.intp, len(chunk)) < width
     rows = [row + [""] * width for row in chunk] if short.any() else chunk  # a short row is rejected
     columns = list(zip(*rows)) or [()] * width
     field = {name: columns[i] for name, i in zip(CSV_FIELDS, index)}
-    out = {name: _codes(field[name]) for name, _ in _LABELLED}
+    out = {name: np.array([text.strip().encode() for text in field[name]], dtype=bytes) for name, _ in _LABELLED}
     out["contested"] = np.array([text.strip().lower().encode() for text in field["contested"]], dtype=bytes)
     out["year"], bad_year = _numbers(field["year"], int, np.int64)
     out["total_votes"], bad_votes = _numbers(field["total_votes"], int, np.int64)
@@ -209,8 +194,7 @@ def _read_chunk(chunk: list, index: list) -> tuple:
 
 def _load_chunk(lines: list, index: list) -> tuple | None:
     """``lines`` (text lines) parsed by one ``np.loadtxt`` call, in the form
-    ``_read_chunk`` returns (a string field as each row's bytes and the codes
-    0, 1, ...); or None when a line is one that numpy might read
+    ``_read_chunk`` returns; or None when a line is one that numpy might read
     otherwise than ``csv`` and Python do: non-ASCII, quoted, blank, padded,
     holding a control character or longer than ``_FAST_LINE``; or when numpy
     rejects a value or warns about one."""
@@ -233,19 +217,18 @@ def _load_chunk(lines: list, index: list) -> tuple | None:
         except (ValueError, Warning):
             return None
     out = {name: table[name].copy() for name in _NUMERIC}  # a field view would keep the wide table alive
-    rows = np.arange(len(table))
     for name, _ in _LABELLED:
         # cut to the longest value, so the file-wide sort reads no more words than it must
-        out[name] = (table[name].astype(f"S{max(int(np.char.str_len(table[name]).max()), 1)}"), rows)
+        out[name] = table[name].astype(f"S{max(int(np.char.str_len(table[name]).max()), 1)}")
     out["contested"] = np.frombuffer(table["contested"].tobytes().lower(), table["contested"].dtype)
     return out, True, lambda i: lines[i].rstrip("\r\n").split(",")
 
 
 def _kept(columns: dict, parsed, record, header: list, first_line: int, bad: list, strict: bool) -> dict:
-    """The chunk dict of the rows that parsed (``parsed``) and pass the range
-    and ``contested`` checks, the first on line ``first_line``; string fields
-    as (labels, codes).  Each other row ``i`` is parsed alone from
-    ``record(i)``, its csv fields, for its message and appended to ``bad``,
+    """The chunk's columns, ``contested`` as bool, cut to the rows that parsed
+    (``parsed``) and pass the range and ``contested`` checks, the first on line
+    ``first_line``.  Each other row ``i`` is parsed alone from ``record(i)``,
+    its csv fields, by ``_parse_row``, whose message is appended to ``bad``
     or raised under ``strict``."""
     spelled = columns["contested"]
     contested = np.zeros(len(spelled), bool)
@@ -258,17 +241,14 @@ def _kept(columns: dict, parsed, record, header: list, first_line: int, bad: lis
     votes, share = columns["total_votes"], columns["rep_share"]
     ok = parsed & (votes >= 1) & (share >= 0.0) & (share <= 1.0) & known
     for i in np.flatnonzero(~ok).tolist():
-        # a short row reads its missing fields as None, as csv.DictReader does
-        exc = _rejection(dict(zip_longest(header, record(i))), first_line + i)
-        if strict:
-            raise exc
-        bad.append((first_line + i, str(exc)))
-    out = {name: columns[name][ok] for name in _NUMERIC}
-    out["contested"] = contested[ok]
-    for name, _ in _LABELLED:
-        labels, codes = columns[name]
-        out[name] = (labels, codes[ok])
-    return out
+        try:
+            # a short row reads its missing fields as None, as csv.DictReader does
+            _parse_row(dict(zip_longest(header, record(i))), first_line + i)
+        except GerryOptError as exc:
+            if strict:
+                raise
+            bad.append((first_line + i, str(exc)))
+    return {name: column[ok] for name, column in {**columns, "contested": contested}.items()}
 
 
 def _sorted_codes(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,32 +267,25 @@ def _sorted_codes(texts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _concat(chunks: list) -> Returns:
-    """One table from the chunk columns, with the codes of each string field
-    re-based onto the sorted labels of all chunks.  UTF-8 byte order is code
-    point order, so the labels come out in the order of ``np.unique`` over
-    ``str``."""
-    columns = {}
-    for codes, labels in _LABELLED:
-        parts = [chunk[codes] for chunk in chunks]
-        texts, remap = _sorted_codes(np.concatenate([p[0] for p in parts]))
-        columns[labels] = np.array([text.decode() for text in texts.tolist()], dtype=str)
-        offsets = np.cumsum([0] + [p[0].size for p in parts])
-        columns[codes] = np.concatenate([remap[o + p[1]] for o, p in zip(offsets, parts)])
-    for name in ("year", "total_votes", "rep_share", "contested"):
-        columns[name] = np.concatenate([chunk[name] for chunk in chunks])
+    """One table from the chunks' columns, each string field coded once onto
+    the sorted labels of all its rows, which stay UTF-8 bytes until
+    ``_compacted``.  UTF-8 byte order is code point order, so the labels come
+    out in the order of ``np.unique`` over ``str``."""
+    columns = {name: np.concatenate([chunk[name] for chunk in chunks]) for name in (*_NUMERIC, "contested")}
+    for codes, labels in _LABELLED:  # one field at a time, so one bytes column is held
+        columns[labels], columns[codes] = _sorted_codes(np.concatenate([chunk[codes] for chunk in chunks]))
     return Returns(**columns)
 
 
 def _compacted(table: Returns) -> Returns:
-    """``table`` with each label array cut to the labels its rows use, and to
-    the width of the longest of them."""
+    """``table`` with each label array cut to the labels its rows use, which
+    are decoded from UTF-8."""
     columns = {}
     for codes, labels in _LABELLED:
         code, label = getattr(table, codes), getattr(table, labels)
         used = np.bincount(code, minlength=len(label)) > 0
         columns[codes] = (np.cumsum(used) - 1)[code]
-        kept = label[used]
-        columns[labels] = kept.astype(f"<U{max(int(np.char.str_len(kept).max(initial=0)), 1)}")
+        columns[labels] = np.array([text.decode() for text in label[used].tolist()], dtype=str)
     return replace(table, **columns)
 
 
@@ -337,9 +310,10 @@ def ingest(path: str, strict: bool = False) -> tuple[Returns, FilterReport]:
     value.  Any other chunk, or one where numpy rejects or warns about a
     value (``1_000``, ``2016.0`` in an integer column, an integer outside the
     64-bit range), is read by ``csv.reader`` and converted with Python's
-    ``int``, ``float`` and ``strip``.  Either way every kept row, message and
-    line number is the one a row-at-a-time reader gives.  The string fields
-    are kept as UTF-8 bytes and coded once for the whole file.
+    ``int``, ``float`` and ``strip``.  Both give each row's stripped UTF-8
+    bytes in a string field, coded once for the whole file, and leave each
+    rejected row's message to ``_parse_row``.  Either way every kept row,
+    message and line number is the one a row-at-a-time reader gives.
     """
     bad: list = []
     chunks: list = []
@@ -413,15 +387,6 @@ class GammaEstimate:
     n_precincts: int
 
 
-def _election_means(returns: Returns, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted election years, each row's index into them, and the vote-weighted
-    mean of ``w`` per year."""
-    years, row_year = np.unique(returns.year, return_inverse=True)
-    k = returns.total_votes.astype(float)
-    means = np.bincount(row_year, weights=k * w) / np.bincount(row_year, weights=k)
-    return years, row_year, means
-
-
 def estimate_gamma(returns: Returns, alpha: float = 0.1) -> GammaEstimate:
     """gamma_hat = 1 / sd(w_t), sd over the T vote-weighted election means.
 
@@ -436,7 +401,9 @@ def estimate_gamma(returns: Returns, alpha: float = 0.1) -> GammaEstimate:
     if not len(returns):
         raise GerryOptError("no records to estimate from")
     w = probit_transform(returns)
-    years, _, w_t = _election_means(returns, w)
+    years, row_year = np.unique(returns.year, return_inverse=True)
+    k = returns.total_votes.astype(float)
+    w_t = np.bincount(row_year, weights=k * w) / np.bincount(row_year, weights=k)  # vote-weighted mean per year
     T = years.size
     if T < 2:
         raise GerryOptError(f"need at least 2 elections, got {T}")
@@ -503,17 +470,23 @@ def simulate_returns(
     The file is UTF-8 and what ``csv.writer`` writes (``\\r\\n`` line ends,
     shares with 12 decimals); only ``state`` can need quoting, so it alone goes
     through the csv module.  Each year's rows are built as blocks of bytes,
-    at most ``CHUNK_ROWS`` rows of one precinct-id width per block."""
-    # 1 / gamma is the shock's standard deviation, so it must be finite too
-    if not (math.isfinite(gamma) and gamma > 0 and math.isfinite(1.0 / gamma)):
-        raise GerryOptError(f"gamma must be finite and positive with a finite inverse, got {gamma!r}")
+    at most ``CHUNK_ROWS`` rows of one precinct-id width per block.  A gamma
+    that prints every share of a year as 0 or 1, which ``ingest`` drops, is
+    rejected before the file is opened."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
     if T < 1 or n_precincts < 1 or votes_per_precinct < 1:
         raise GerryOptError("simulator parameters must be positive")
     if seed < 0:
         raise GerryOptError(f"seed must be nonnegative, got {seed!r}")
     rng = np.random.default_rng(seed)
     s = rng.uniform(-1.0, 1.0, size=n_precincts)
-    r = rng.normal(0.0, 1.0 / gamma, size=T)
+    r = rng.normal(0.0, 1.0 / gamma, size=T)  # 1 / gamma overflows to inf below about 1e-308
+    # a share rises with s, and s spans 2, far less than the 14 or so between a
+    # share printed as 0 and one printed as 1, so the extreme precincts decide
+    for t, (low, high) in enumerate(zip(ndtr(s.min() - r).tolist(), ndtr(s.max() - r).tolist())):
+        if f"{high:.12f}" == f"{0:.12f}" or f"{low:.12f}" == f"{1:.12f}":
+            raise GerryOptError(f"gamma {gamma!r} is too small: every share of {2016 + 2 * t} prints as 0 or 1")
     quoted = io.StringIO()
     csv.writer(quoted).writerow([state, ""])
     state_field = quoted.getvalue()[: -len(",\r\n")]

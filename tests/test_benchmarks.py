@@ -153,7 +153,8 @@ def test_array_builders_match_loop_references():
     for inst, r0 in [(M.uniform_instance(), 0.1), (M.uniform_instance(), 0.9), (lumpy, 0.3), (lumpy, 0.7)]:
         res = B.no_aggregate_solution(inst, r0)
         pool = _known_shock_pool_loop(inst, r0)
-        keep, left = pool > 1e-15, inst.type_weights - pool
+        pool[pool <= 1e-15] = 0.0  # rounding residue stays with its type
+        keep, left = pool > 0.0, inst.type_weights - pool
         assert res.value == pool.sum()
         assert np.array_equal(res.plan.mass, np.r_[left[left > 1e-15], pool.sum()])
         assert np.array_equal(res.plan.weights[res.plan.district == res.plan.mass.size - 1], pool[keep] / pool.sum())
@@ -179,6 +180,19 @@ def test_builders_place_type_masses_below_mass_tol():
     for r0 in (0.5, 0.6):  # pools of mass 0.2 and 0.125 that hold the top type
         plan = B.no_aggregate_solution(inst, r0).plan
         assert np.abs(plan.type_marginal(inst) - w).max() <= M.ROUNDING_TOL
+
+
+def test_known_shock_pool_of_small_mass_drops_its_residue():
+    # a Dirichlet(0.05) draw: the pool holds 2.6e-6 of mass, and its
+    # top type's 1.1e-16 is rounding residue; counted in the divisor, it left
+    # the pool weights 4e-11 short of 1
+    w = np.array([4.859316367749427e-18, 0.9999987256110229, 1.274388977014525e-06, 1.1102230246251565e-16])
+    inst = M.ProblemInstance(type_grid=np.linspace(-1, 1, 4), type_weights=w, gamma=7.683035004828435)
+    res = B.no_aggregate_solution(inst, -0.011988489342716013)
+    pool = res.plan.district == res.plan.mass.size - 1
+    assert res.plan.weights[pool].sum() == pytest.approx(1.0, abs=M.MASS_TOL)
+    assert res.value == res.plan.mass[-1]
+    assert np.abs(res.plan.type_marginal(inst) - w).max() <= M.ROUNDING_TOL
 
 
 # ---------------------------------------------------------------------------

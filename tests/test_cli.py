@@ -179,12 +179,17 @@ def test_sweep_bad_jobs_exit_2(tmp_path, capsys, jobs):
 
 
 def test_simulate_nan_gamma_exit_2(tmp_path, capsys):
-    # 1 / 1e-310 overflows to inf, which would write every share as 0 or 1
-    for gamma in ("nan", "inf", "1e-310"):
-        code, _out, err = run(capsys, "simulate", "--gamma", gamma, "--out", str(tmp_path / gamma))
+    # 1 / 1e-310 overflows to inf, and a shock past about 7 prints every share
+    # of its year as 0 or 1, which estimate drops: at seed 3, 1e-300 would
+    # empty all three years and 0.1 two of them
+    for gamma in ("nan", "inf", "1e-310", "1e-300", "0.1"):
+        argv = ["simulate", "--gamma", gamma, "--elections", "3", "--precincts", "50", "--seed", "3"]
+        code, _out, err = run(capsys, *argv, "--out", str(tmp_path / gamma))
         assert code == 2
-        assert json.loads(err.strip())["error"] == "config"
+        error = json.loads(err.strip())
+        assert error["error"] == "config" and "gamma" in error["message"]
         assert not (tmp_path / gamma / "returns.csv").exists()
+    assert error["message"] == "gamma 0.1 is too small: every share of 2016 prints as 0 or 1"
 
 
 def test_simulate_negative_seed_exit_2(tmp_path, capsys):
@@ -206,7 +211,7 @@ BENCHMARK_GAMMA2 = {
     "traditional_pc": {"cutoff": -0.55, "value": 0.5361228008052256},
     "matching_slices": 0.49999999999999906,
 }
-BENCHMARK_GAMMA2_NO_AGGREGATE_SHA256 = "2065e8bdc95a061889dfa305d46d383ad7b7ec6abe400ba0b546a90c35e75e07"
+BENCHMARK_GAMMA2_NO_AGGREGATE_SHA256 = "3663ce58ff855529fd339a5d76a370477de539ecd90a558a0c1df675d054abed"
 SOLVE_GRID41_PLAN_SHA256 = "712d4ce3cef0c2e204cd44518c846d09a91a9bd7ef9541a2911b3fc621bb2fec"
 
 

@@ -560,6 +560,26 @@ def fallback_chunks(monkeypatch):
     return calls
 
 
+def test_both_readers_hand_over_one_chunk_shape():
+    # one entry per row in every column, a string field as each row's stripped
+    # bytes (repeated labels stay repeated) and ``contested`` lower-cased
+    lines = [
+        "x,AA,p1,2016,d1,900,0.25,TRUE\r\n",
+        "x,BB,precinct-10,2018,district-a,50,.5,0\r\n",
+        "x,AA,p1,+2020,d1,0,1.5,yes\n",
+        "x,AA,precinct-9,02018,d1,70,1e-1,False\n",
+    ]
+    index = [1, 3, 2, 4, 5, 6, 7]  # CSV_FIELDS after a leading extra column
+    fast, fast_parsed, _ = E._load_chunk(lines, index)
+    slow, slow_parsed, _ = E._read_chunk(list(csv.reader(lines)), index)
+    assert fast_parsed is True and slow_parsed.all()
+    assert fast.keys() == slow.keys() == set(E.CSV_FIELDS)
+    for name in E.CSV_FIELDS:
+        assert fast[name].dtype.kind == slow[name].dtype.kind and np.array_equal(fast[name], slow[name]), name
+    assert fast["precinct_id"].tolist() == [b"p1", b"precinct-10", b"p1", b"precinct-9"]
+    assert fast["contested"].tolist() == [b"true", b"0", b"yes", b"false"]
+
+
 def test_clean_chunks_skip_the_csv_fallback(tmp_path, monkeypatch):
     path = tmp_path / "sim.csv"
     E.simulate_returns(str(path), gamma=8.0, T=3, n_precincts=1001, seed=5)  # 3003 records
