@@ -3,9 +3,11 @@
 Three limiting benchmarks (perfect information, no aggregate uncertainty, no
 idiosyncratic uncertainty) plus the two classic plan families:
 pack-opponents-and-pool (segregate the bottom, pool the rest) and traditional
-pack-and-crack (two pooled districts), each built as one ``model.Plan`` table.
-Cutoffs are optimized by exhaustive scan over the type grid, solving every
-candidate plan's thresholds in one ``district_threshold`` call.
+pack-and-crack (two pooled districts).  A family's plans at many cutoffs are
+one cutoff x type table of (district, type, weight) entries; one cutoff's plan
+is its one-row table as a ``model.Plan``.  Cutoffs are optimized by exhaustive
+scan over the type grid: the family's table is solved in one
+``district_threshold`` call, and only the winning cutoff becomes a ``Plan``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .model import (
     GerryOptError,
     Plan,
     ProblemInstance,
+    check_plan_entries,
     district_threshold,
     expected_seat_share,
     segregation_plan,
@@ -105,13 +108,11 @@ def no_idiosyncratic_value(inst: ProblemInstance) -> float:
     The winning probability of the optimal plan is min(1, 2(1 - F(r)))
     integrated over the shock; exact for the step population cdf F.
     """
-    s = inst.type_grid
     cum = np.cumsum(inst.type_weights)
-    g_at = np.asarray(inst.G(s), dtype=float)
-    value = float(g_at[0])  # r below every type: designer wins all districts
-    for i in range(s.size - 1):
-        value += min(1.0, 2.0 * (1.0 - cum[i])) * float(g_at[i + 1] - g_at[i])
-    return value
+    g_at = np.asarray(inst.G(inst.type_grid), dtype=float)
+    # g_at[0]: r below every type, the designer wins all districts; cumsum adds left to right
+    steps = np.minimum(1.0, 2.0 * (1.0 - cum[:-1])) * np.diff(g_at)
+    return float(np.cumsum(np.r_[g_at[0], steps])[-1])
 
 
 def step_threshold(plan: Plan) -> np.ndarray:
@@ -160,48 +161,73 @@ def matching_slices_plan(inst: ProblemInstance) -> Plan:
     return Plan(district, types, np.where(pair, 0.5, 1.0)[district], mass)
 
 
+def _pop_pool_districts(j, n_low):
+    """District of type j when n_low types lie below the cutoff: one each below, one pool above."""
+    return np.minimum(j, n_low)
+
+
+def _pack_and_crack_districts(j, n_low):
+    """District of type j when n_low types lie below the cutoff: one pool
+    below, one above, or a single pool when every type lies on one side."""
+    above = (j >= n_low).astype(np.intp)
+    return above - above[:, :1]
+
+
+def _cutoff_table(inst: ProblemInstance, cutoffs: np.ndarray, family) -> tuple:
+    """Every cutoff's plan of ``family`` as one cutoff x type table.
+
+    Row k holds the plan at ``cutoffs[k]`` as (district, type, weight)
+    entries, one per positive-weight type, with district codes running on
+    from row to row; ``mass`` holds a mass per district and ``row`` the row
+    it belongs to.  A district's mass is the sum of its types' weights.
+    Every row gets the checks ``Plan`` makes of one plan."""
+    keep = inst.type_weights > 0
+    types, f = inst.type_grid[keep], inst.type_weights[keep]
+    local = family(np.arange(types.size), np.searchsorted(types, cutoffs)[:, None])
+    sizes = local[:, -1] + 1
+    district = (local + (np.cumsum(sizes) - sizes)[:, None]).ravel()
+    f = np.broadcast_to(f, local.shape).ravel()
+    mass = np.bincount(district, weights=f)
+    weights = f / mass[district]
+    row = np.repeat(np.arange(sizes.size), sizes)
+    check_plan_entries(district, weights, mass, row)
+    return district, np.tile(types, sizes.size), weights, mass, row
+
+
+def _cutoff_plan(inst: ProblemInstance, s_star: float, family) -> Plan:
+    """The one-row table of ``family`` at ``s_star`` as a ``Plan``."""
+    if not inst.type_grid[0] <= s_star <= inst.type_grid[-1]:
+        raise GerryOptError("cutoff outside the type grid range")
+    district, types, weights, mass, _row = _cutoff_table(inst, np.array([s_star]), family)
+    return Plan(district, types, weights, mass)
+
+
 def pop_pool_plan(inst: ProblemInstance, s_star: float) -> Plan:
     """Pack-opponents-and-pool: segregate below the cutoff, pool the rest."""
-    grid, f = inst.type_grid, inst.type_weights
-    if not grid[0] <= s_star <= grid[-1]:
-        raise GerryOptError("cutoff outside the type grid range")
-    low = (grid < s_star) & (f > 0)
-    high = (grid >= s_star) & (f > 0)
-    if not np.any(high):
-        return segregation_plan(inst)
-    mass = f[high].sum()
-    return _segregate_and_pool(grid[low], f[low], grid[high], f[high] / mass, mass)
+    return _cutoff_plan(inst, s_star, _pop_pool_districts)
 
 
 def traditional_pc_plan(inst: ProblemInstance, s_star: float) -> Plan:
     """Traditional pack-and-crack: one pool below the cutoff, one above."""
-    grid, f = inst.type_grid, inst.type_weights
-    if not grid[0] <= s_star <= grid[-1]:
-        raise GerryOptError("cutoff outside the type grid range")
-    keep = f > 0
-    w = f[keep]
-    district = (grid[keep] >= s_star).astype(np.intp)
-    district -= district[0]  # a single pool when no type lies below the cutoff
-    mass = np.array([w[district == d].sum() for d in range(district[-1] + 1)])
-    return Plan(district=district, types=grid[keep], weights=w / mass[district], mass=mass)
+    return _cutoff_plan(inst, s_star, _pack_and_crack_districts)
+
+
+_FAMILIES = {pop_pool_plan: _pop_pool_districts, traditional_pc_plan: _pack_and_crack_districts}
 
 
 def optimize_cutoff(inst: ProblemInstance, builder) -> BenchmarkResult:
-    """Exhaustive scan of the cutoff over the type grid: the thresholds of all
-    candidate plans are solved in one call, and the first best cutoff wins."""
-    plans = [builder(inst, float(s_star)) for s_star in inst.type_grid]
-    sizes = np.array([plan.mass.size for plan in plans])
-    offsets = np.cumsum(sizes) - sizes
-    r = district_threshold(
-        inst,
-        np.concatenate([plan.district + o for plan, o in zip(plans, offsets)]),
-        np.concatenate([plan.types for plan in plans]),
-        np.concatenate([plan.weights for plan in plans]),
-    )
-    seats = np.concatenate([plan.mass for plan in plans]) * inst.G(r)
-    k = int(np.argmax(np.bincount(np.repeat(np.arange(len(plans)), sizes), weights=seats)))
-    s_star, plan = float(inst.type_grid[k]), plans[k]
-    above = inst.type_grid >= s_star
+    """Exhaustive scan of the cutoff over the type grid for the family of
+    ``builder``: the family's cutoff x type table is solved in one
+    ``district_threshold`` call, and the first best cutoff wins.  Only the
+    winner is built as a plan, after the table is freed."""
+    grid = inst.type_grid
+    district, types, weights, mass, row = _cutoff_table(inst, grid, _FAMILIES[builder])
+    seats = mass * inst.G(district_threshold(inst, district, types, weights))
+    k = int(np.argmax(np.bincount(row, weights=seats)))
+    del district, types, weights, mass, row, seats
+    s_star = float(grid[k])
+    plan = builder(inst, s_star)
+    above = grid >= s_star
     w = inst.type_weights[above]
-    pool_mean = float(w @ inst.type_grid[above] / w.sum()) if w.sum() > 0 else None
+    pool_mean = float(w @ grid[above] / w.sum()) if w.sum() > 0 else None
     return BenchmarkResult(cutoff=s_star, pool_mean=pool_mean, value=expected_seat_share(inst, plan), plan=plan)

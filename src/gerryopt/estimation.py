@@ -152,6 +152,8 @@ def _parse_row(row: dict, line: int) -> PrecinctRecord:
         raise GerryOptError(f"line {line}: rep_share outside [0, 1]")
     if rec.contested is None:
         raise GerryOptError(f"line {line}: contested must be 0, 1, true or false")
+    if any(label.endswith("\0") for label in (rec.state, rec.precinct_id, rec.district_id)):
+        raise GerryOptError(f"line {line}: malformed row (a label ends in a NUL byte)")
     if not all(-(2**63) <= n < 2**63 for n in (rec.year, rec.total_votes)):
         raise GerryOptError(f"line {line}: malformed row (integer outside the 64-bit range)")
     return rec
@@ -184,12 +186,17 @@ def _read_chunk(chunk: list, index: list) -> tuple:
     rows = [row + [""] * width for row in chunk] if short.any() else chunk  # a short row is rejected
     columns = list(zip(*rows)) or [()] * width
     field = {name: columns[i] for name, i in zip(CSV_FIELDS, index)}
-    out = {name: np.array([text.strip().encode() for text in field[name]], dtype=bytes) for name, _ in _LABELLED}
-    out["contested"] = np.array([text.strip().lower().encode() for text in field["contested"]], dtype=bytes)
+    texts = {name: [text.strip().encode() for text in field[name]] for name, _ in _LABELLED}
+    texts["contested"] = [text.strip().lower().encode() for text in field["contested"]]
+    out, nul = {}, np.zeros(len(chunk), bool)
+    for name, values in texts.items():
+        # a bytes array drops a trailing NUL, so such a row is left to _parse_row
+        nul |= np.fromiter((value.endswith(b"\0") for value in values), bool, len(values))
+        out[name] = np.array(values, dtype=bytes)
     out["year"], bad_year = _numbers(field["year"], int, np.int64)
     out["total_votes"], bad_votes = _numbers(field["total_votes"], int, np.int64)
     out["rep_share"], bad_share = _numbers(field["rep_share"], float, np.float64)
-    return out, ~(short | bad_year | bad_votes | bad_share), chunk.__getitem__
+    return out, ~(short | nul | bad_year | bad_votes | bad_share), chunk.__getitem__
 
 
 def _load_chunk(lines: list, index: list) -> tuple | None:
@@ -299,8 +306,9 @@ def ingest(path: str, strict: bool = False) -> tuple[Returns, FilterReport]:
     Malformed rows are fatal under ``strict``, otherwise skipped and reported
     with their line numbers, which count non-blank records from 2 (as
     ``csv.DictReader`` does).  A ``contested`` value is 0, 1, true or false in
-    any case; any other makes its row malformed, as does an integer field
-    outside the 64-bit range.  The kept rows come back in file order.
+    any case; any other makes its row malformed, as do an integer field
+    outside the 64-bit range and a label that ends in a NUL byte.  The kept
+    rows come back in file order.
 
     Records are read in chunks of ``CHUNK_ROWS``.  A chunk whose lines are
     ASCII, unquoted, not blank, at most ``_FAST_LINE`` characters long and

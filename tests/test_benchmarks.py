@@ -89,6 +89,28 @@ def test_no_idio_value_matches_quadrature(gamma):
     assert exact == pytest.approx(smooth, abs=5e-3)
 
 
+def _no_idio_loop(inst):
+    """Reference: the integral summed one grid step at a time."""
+    cum = np.cumsum(inst.type_weights)
+    g_at = np.asarray(inst.G(inst.type_grid), dtype=float)
+    value = float(g_at[0])
+    for i in range(inst.type_grid.size - 1):
+        value += min(1.0, 2.0 * (1.0 - cum[i])) * float(g_at[i + 1] - g_at[i])
+    return value
+
+
+def test_no_idio_value_matches_loop_reference():
+    rng = np.random.default_rng(9)
+    instances = [M.uniform_instance(n=1), M.uniform_instance(n=201, gamma=6.0)]
+    for i in range(100):
+        n = int(rng.integers(2, 120))
+        w = rng.dirichlet(np.full(n, (0.05, 1.0)[i % 2]))
+        grid = np.sort(rng.choice(np.linspace(-3, 3, 601), n, replace=False))
+        instances.append(M.ProblemInstance(grid, w / w.sum(), (M.NORMAL, M.LOGISTIC)[i % 2], float(rng.uniform(0.2, 30))))
+    for inst in instances:
+        assert B.no_idiosyncratic_value(inst) == _no_idio_loop(inst)  # bit for bit: both add left to right
+
+
 def test_matching_slices_equals_quadrature_value(solve_cached):
     # under step vote shares the matching-slices plan attains the
     # min(1, 2(1-F)) dG integral
@@ -240,6 +262,114 @@ def test_optimized_benchmarks_close_to_reference(solve_cached):
         assert sol.objective == pytest.approx(lp_target, abs=2e-3)
         assert pc.value == pytest.approx(pc_target, abs=2e-3)
         assert sol.objective >= pc.value - 1e-9
+
+
+def _pop_pool_loop(inst, s_star):
+    """Reference: one pack-opponents-and-pool plan, built type by type."""
+    grid, f = inst.type_grid, inst.type_weights
+    low = (grid < s_star) & (f > 0)
+    high = (grid >= s_star) & (f > 0)
+    if not np.any(high):
+        return M.segregation_plan(inst)
+    mass, n = f[high].sum(), int(low.sum())
+    district = np.minimum(np.arange(n + int(high.sum())), n)
+    return M.Plan(district, np.r_[grid[low], grid[high]], np.r_[np.ones(n), f[high] / mass], np.r_[f[low], mass])
+
+
+def _pack_and_crack_loop(inst, s_star):
+    """Reference: one traditional pack-and-crack plan, each pool summed alone."""
+    grid, f = inst.type_grid, inst.type_weights
+    keep = f > 0
+    w = f[keep]
+    district = (grid[keep] >= s_star).astype(np.intp)
+    district -= district[0]  # a single pool when no type lies below the cutoff
+    mass = np.array([w[district == d].sum() for d in range(district[-1] + 1)])
+    return M.Plan(district=district, types=grid[keep], weights=w / mass[district], mass=mass)
+
+
+LOOP_BUILDERS = {B.pop_pool_plan: _pop_pool_loop, B.traditional_pc_plan: _pack_and_crack_loop}
+
+
+def _loop_scan(inst, builder):
+    """Reference: one plan per grid cutoff, all thresholds in one call, the first best cutoff."""
+    plans = [LOOP_BUILDERS[builder](inst, float(s)) for s in inst.type_grid]
+    sizes = np.array([plan.mass.size for plan in plans])
+    offsets = np.cumsum(sizes) - sizes
+    r = M.district_threshold(
+        inst,
+        np.concatenate([plan.district + o for plan, o in zip(plans, offsets)]),
+        np.concatenate([plan.types for plan in plans]),
+        np.concatenate([plan.weights for plan in plans]),
+    )
+    seats = np.concatenate([plan.mass for plan in plans]) * inst.G(r)
+    values = np.bincount(np.repeat(np.arange(len(plans)), sizes), weights=seats)
+    k = int(np.argmax(values))
+    return float(inst.type_grid[k]), values[k]
+
+
+def _dirichlet_instance(rng, n, alpha, gamma, taste):
+    w = rng.dirichlet(np.full(n, alpha))
+    w[rng.random(n) < 0.2] = 0.0  # zero-weight types
+    w[rng.integers(n)] += 1e-3  # at least one positive weight
+    return M.ProblemInstance(type_grid=np.sort(rng.choice(np.linspace(-2, 2, 401), n, replace=False)),
+                             type_weights=w / w.sum(), taste=taste, gamma=gamma)
+
+
+def _table_instances():
+    w = np.array([0.0, 0.0, 0.1, 0.3, 0.0, 0.2, 0.4, 0.0, 0.0])  # zero weights at both ends and inside
+    rng = np.random.default_rng(3)
+    return [
+        M.uniform_instance(n=11, gamma=2.0),
+        M.ProblemInstance(type_grid=np.linspace(-1, 1, 9), type_weights=w, gamma=6.0),
+        *(_dirichlet_instance(rng, 25, 0.3, 2.0, M.NORMAL) for _ in range(5)),
+    ]
+
+
+@pytest.mark.parametrize("builder", [B.pop_pool_plan, B.traditional_pc_plan], ids=["pop_pool", "pack_and_crack"])
+def test_cutoff_table_rows_match_loop_builders(builder):
+    for inst in _table_instances():
+        grid = inst.type_grid
+        # every grid point, the top ones above every positive-weight type, and the midpoints
+        cutoffs = np.r_[grid, 0.5 * (grid[1:] + grid[:-1])]
+        district, types, weights, mass, row = B._cutoff_table(inst, cutoffs, B._FAMILIES[builder])
+        m = int(np.count_nonzero(inst.type_weights))
+        assert district.size == types.size == weights.size == cutoffs.size * m
+        sizes = np.bincount(row, minlength=cutoffs.size)
+        ends = np.cumsum(sizes)
+        for k, s_star in enumerate(cutoffs):
+            want = LOOP_BUILDERS[builder](inst, float(s_star))
+            entries = slice(k * m, (k + 1) * m)
+            assert np.array_equal(district[entries] - (ends[k] - sizes[k]), want.district)
+            assert np.array_equal(types[entries], want.types)
+            # a pool's mass is summed in entry order here, pairwise in the loop
+            np.testing.assert_allclose(weights[entries], want.weights, rtol=4 * M.ROUNDING_TOL, atol=0)
+            np.testing.assert_allclose(mass[ends[k] - sizes[k] : ends[k]], want.mass, rtol=4 * M.ROUNDING_TOL, atol=0)
+            # the one-cutoff builder is the table's one row
+            plan = builder(inst, float(s_star))
+            assert np.array_equal(plan.district, district[entries] - (ends[k] - sizes[k]))
+            assert np.array_equal(plan.weights, weights[entries])
+            assert np.array_equal(plan.mass, mass[ends[k] - sizes[k] : ends[k]])
+
+
+def test_optimize_cutoff_matches_loop_scan():
+    instances = [
+        M.uniform_instance(n=n, gamma=gamma, taste=taste)
+        for taste in (M.NORMAL, M.LOGISTIC)
+        for n in (3, 11, 41, 101, 201)
+        for gamma in (0.5, 1.0, 1.4, 2.0, 3.0, 6.0, 15.0, 30.0)
+    ]
+    rng = np.random.default_rng(8)
+    instances += [
+        _dirichlet_instance(rng, int(rng.integers(3, 60)), 0.05 if i % 2 else 1.0, float(rng.uniform(0.5, 20)),
+                            (M.NORMAL, M.LOGISTIC)[i % 2])
+        for i in range(20)
+    ]
+    for inst in instances:
+        for builder in (B.pop_pool_plan, B.traditional_pc_plan):
+            got = B.optimize_cutoff(inst, builder)
+            cutoff, value = _loop_scan(inst, builder)
+            assert got.cutoff == cutoff
+            assert got.value == pytest.approx(value, abs=1e-13)
 
 
 def test_benchmark_result_json_round_trip():

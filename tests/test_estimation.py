@@ -415,6 +415,28 @@ def test_contested_checked_after_the_other_fields(tmp_path):
     assert report.bad_rows == [(2, "line 2: total_votes must be >= 1"), (3, "line 3: rep_share outside [0, 1]")]
 
 
+def test_fields_ending_in_nul_are_reported(tmp_path, monkeypatch):
+    # a numpy bytes array drops trailing NULs: "1\0" read as "1" kept the row,
+    # and "AA\0" merged with "AA"
+    rows = [
+        ["AA", 2016, "p1", "d1", 900, 0.4, "1"],
+        ["AA", 2016, "p2", "d1", 900, 0.4, "1\0"],
+        ["AA\0", 2016, "p3", "d1", 900, 0.4, "1"],
+        ["AA", 2016, "p4", "d1\0 ", 900, 0.4, "1"],
+    ]
+    path = tmp_path / "returns.csv"
+    write_csv(path, rows)
+    returns, report = E.ingest(str(path))
+    assert report.n_input == 1
+    assert report.bad_rows == [
+        (3, "line 3: contested must be 0, 1, true or false"),
+        (4, "line 4: malformed row (a label ends in a NUL byte)"),
+        (5, "line 5: malformed row (a label ends in a NUL byte)"),
+    ]
+    assert returns.states.tolist() == ["AA"]
+    assert_ingest_matches_oracle(path, monkeypatch)
+
+
 INT64 = (-(2**63), 2**63)
 
 
@@ -475,7 +497,7 @@ SPELLINGS = {
     "precinct_id": (
         ["p1", "p2", "p3", "precinct-1", "precinct-10", "precinct-9"],
         [],
-        [" p1", "p1 ", "p\n1", "p,1", "p\r\n2", "p\x001", '"p2"', "precinct-é", "pé"],
+        [" p1", "p1 ", "p\n1", "p,1", "p\r\n2", "p\x001", "p1\x00", '"p2"', "precinct-é", "pé"],
     ),
     "district_id": (["d1", "d2", "district-a", "district-b"], [], ["d1 ", "d\t1", "d\x0c1", "district-ä", "dΩ"]),
     "total_votes": (["900", "50", "+70", str(2**63 - 1)], ["49", "0", "-3"], ["9_00", "９００", " 900 ", "1e3", "", str(2**63)]),
@@ -484,7 +506,7 @@ SPELLINGS = {
         ["0", "1", "1.0", "1.5", "-0", "nan", "inf", "-inf", "NaN", "Infinity"],
         ["0_5", "0.5 ", "٠.٥", "nan(1)", "0x1p-1", "", "0.5\x7f"],
     ),
-    "contested": (["1", "true", "TRUE"], ["0", "False", "yes", ""], [" 1", "\t1", "TRUE ", "ｔｒｕｅ"]),
+    "contested": (["1", "true", "TRUE"], ["0", "False", "yes", ""], [" 1", "\t1", "TRUE ", "ｔｒｕｅ", "1\x00"]),
 }
 
 

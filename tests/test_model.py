@@ -95,6 +95,34 @@ def _bisection_oracle(taste, types, weights):
     return (lo + hi) / 2, f
 
 
+def _counting(taste):
+    """``taste`` with a cdf that counts its calls (one per vectorised pass)."""
+    calls = []
+
+    def cdf(x):
+        calls.append(1)
+        return taste.cdf(x)
+
+    return replace(taste, cdf=cdf), calls
+
+
+def _random_districts(rng):
+    """Seeded non-uniform districts: Dirichlet(0.05) weights on random types."""
+    districts = []
+    for size in rng.integers(2, 30, 24):
+        types = np.sort(rng.choice(np.linspace(-3.0, 3.0, 121), size, replace=False))
+        weights = rng.dirichlet(np.full(size, 0.05))
+        weights = np.maximum(weights, 1e-300)  # a zero draw would be no entry
+        districts.append((types, weights / weights.sum()))
+    return districts
+
+
+def _entries(districts):
+    """The (district code, type, weight) entry columns of ``(types, weights)`` districts."""
+    code = np.repeat(np.arange(len(districts)), [t.size for t, _ in districts])
+    return code, np.concatenate([t for t, _ in districts]), np.concatenate([w for _, w in districts])
+
+
 def test_threshold_against_bisection_oracle():
     pool = np.linspace(-0.3, 0.9, 51)
     pool_w = np.linspace(1.0, 2.0, 51)
@@ -103,12 +131,15 @@ def test_threshold_against_bisection_oracle():
         (np.array([0.25]), np.array([1.0])),  # one type
         (np.array([-1.0, 0.6]), np.array([0.8, 0.2])),
         (pool, pool_w / pool_w.sum()),  # a 51-type pool
+        # far apart and skewed: from the mean 2.4 the Newton step (about 470)
+        # leaves the bracket [-6, 6], so the safeguard bisects
+        (np.array([-6.0, 6.0]), np.array([0.3, 0.7])),
     ]
-    code = np.repeat(np.arange(len(districts)), [t.size for t, _ in districts])
-    types = np.concatenate([t for t, _ in districts])
-    weights = np.concatenate([w for _, w in districts])
+    districts += _random_districts(np.random.default_rng(11))
+    code, types, weights = _entries(districts)
     for taste in (M.NORMAL, M.LOGISTIC):
-        inst = M.uniform_instance(gamma=1.0, taste=taste)
+        counted, calls = _counting(taste)
+        inst = M.uniform_instance(gamma=1.0, taste=counted)
         r = M.district_threshold(inst, code, types, weights)
         assert r.shape == (len(districts),)
         assert r[1] == 0.25
@@ -116,6 +147,41 @@ def test_threshold_against_bisection_oracle():
             want, f = _bisection_oracle(taste, t, w)
             assert got == pytest.approx(want, abs=1e-10)
             assert f(got) == pytest.approx(0.0, abs=1e-10)
+        # Newton steps plus the residual check; a bisection to the stopping
+        # width takes over 50 passes
+        assert len(calls) <= 12
+
+
+def test_threshold_of_a_symmetric_pool_takes_one_newton_step():
+    # a pool symmetric about its weighted mean has the mean as its root.  At
+    # the mean of the first pool the excess is 0; at that of the second it
+    # is one rounding off 0, the mean becomes a bracket end, and the step
+    # rounds to 0, landing on that end.  Either way the step is taken and
+    # stops the iteration
+    for types, mean in ((np.linspace(-0.4, 0.8, 13), 0.2), (np.linspace(3.5, 4.7, 5), 4.1)):
+        weights = np.full(types.size, 1.0 / types.size)
+        for taste in (M.NORMAL, M.LOGISTIC):
+            counted, calls = _counting(taste)
+            r = M.district_threshold(M.uniform_instance(taste=counted), np.zeros(types.size, int), types, weights)
+            assert r[0] == pytest.approx(mean, rel=M.ROUNDING_TOL)
+            assert len(calls) == 2  # one Newton pass, one residual check
+
+
+def test_threshold_root_depends_on_its_own_district_only():
+    rng = np.random.default_rng(5)
+    districts = _random_districts(rng)
+    code, types, weights = _entries(districts)
+    inst = M.uniform_instance(taste=M.LOGISTIC)
+    batched = M.district_threshold(inst, code, types, weights)
+    alone = [M.district_threshold(inst, np.zeros(t.size, int), t, w)[0] for t, w in districts]
+    assert np.array_equal(batched, alone)
+
+
+def test_threshold_step_cap_raises(monkeypatch):
+    monkeypatch.setattr(M, "ROOT_STEPS", 1)
+    inst = M.uniform_instance()
+    with pytest.raises(M.ConvergenceError, match="more than 1 steps"):
+        M.district_threshold(inst, [0, 0], [-6.0, 6.0], [0.3, 0.7])
 
 
 def test_threshold_translation_invariance():
@@ -156,6 +222,18 @@ def test_seat_share_closed_forms():
     assert M.expected_seat_share(inst, M.uniform_plan(inst)) == pytest.approx(0.5, abs=1e-12)
     seg = M.expected_seat_share(inst, M.segregation_plan(inst))
     assert seg == pytest.approx(float(inst.type_weights @ inst.G(inst.type_grid)), abs=1e-12)
+
+
+def test_plan_checks_name_the_broken_sum():
+    with pytest.raises(M.GerryOptError, match="strictly positive"):
+        M.Plan(district=[0, 0], types=[0.0, 1.0], weights=[1.0, 0.0], mass=[1.0])
+    with pytest.raises(M.GerryOptError, match="district weights sum to 0.9"):
+        M.Plan(district=[0, 0], types=[0.0, 1.0], weights=[0.5, 0.4], mass=[1.0])
+    with pytest.raises(M.GerryOptError, match="plan masses sum to 0.8"):
+        M.Plan(district=[0, 1], types=[0.0, 1.0], weights=[1.0, 1.0], mass=[0.5, 0.3])
+    # two plans in one table: the second one's masses are checked on their own
+    with pytest.raises(M.GerryOptError, match="plan masses sum to 1.25"):
+        M.check_plan_entries(np.arange(4), np.ones(4), np.array([0.5, 0.5, 0.75, 0.5]), np.array([0, 0, 1, 1]))
 
 
 def test_off_grid_district_rejected():

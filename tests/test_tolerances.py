@@ -5,7 +5,9 @@ binds it (``from .model import SUPPORT_TOL`` makes a second binding), and the
 verdicts of the seat-share figure's instances must not move: regime label,
 bifurcation point, objective (to 1e-12), district counts, the single-dipped
 verdict and whether stage 1 fell back to HiGHS.  Only the stage-1 constants
-need a new solve; the others act after it.
+need a new solve; the others act after it.  The threshold root finder's step
+stop acts on the benchmark command instead: on the same instances, both
+tastes, its cutoffs must not move and its values not by more than 1e-12.
 """
 
 import sys
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from test_acceptance import FIG_GAMMAS
 
+from gerryopt import benchmarks as B
 from gerryopt import lp as L
 from gerryopt import model as M
 from gerryopt import verify as V
@@ -74,3 +77,26 @@ def test_residuals_keep_a_tenfold_margin_to_their_bounds(baseline):
         assert sol.duality_gap() <= 0.1 * V.DUAL_TOL
         report = V.check_dual_support_optimality(M.uniform_instance(n=n, gamma=g), a, sol.certificate)
         assert report.worst_slack <= 0.1 * V.DUAL_TOL
+
+
+def _benchmarks():
+    """Per case and taste: the optimized cutoffs, and the benchmark values."""
+    out = {}
+    for taste in (M.NORMAL, M.LOGISTIC):
+        for n, g in CASES:
+            inst = M.uniform_instance(n=n, gamma=g, taste=taste)
+            pop = B.optimize_cutoff(inst, B.pop_pool_plan)
+            pc = B.optimize_cutoff(inst, B.traditional_pc_plan)
+            slices = M.expected_seat_share(inst, B.matching_slices_plan(inst))
+            out[taste.name, n, g] = (pop.cutoff, pc.cutoff), np.array([pop.value, pc.value, slices])
+    return out
+
+
+@pytest.mark.parametrize("scale", [0.1, 10.0])
+def test_benchmarks_hold_across_the_root_step_plateau(monkeypatch, scale):
+    want = _benchmarks()
+    monkeypatch.setattr(M, "ROOT_STEP_ABS", M.ROOT_STEP_ABS * scale)
+    got = _benchmarks()
+    for key, (cutoffs, values) in want.items():
+        assert got[key][0] == cutoffs, key
+        assert np.abs(got[key][1] - values).max() <= 1e-12, key
