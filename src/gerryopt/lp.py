@@ -28,6 +28,11 @@ Solved in two stages:
    dual, so it is optimal and the stage-1 certificate stays valid for it.
    The reported objective is this vertex's value.
 
+Only HiGHS reads sparse equality columns, and ``_columns`` builds them for
+any set of cells: stage 2 those of its face, and the fallback the full
+2n x n^2 matrix (``LinearProgram.a_eq``, built on first use).  A solve that
+stays on the structured interior point never assembles that matrix.
+
 ``solve_and_classify`` runs the whole pipeline, instance to solution,
 pack-and-pair decomposition and regime; every command and sweep row uses it.
 """
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 from concurrent import futures
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -69,11 +75,21 @@ class LPSolveError(GerryOptError):
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """The grid LP: costs, right-hand side and vote shares.
+
+    Stage 1 reads the dense ``vote`` grid, not sparse columns.  ``a_eq``, the
+    full 2n x n^2 equality matrix, is built on first use, which only the
+    HiGHS fallback makes; stage 2 builds its face's columns by ``_columns``.
+    """
+
     inst: ProblemInstance
     c: np.ndarray           # minimization costs, -G(r) per column
-    a_eq: sparse.csr_matrix
     b_eq: np.ndarray
     vote: np.ndarray        # v(s, r) on the (type, threshold) grid
+
+    @cached_property
+    def a_eq(self) -> sparse.csr_matrix:
+        return _columns(self, np.arange(self.c.size))
 
 
 @dataclass(frozen=True)
@@ -130,23 +146,26 @@ class LPSolution:
 
 
 def build_lp(inst: ProblemInstance) -> LinearProgram:
-    """Assemble costs and equality constraints; the thresholds are the type grid."""
+    """Assemble costs, right-hand side and vote shares; the thresholds are the type grid."""
     s = r = inst.type_grid
-    n_s = n_r = s.size
     vote = vote_share(inst, s[:, None], r[None, :])
+    c = -np.tile(np.asarray(inst.G(r), dtype=float), s.size)
+    b_eq = np.concatenate([inst.type_weights, np.zeros(r.size)])
+    return LinearProgram(inst=inst, c=c, b_eq=b_eq, vote=vote)
 
-    c = -np.tile(np.asarray(inst.G(r), dtype=float), n_s)
 
-    var = np.arange(n_s * n_r)
-    type_of_var = var // n_r
-    thr_of_var = var % n_r
-    # stack type-marginal rows (0..n_s-1) then threshold rows (n_s..n_s+n_r-1)
-    rows = np.concatenate([type_of_var, n_s + thr_of_var])
-    cols = np.concatenate([var, var])
-    data = np.concatenate([np.ones(n_s * n_r), (vote - 0.5).ravel()])
-    a_eq = sparse.coo_matrix((data, (rows, cols)), shape=(n_s + n_r, n_s * n_r)).tocsr()
-    b_eq = np.concatenate([inst.type_weights, np.zeros(n_r)])
-    return LinearProgram(inst=inst, c=c, a_eq=a_eq, b_eq=b_eq, vote=vote)
+def _columns(lp: LinearProgram, cells: np.ndarray) -> sparse.csr_matrix:
+    """The equality columns of ``cells`` (flat (type, threshold) indices), in order.
+
+    Cell (s, r) has 1 in type row s and v(s,r) - 1/2 in threshold row r; the
+    type rows come first, then the threshold rows.
+    """
+    n_s, n_r = lp.vote.shape
+    type_of, thr_of = np.divmod(cells, n_r)
+    k = np.arange(cells.size)
+    rows = np.concatenate([type_of, n_s + thr_of])
+    data = np.concatenate([np.ones(cells.size), lp.vote.ravel()[cells] - 0.5])
+    return sparse.coo_matrix((data, (rows, np.concatenate([k, k]))), shape=(n_s + n_r, cells.size)).tocsr()
 
 
 def _assignment(lp: LinearProgram, x: np.ndarray) -> AssignmentMatrix:
@@ -315,7 +334,7 @@ def _max_packed_on_face(lp: LinearProgram, face: np.ndarray) -> tuple[np.ndarray
     """
     # a packed cell puts type s in a district with threshold r = s
     packed = np.eye(lp.inst.type_grid.size, dtype=bool).ravel()[face]
-    res = _highs(-packed.astype(float), lp.a_eq[:, face], lp.b_eq, "highs-ds", "stage 2 (max packed on face)")
+    res = _highs(-packed.astype(float), _columns(lp, face), lp.b_eq, "highs-ds", "stage 2 (max packed on face)")
     x = np.zeros(lp.c.size)
     x[face] = res.x
     return x, {"face_cells": int(face.size), "stage2_iterations": int(res.nit)}

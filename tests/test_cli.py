@@ -213,6 +213,13 @@ BENCHMARK_GAMMA2 = {
 }
 BENCHMARK_GAMMA2_NO_AGGREGATE_SHA256 = "3663ce58ff855529fd339a5d76a370477de539ecd90a558a0c1df675d054abed"
 SOLVE_GRID41_PLAN_SHA256 = "712d4ce3cef0c2e204cd44518c846d09a91a9bd7ef9541a2911b3fc621bb2fec"
+# `sweep --grid 101` over the figure's nine gamma and `solve --gamma 2 --grid 101`.
+# summary.json and dual.csv stay unpinned: their stage-1 digits depend on the BLAS build.
+SWEEP_GRID101_SHA256 = "640de3f025bd5597646bc040d492cba780021f09e7cb9d27d5fa938cb29e7979"
+SOLVE_GRID101_SHA256 = {
+    "plan.json": "f70225de0476bb17465cd00981781b3fa94d0243defd3b27751bbe8f0644f085",
+    "assignment.csv": "79c2b5779463fd458fe4ef47bd64678d8aaac5e93c8bd9798a724153504989a2",
+}
 
 
 def test_benchmark_and_plan_outputs_pinned(tmp_path, capsys):
@@ -232,6 +239,17 @@ def test_benchmark_and_plan_outputs_pinned(tmp_path, capsys):
     code, _out, err = run(capsys, "solve", "--gamma", "2", "--grid", "41", "--out", str(tmp_path / "s"))
     assert code == 0, err
     assert _sha256(tmp_path / "s" / "plan.json") == SOLVE_GRID41_PLAN_SHA256
+
+
+def test_lp_outputs_pinned(tmp_path, capsys):
+    gammas = "0.2,0.5,1,1.2,1.4,1.6,1.7,3,6"
+    code, _out, err = run(capsys, "sweep", "--grid", "101", "--gammas", gammas, "--out", str(tmp_path / "w"))
+    assert code == 0, err
+    assert _sha256(tmp_path / "w" / "sweep.csv") == SWEEP_GRID101_SHA256
+
+    code, _out, err = run(capsys, "solve", "--gamma", "2", "--grid", "101", "--out", str(tmp_path / "s"))
+    assert code == 0, err
+    assert {name: _sha256(tmp_path / "s" / name) for name in SOLVE_GRID101_SHA256} == SOLVE_GRID101_SHA256
 
 
 def test_verify_pap_exit_zero(tmp_path, capsys):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.optimize import linprog, nnls
 
 from gerryopt import estimation as E
@@ -323,6 +324,64 @@ def test_face_vertex_independent_of_stage1_method(n, gamma):
         label_h, rb_h, pi_h = face_vertex(prog, L._stage1_highs(prog, method))
         assert (label, rb) == (label_h, rb_h), method
         assert np.max(np.abs(pi - pi_h)) <= 1e-12, method
+
+
+# the figure's nine gamma, then two where the verdict reads pack-and-pair
+TIE_GAMMAS = [0.2, 0.5, 1.0, 1.2, 1.4, 1.6, 1.7, 3.0, 6.0, 10.0, 30.0]
+
+
+@pytest.mark.parametrize("gamma", TIE_GAMMAS)
+def test_verdict_survives_random_tie_breaks(gamma):
+    # Many optimal vertices can share the maximum packed mass.  A random cost
+    # of 1e-7 per face cell picks one of them; the label and r_b must be the
+    # same on every pick.
+    prog = L.build_lp(M.uniform_instance(n=101, gamma=gamma))
+    stage1 = L._stage1_ipm(prog)
+    label, rb, _pi = face_vertex(prog, stage1)
+    face = stage1[1]
+    packed = np.eye(101).ravel()[face]
+    columns = L._columns(prog, face)
+    for seed in range(12):
+        noise = 1e-7 * np.random.default_rng(seed).standard_normal(face.size)
+        res = L._highs(noise - packed, columns, prog.b_eq, "highs-ds", "tie-break")
+        x = np.zeros(prog.c.size)
+        x[face] = res.x
+        decomp = V.decompose_pack_and_pair(L._assignment(prog, x))
+        assert (V.classify_regime(decomp), decomp.bifurcation) == (label, rb), seed
+
+
+def _coo_a_eq(prog):
+    """The whole equality matrix in one COO assembly: the reference for ``_columns``."""
+    n_s, n_r = prog.vote.shape
+    var = np.arange(n_s * n_r)
+    rows = np.concatenate([var // n_r, n_s + var % n_r])
+    data = np.concatenate([np.ones(n_s * n_r), (prog.vote - 0.5).ravel()])
+    return sparse.coo_matrix((data, (rows, np.concatenate([var, var]))), shape=(n_s + n_r, n_s * n_r)).tocsr()
+
+
+def _same_csr(got, want):
+    assert got.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, part), getattr(want, part)), part
+
+
+@pytest.mark.parametrize("taste", [M.NORMAL, M.LOGISTIC], ids=lambda t: t.name)
+@pytest.mark.parametrize("n", [3, 41, 101])
+def test_equality_columns_match_coo_assembly(n, taste):
+    prog = L.build_lp(M.uniform_instance(n=n, gamma=2.0, taste=taste))
+    _same_csr(prog.a_eq, _coo_a_eq(prog))
+    # stage 2 hands HiGHS the face's columns, as sliced from the whole matrix
+    face = L._stage1_ipm(prog)[1]
+    _same_csr(L._columns(prog, face), prog.a_eq[:, face])
+
+
+def test_only_the_fallback_builds_the_whole_matrix(monkeypatch):
+    prog = L.build_lp(M.uniform_instance(n=41, gamma=2.0))
+    L.solve_lp(prog)
+    assert "a_eq" not in vars(prog)
+    monkeypatch.setattr(L, "IPM_MAX_ITER", 3)
+    assert L.solve_lp(prog).stats["stage1_method"] == "highs-ipm"
+    assert "a_eq" in vars(prog)
 
 
 @pytest.mark.parametrize("n,gamma", FACE_CASES)
