@@ -218,9 +218,7 @@ def cmd_verify(args) -> int:
 
         sol, decomp, regime = lpmod.solve_and_classify(inst)
         sd = vf.check_single_dipped(sol.assignment)
-        dual = vf.check_dual_support_optimality(
-            inst, sol.assignment, sol.certificate, tol_multiplier=vf.POOLING_TOL
-        )
+        dual = vf.check_dual_support_optimality(inst, sol.assignment, sol.certificate)
         gap = sol.duality_gap()
         checks["single_dipped"] = {"ok": sd.ok, "detail": {"n_violations": len(sd.violations)}}
         checks["pack_and_pair"] = {

@@ -10,6 +10,8 @@ string fields stored as integer codes into sorted label arrays.
 ``PrecinctRecord`` is the one-row view (``Returns.rows``,
 ``Returns.from_records``).  ``ingest``'s two chunk readers hand over one shape:
 an entry per row in every column, a string field as stripped UTF-8 bytes.
+``from_records`` builds its columns the same way, so ``_sorted_codes`` is the
+one label coder.
 """
 
 from __future__ import annotations
@@ -114,23 +116,15 @@ class Returns:
         for values in zip(*(c.tolist() for c in columns)):
             yield PrecinctRecord(*values)
 
-    @classmethod
-    def from_records(cls, records) -> Returns:
+    @staticmethod
+    def from_records(records) -> Returns:
+        """The table of ``PrecinctRecord`` rows, coded as ``ingest`` codes a file."""
         records = list(records)
-
-        def column(name, dtype):
-            return np.array([getattr(r, name) for r in records], dtype=dtype)
-
-        coded = {}
-        for codes, labels in _LABELLED:
-            coded[labels], coded[codes] = np.unique(column(codes, str), return_inverse=True)
-        return cls(
-            year=column("year", np.int64),
-            total_votes=column("total_votes", np.int64),
-            rep_share=column("rep_share", np.float64),
-            contested=column("contested", bool),
-            **coded,
-        )
+        chunk = {name: np.array([getattr(r, name) for r in records], dtype) for name, dtype in _NUMERIC.items()}
+        chunk["contested"] = np.array([r.contested for r in records], bool)
+        for name, _ in _LABELLED:
+            chunk[name] = np.array([getattr(r, name).encode() for r in records], bytes)
+        return _compacted(_concat([chunk]))
 
 
 def _parse_row(row: dict, line: int) -> PrecinctRecord:

@@ -17,8 +17,8 @@ Solved in two stages:
    and dual residuals below IPM_TOL and a complementarity sum x*z below
    IPM_GAP; its equality duals (the certificate multipliers
    lambda(r) and voter values phi(s)) are the ones reported, and the
-   optimal face is the cells where x > z.  If the factorization fails early
-   or the iteration limit is hit, HiGHS interior point with crossover
+   optimal face is the cells where x > z.  If the factorization fails or
+   the iteration limit is hit, HiGHS interior point with crossover
    (``linprog``) runs instead and the face is the cells of zero reduced cost,
    phi(s) - G(r) - lambda(r)(v(s,r) - 1/2) <= FACE_TOL.
 2. The LP often has many optimal vertices, and structural verdicts (regime,
@@ -55,7 +55,6 @@ from .verify import PackAndPairDecomposition, RegimeLabel, classify_regime, deco
 FACE_TOL = 1e-9        # reduced cost of a face cell, HiGHS fallback only (forced at n=61: plateau 1e-13..1e-6)
 IPM_TOL = 1e-10        # relative primal and dual residuals at which stage 1 stops (stage-1 plateau 1e-11..1e-6)...
 IPM_GAP = 1e-14        # ...once the complementarity sum x*z is also below this (plateau 1e-16..1e-12)
-IPM_ACCEPT_GAP = 1e-11 # a failed factorization below this sum x*z accepts the iterate
 IPM_MAX_ITER = 60      # stage-1 Newton steps before HiGHS takes over
 IPM_SHIFT = 1e-14      # normal-matrix diagonal shift, relative to each diagonal entry (plateau 1e-18..1e-13)
 IPM_ETA = 0.99995      # fraction of the step to the boundary that is taken
@@ -272,8 +271,6 @@ def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
         try:
             solve = _schur_solver(a, d)
         except np.linalg.LinAlgError:
-            if gap < IPM_ACCEPT_GAP:
-                break
             raise _Stage1Failure(f"Schur complement not positive definite at sum x*z = {gap:.1e}") from None
 
         def direction(rc):  # Newton step with complementarity target z dx + x dz = rc

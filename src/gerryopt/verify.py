@@ -4,8 +4,10 @@ LP vertex solutions on a coarse threshold grid can pool many voter types into
 one threshold column (the continuum assigns them pair thresholds that all
 round to the same grid point).  Verification therefore first splits each
 column, on its own types only, into two-type districts balanced at the
-column's threshold, most extreme types first.  Column masses and thresholds
-are kept exactly, so the objective and feasibility are unchanged.  The split
+column's threshold: two pointers pair the most extreme remaining low and high
+types, and a type at the threshold is placed last.  Column masses and
+thresholds are kept exactly, so the objective and feasibility are unchanged,
+and the mass a column cannot place is its ``leftover``.  The split
 is one table, ``Districts``, with one entry per district in threshold order:
 its threshold, its low and high type (equal for a one-type district), the
 low type's share, its mass, and whether it is packed.  The single-dipped
@@ -43,10 +45,14 @@ PAP_GRID = -5.0 + 0.1 * np.arange(101)  # types s, r, s', s'' of the quadruple s
 # The bound still rejects the returned-vertex multiplier as reference (0.14 at
 # gamma=2), a formula scaled by 1.1 (0.11) and a g without its gamma (4.9).
 # It is validated only at gamma in {0.5, 2, 6}.  At larger gamma the error is
-# 4.8e-2 (gamma=10 and 15) and 0.199 (gamma=30, four times the bound).  At
-# gamma=6 it levels off as the grid is refined (6.8e-2, 2.1e-2, 1.9e-2 at
-# n = 101, 201, 401), so grid pooling alone does not explain it; the cause is
-# open.
+# 4.8e-2 (gamma=10 and 15) and 0.199 (gamma=30, four times the bound).
+# The worst column lies in the band of paired columns just above r_b (1 to 10
+# columns, all within 0.06 of r_b), where the continuum lambda(r) jumps.  At
+# n = 101, 201, 401 its error is 6.8e-2, 2.1e-2, 1.9e-2 at gamma=6 and 0.58,
+# 0.20, 0.14 at gamma=30 (there at r = 0.08).  Weighted by column mass the error
+# falls with the grid step: 1.1e-2, 6.3e-3, 2.3e-3 at gamma=6 and 0.54, 0.15,
+# 5.5e-2 at gamma=30.  So the formula holds in mass, and the sup measures how
+# finely the grid resolves the jump.
 POOLING_TOL = 0.05
 
 
@@ -98,17 +104,20 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
     """Decompose an assignment into packed and two-type districts.
 
     A column with one active type is a packed district.  Every other column
-    is split on its own members only: repeatedly pair the column's most
-    extreme remaining low type with its most extreme remaining high type at
-    the exact balance ratio for the column's threshold.  Column masses and
-    thresholds are kept, so the objective and feasibility are unchanged.
+    is split on its own members only, by two pointers: one walks the
+    column's low types upwards from the most extreme, the other its high
+    types downwards, and each step pairs the two at the exact balance ratio
+    for the column's threshold until one of them runs out.  A type sitting
+    exactly at the threshold is balanced by itself and is placed last, as a
+    degenerate pool member (payoff-equivalent to joining the pool).  Column
+    masses and thresholds are kept, so the objective and feasibility are
+    unchanged.  The mass a column's split cannot place adds to ``leftover``.
     """
     pi = assignment.pi
     grid = assignment.type_grid
-    vote = assignment.vote
     col_mass = pi.sum(axis=0)
 
-    rows = []  # (threshold, low, high, rho, mass, packed)
+    rows = []  # (threshold, low, high, rho, mass, packed), columns in threshold order
     leftover = 0.0
     refined = False
 
@@ -120,37 +129,28 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
             rows.append((r, i, i, 1.0, float(col_mass[j]), True))
             continue
         refined |= active.size > 2
-        rem = pi[:, j].copy()
-        rem[rem < SUPPORT_TOL] = 0.0
-        budget = float(col_mass[j])
-        while budget > SUPPORT_TOL:
-            alive = np.flatnonzero(rem > SUPPORT_TOL)
-            if alive.size == 0:
-                break
-            lo, hi = int(alive[0]), int(alive[-1])
-            if lo < j < hi:
-                v_lo, v_hi = vote[lo, j], vote[hi, j]
-                rho = (v_hi - 0.5) / (v_hi - v_lo)  # weight on the low type
-                t = float(min(budget, rem[lo] / rho, rem[hi] / (1.0 - rho)))
-            else:
-                # A type sitting exactly at this threshold is balanced by
-                # itself: place it as a degenerate pool member
-                # (payoff-equivalent to joining the pool).
-                if rem[j] <= SUPPORT_TOL:
-                    break
-                lo = hi = int(j)
-                rho = 1.0
-                t = min(budget, float(rem[lo]))
+        rem, vote = pi[:, j].tolist(), assignment.vote[:, j].tolist()
+        # each pointer's next type is the last entry of its list
+        low, high = active[active < j][::-1].tolist(), active[active > j].tolist()
+        budget = float(col_mass[j])  # the column's unplaced mass
+        while budget > SUPPORT_TOL and low and high:
+            lo, hi = low[-1], high[-1]
+            rho = (vote[hi] - 0.5) / (vote[hi] - vote[lo])  # weight on the low type
+            t = min(budget, rem[lo] / rho, rem[hi] / (1.0 - rho))
             rows.append((r, lo, hi, rho, t, False))
-            # two scalar updates: a fancy-indexed update would drop one of
-            # them when lo == hi
             rem[lo] -= t * rho
             rem[hi] -= t * (1.0 - rho)
-            rem[rem < SUPPORT_TOL] = 0.0
             budget -= t
-        leftover += max(budget, 0.0) + float(rem.sum())
+            if rem[lo] <= SUPPORT_TOL:
+                low.pop()
+            if rem[hi] <= SUPPORT_TOL:
+                high.pop()
+        if budget > SUPPORT_TOL and rem[j] > SUPPORT_TOL:
+            t = min(budget, rem[j])
+            rows.append((r, int(j), int(j), 1.0, t, False))
+            budget -= t
+        leftover += budget
 
-    rows.sort(key=lambda row: row[0])
     columns = zip(*rows) if rows else [()] * 6
     dtypes = (float, int, int, float, float, bool)
     return Districts(*map(np.array, columns, dtypes), grid, float(leftover), refined)
@@ -274,14 +274,11 @@ class DualSupportReport:
     worst_slack: float        # max over active (s,r) of (best value) - (achieved value)
     part2_ok: bool
     worst_multiplier_error: float  # max over active columns of dist(formula, [L, U]) / max formula
-    part2_errors: list        # (r, L, U, formula) where the scaled distance exceeds the tolerance
+    part2_errors: list        # (r, L, U, formula) where the scaled distance exceeds POOLING_TOL
 
 
 def check_dual_support_optimality(
-    inst: ProblemInstance,
-    assignment: AssignmentMatrix,
-    cert: DualCertificate,
-    tol_multiplier: float = 1e-6,
+    inst: ProblemInstance, assignment: AssignmentMatrix, cert: DualCertificate
 ) -> DualSupportReport:
     """Verify the optimality certificate on the active support.
 
@@ -298,7 +295,7 @@ def check_dual_support_optimality(
     so the lambda(r) the solver returns there is one choice among many and is
     not compared.  Each column's distance from the formula to [L, U] is divided
     by the largest formula value on the support, so tail columns where both
-    are ~0 do not dominate.
+    are ~0 do not dominate, and part 2 holds within ``POOLING_TOL``.
     """
     g_of_r = np.asarray(inst.G(assignment.type_grid), dtype=float)
     values = g_of_r[None, :] + cert.lambda_[None, :] * (assignment.vote - 0.5)
@@ -323,12 +320,12 @@ def check_dual_support_optimality(
     worst2 = float(err.max())
     errors = [
         (float(r[k]), float(lower[k]), float(upper[k]), float(formula[k]))
-        for k in np.flatnonzero(err > tol_multiplier)
+        for k in np.flatnonzero(err > POOLING_TOL)
     ]
     return DualSupportReport(
         part1_ok=worst1 <= DUAL_TOL,
         worst_slack=worst1,
-        part2_ok=worst2 <= tol_multiplier,
+        part2_ok=worst2 <= POOLING_TOL,
         worst_multiplier_error=worst2,
         part2_errors=errors,
     )

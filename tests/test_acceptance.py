@@ -114,9 +114,7 @@ def test_criterion_7_duality(solve_cached):
     for gamma in (0.5, 2.0, 6.0):
         inst, sol = solve_cached(gamma)
         gap = sol.duality_gap()
-        rep = V.check_dual_support_optimality(
-            inst, sol.assignment, sol.certificate, tol_multiplier=POOLING_TOL
-        )
+        rep = V.check_dual_support_optimality(inst, sol.assignment, sol.certificate)
         gap_ok &= gap <= 1e-7
         p1_ok &= rep.part1_ok and rep.worst_slack <= 1e-7
         p2_ok &= rep.part2_ok and rep.worst_multiplier_error <= POOLING_TOL

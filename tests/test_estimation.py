@@ -169,6 +169,32 @@ def test_filters_idempotent(tmp_path):
     assert [(r.precinct_id, r.year) for r in kept2.rows()] == [(r.precinct_id, r.year) for r in kept.rows()]
 
 
+def test_from_records_orders_labels_as_numpy_orders_str(tmp_path):
+    # non-ASCII labels, and "a" a prefix of "ab"
+    labels = ["b", "a", "ab", "é", "Ñu"] * 2
+    fields = {"state": labels, "precinct_id": labels[::-1], "district_id": labels[2:] + labels[:2]}
+    records = [E.PrecinctRecord(s, 2016, p, d, 100, 0.5, True) for s, p, d in zip(*fields.values())]
+    table = E.Returns.from_records(records)
+    for (codes, names), values in zip(E._LABELLED, fields.values()):
+        want, inverse = np.unique(np.array(values, dtype=str), return_inverse=True)
+        for got, expected in ((getattr(table, names), want), (getattr(table, codes), inverse)):
+            assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert list(table.rows()) == records
+
+    empty = E.Returns.from_records([])
+    assert len(empty) == 0
+    for _codes, names in E._LABELLED:
+        assert getattr(empty, names).dtype == np.unique(np.array([], dtype=str)).dtype
+
+    path = tmp_path / "returns.csv"
+    E.simulate_returns(str(path), gamma=8.0, T=3, n_precincts=40, seed=2)
+    ingested, _report = E.ingest(str(path))
+    back = E.Returns.from_records(ingested.rows())
+    for name in (*E.CSV_FIELDS, "states", "precincts", "districts"):
+        got, want = getattr(back, name), getattr(ingested, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 # ---------------------------------------------------------------------------
 # gamma estimator
 # ---------------------------------------------------------------------------

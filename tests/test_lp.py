@@ -446,34 +446,23 @@ def _fail_cholesky(monkeypatch, from_call):
     monkeypatch.setattr(np.linalg, "cholesky", failing)
 
 
-@pytest.mark.parametrize("cause", ["start", "early", "iteration_limit"])
+@pytest.mark.parametrize("cause", ["start", "early", "late", "iteration_limit"])
 def test_stage1_falls_back_to_highs(monkeypatch, cause):
     prog = L.build_lp(M.uniform_instance(n=101, gamma=2.0))
     reference = L.solve_lp(prog)
     if cause == "iteration_limit":
         monkeypatch.setattr(L, "IPM_MAX_ITER", 3)
     else:
-        _fail_cholesky(monkeypatch, 1 if cause == "start" else 3)
+        # one factorization for the starting point and one per Newton step;
+        # "late" fails the last one, on the step before stage 1 would stop
+        last_call = reference.stats["stage1_iterations"] + 1
+        _fail_cholesky(monkeypatch, {"start": 1, "early": 3, "late": last_call}[cause])
     sol = L.solve_lp(prog)
     assert sol.stats["stage1_method"] == "highs-ipm"
     assert sol.stats["stage1_fallback"]
     assert np.max(np.abs(sol.assignment.pi - reference.assignment.pi)) <= 1e-12
     assert abs(sol.objective - reference.objective) <= 1e-12
     assert sol.duality_gap() <= V.DUAL_TOL
-
-
-def test_late_factorization_failure_accepts_the_iterate(monkeypatch):
-    prog = L.build_lp(M.uniform_instance(n=101, gamma=2.0))
-    reference = L.solve_lp(prog)
-    # one factorization for the starting point and one per Newton step
-    last_call = reference.stats["stage1_iterations"] + 1
-    _fail_cholesky(monkeypatch, last_call)
-    sol = L.solve_lp(prog)
-    assert sol.stats["stage1_method"] == "structured-ipm"
-    assert sol.stats["stage1_fallback"] is None
-    assert sol.stats["stage1_iterations"] == last_call - 2
-    assert sol.stats["stage1_complementarity"] < L.IPM_ACCEPT_GAP
-    assert np.max(np.abs(sol.assignment.pi - reference.assignment.pi)) <= 1e-12
 
 
 def test_stage2_failure_names_the_stage(monkeypatch):

@@ -6,6 +6,7 @@ import pytest
 from gerryopt import lp as L
 from gerryopt import model as M
 from gerryopt import verify as V
+from test_acceptance import FIG_GAMMAS
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +95,101 @@ def test_refinement_splits_each_column_on_its_own_types():
     pool = ~d.packed & ~two
     assert list(zip(d.threshold[pool], inst.type_grid[d.low[pool]])) == [(0.0, 0.0)]
     assert d.mass[pool] == pytest.approx([0.1], abs=1e-12)
+
+
+def _refine_reference(assignment):
+    """The rescanning split that ``refine_assignment``'s two pointers replaced,
+    kept as their oracle.  Its ``leftover`` adds the unplaced budget and the
+    unplaced remainder, which count the same mass twice, so it is not compared."""
+    pi, grid, vote = assignment.pi, assignment.type_grid, assignment.vote
+    col_mass = pi.sum(axis=0)
+    rows, leftover, refined = [], 0.0, False
+    for j in np.flatnonzero(col_mass > M.SUPPORT_TOL):
+        r = float(grid[j])
+        active = np.flatnonzero(pi[:, j] > M.SUPPORT_TOL)
+        if active.size == 1:
+            i = int(active[0])
+            rows.append((r, i, i, 1.0, float(col_mass[j]), True))
+            continue
+        refined |= active.size > 2
+        rem = pi[:, j].copy()
+        rem[rem < M.SUPPORT_TOL] = 0.0
+        budget = float(col_mass[j])
+        while budget > M.SUPPORT_TOL:
+            alive = np.flatnonzero(rem > M.SUPPORT_TOL)
+            if alive.size == 0:
+                break
+            lo, hi = int(alive[0]), int(alive[-1])
+            if lo < j < hi:
+                v_lo, v_hi = vote[lo, j], vote[hi, j]
+                rho = (v_hi - 0.5) / (v_hi - v_lo)
+                t = float(min(budget, rem[lo] / rho, rem[hi] / (1.0 - rho)))
+            else:
+                if rem[j] <= M.SUPPORT_TOL:
+                    break
+                lo = hi = int(j)
+                rho = 1.0
+                t = min(budget, float(rem[lo]))
+            rows.append((r, lo, hi, rho, t, False))
+            rem[lo] -= t * rho
+            rem[hi] -= t * (1.0 - rho)
+            rem[rem < M.SUPPORT_TOL] = 0.0
+            budget -= t
+        leftover += max(budget, 0.0) + float(rem.sum())
+    rows.sort(key=lambda row: row[0])
+    columns = zip(*rows) if rows else [()] * 6
+    dtypes = (float, int, int, float, float, bool)
+    return V.Districts(*map(np.array, columns, dtypes), grid, float(leftover), refined)
+
+
+def _assert_split_equal(got, want):
+    for name in ("threshold", "low", "high", "rho", "mass", "packed"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.refined == want.refined
+
+
+def _one_column(grid, masses, j):
+    """An assignment whose only column is threshold ``grid[j]``, holding ``masses``."""
+    inst = M.ProblemInstance(
+        type_grid=grid, type_weights=np.full(grid.size, 1.0 / grid.size), taste=M.NORMAL, gamma=1.0
+    )
+    v = M.vote_share(inst, grid[:, None], grid[None, :])
+    pi = np.zeros((grid.size, grid.size))
+    pi[:, j] = masses
+    return L.AssignmentMatrix(pi=pi, type_grid=grid, type_weights=pi.sum(axis=1), vote=v)
+
+
+@pytest.mark.parametrize("taste", [M.NORMAL, M.LOGISTIC], ids=lambda t: t.name)
+def test_split_matches_loop_reference_on_sweeps(taste):
+    for gamma in FIG_GAMMAS + [10.0, 30.0]:
+        sol = L.solve_lp(L.build_lp(M.uniform_instance(n=101, gamma=gamma, taste=taste)))
+        _assert_split_equal(V.refine_assignment(sol.assignment), _refine_reference(sol.assignment))
+
+
+def test_split_matches_loop_reference_on_threshold_type_and_unbalanced_tail():
+    # Column r = 0 holds two low types, the threshold type and three high
+    # types whose mass the low side cannot balance.
+    grid = np.array([-1.0, -0.6, -0.2, 0.0, 0.3, 0.7, 1.2])
+    a = _one_column(grid, [0.05, 0.1, 0.08, 0.07, 0.2, 0.25, 0.25], 3)
+    d, want = V.refine_assignment(a), _refine_reference(a)
+    _assert_split_equal(d, want)
+    assert d.refined
+    pool = d.low == d.high
+    assert list(d.low[pool]) == [3] and d.mass[pool] == pytest.approx([0.07], abs=1e-15)
+    placed = float(d.mass.sum())
+    assert d.leftover == pytest.approx(1.0 - placed, abs=1e-15)
+    assert want.leftover > d.leftover + 0.1  # the reference counted the high tail twice
+
+
+def test_split_counts_unplaced_mass_once():
+    # 0.3 low and 0.5 high mass pair 0.6 of the column; 0.2 of the high type is left.
+    a = _one_column(np.array([-1.0, 0.0, 1.0]), [0.3, 0.0, 0.5], 1)
+    d = V.refine_assignment(a)
+    assert float(d.mass.sum()) == pytest.approx(0.6, abs=1e-15)
+    assert abs(d.leftover - 0.2) <= 1e-15
+    assert not d.ok
+    assert V.decompose_pack_and_pair(a).reason == "column split left 2.00e-01 unplaced mass"
 
 
 # ---------------------------------------------------------------------------
@@ -562,34 +658,37 @@ def test_dual_support_max_attained(solve_cached, gamma):
 def test_dual_multiplier_check_ignores_packed_vertex_choice(solve_cached):
     # On a packed column the only active cell has v = 1/2, so any lambda in
     # [L, U] (bounds from phi on the other types) is an equally optimal dual.
-    inst, sol = solve_cached(2.0)
-    a, cert = sol.assignment, sol.certificate
-    base = V.check_dual_support_optimality(inst, a, cert)
-    assert all(r > -1.0 + 1e-9 for r, *_ in base.part2_errors)
+    for gamma in (2.0, 30.0):
+        inst, sol = solve_cached(gamma)
+        a, cert = sol.assignment, sol.certificate
+        base = V.check_dual_support_optimality(inst, a, cert)
+        # part 2 exceeds POOLING_TOL at gamma=30 (see its comment), but not at the packed column r = -1
+        assert len(base.part2_errors) > 0 if gamma == 30.0 else base.part2_ok
+        assert all(r > -1.0 + 1e-9 for r, *_ in base.part2_errors)
 
-    g_of_r = np.asarray(inst.G(a.type_grid), dtype=float)
-    active = a.pi > M.SUPPORT_TOL
-    packed = np.flatnonzero(active.sum(axis=0) == 1)
-    assert a.type_grid[packed[0]] == -1.0
-    lower, upper = np.empty(packed.size), np.empty(packed.size)
-    for k, j in enumerate(packed):
-        dv = a.vote[:, j] - 0.5
-        bound = (cert.phi - g_of_r[j]) / np.where(dv == 0, 1.0, dv)
-        lower[k] = bound[dv < 0].max() if (dv < 0).any() else -np.inf
-        upper[k] = bound[dv > 0].min() if (dv > 0).any() else np.inf
-    assert lower[0] == -np.inf  # no type lies below r = -1
-    lower = np.where(np.isfinite(lower), lower, upper - 1.0)
-    upper = np.where(np.isfinite(upper), upper, lower + 1.0)
+        g_of_r = np.asarray(inst.G(a.type_grid), dtype=float)
+        active = a.pi > M.SUPPORT_TOL
+        packed = np.flatnonzero(active.sum(axis=0) == 1)
+        assert a.type_grid[packed[0]] == -1.0
+        lower, upper = np.empty(packed.size), np.empty(packed.size)
+        for k, j in enumerate(packed):
+            dv = a.vote[:, j] - 0.5
+            bound = (cert.phi - g_of_r[j]) / np.where(dv == 0, 1.0, dv)
+            lower[k] = bound[dv < 0].max() if (dv < 0).any() else -np.inf
+            upper[k] = bound[dv > 0].min() if (dv > 0).any() else np.inf
+        assert lower[0] == -np.inf  # no type lies below r = -1
+        lower = np.where(np.isfinite(lower), lower, upper - 1.0)
+        upper = np.where(np.isfinite(upper), upper, lower + 1.0)
 
-    for t in (0.0, 0.5, 1.0):
-        lam = cert.lambda_.copy()
-        lam[packed] = lower + t * (upper - lower)
-        moved = L.DualCertificate(lambda_=lam, phi=cert.phi)
-        report = V.check_dual_support_optimality(inst, a, moved)
-        assert report.worst_slack < 1e-8  # still an optimal dual
-        assert report.part2_ok == base.part2_ok
-        assert report.worst_multiplier_error == base.worst_multiplier_error
-        assert report.part2_errors == base.part2_errors
+        for t in (0.0, 0.5, 1.0):
+            lam = cert.lambda_.copy()
+            lam[packed] = lower + t * (upper - lower)
+            moved = L.DualCertificate(lambda_=lam, phi=cert.phi)
+            report = V.check_dual_support_optimality(inst, a, moved)
+            assert report.worst_slack < 1e-8  # still an optimal dual
+            assert report.part2_ok == base.part2_ok
+            assert report.worst_multiplier_error == base.worst_multiplier_error
+            assert report.part2_errors == base.part2_errors
 
 
 def test_full_segregation_assignment_classified():
