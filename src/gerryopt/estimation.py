@@ -370,10 +370,6 @@ def norm_ppf(p):
     return ndtri(p)
 
 
-def norm_cdf(x):
-    return ndtr(x)
-
-
 def probit_transform(returns: Returns) -> np.ndarray:
     """w_nt = Q^{-1}(v_nt) per row."""
     return norm_ppf(returns.rep_share)

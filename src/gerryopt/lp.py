@@ -28,10 +28,10 @@ Solved in two stages:
    dual, so it is optimal and the stage-1 certificate stays valid for it.
    The reported objective is this vertex's value.
 
-Only HiGHS reads sparse equality columns, and ``_columns`` builds them for
-any set of cells: stage 2 those of its face, and the fallback the full
-2n x n^2 matrix (``LinearProgram.a_eq``, built on first use).  A solve that
-stays on the structured interior point never assembles that matrix.
+``LinearProgram`` keeps the problem on its grid, G(r) and v(s, r).  Only
+``_highs`` builds HiGHS's standard form: the right-hand side and, by
+``_columns``, the sparse equality columns of the cells it is given (stage 2's
+face, or all n^2 in the fallback).  The structured interior point reads the grid.
 
 ``solve_and_classify`` runs the whole pipeline, instance to solution,
 pack-and-pair decomposition and regime; every command and sweep row uses it.
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from concurrent import futures
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -62,7 +61,6 @@ IPM_ETA = 0.99995      # fraction of the step to the boundary that is taken
 # HiGHS, the fallback, is held to the feasibility at which stage 1 stops.
 # IPM_TOL's plateau was measured on stage 1 only, not on these two.
 HIGHS_OPTIONS = {
-    "presolve": True,
     "primal_feasibility_tolerance": IPM_TOL,
     "dual_feasibility_tolerance": IPM_TOL,
 }
@@ -74,21 +72,11 @@ class LPSolveError(GerryOptError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """The grid LP: costs, right-hand side and vote shares.
-
-    Stage 1 reads the dense ``vote`` grid, not sparse columns.  ``a_eq``, the
-    full 2n x n^2 equality matrix, is built on first use, which only the
-    HiGHS fallback makes; stage 2 builds its face's columns by ``_columns``.
-    """
+    """The grid LP; the type masses f(s) are ``inst.type_weights``."""
 
     inst: ProblemInstance
-    c: np.ndarray           # minimization costs, -G(r) per column
-    b_eq: np.ndarray
+    win: np.ndarray         # G(r) per threshold column
     vote: np.ndarray        # v(s, r) on the (type, threshold) grid
-
-    @cached_property
-    def a_eq(self) -> sparse.csr_matrix:
-        return _columns(self, np.arange(self.c.size))
 
 
 @dataclass(frozen=True)
@@ -145,12 +133,10 @@ class LPSolution:
 
 
 def build_lp(inst: ProblemInstance) -> LinearProgram:
-    """Assemble costs, right-hand side and vote shares; the thresholds are the type grid."""
+    """Evaluate G(r) and the vote shares; the thresholds are the type grid."""
     s = r = inst.type_grid
     vote = vote_share(inst, s[:, None], r[None, :])
-    c = -np.tile(np.asarray(inst.G(r), dtype=float), s.size)
-    b_eq = np.concatenate([inst.type_weights, np.zeros(r.size)])
-    return LinearProgram(inst=inst, c=c, b_eq=b_eq, vote=vote)
+    return LinearProgram(inst=inst, win=np.asarray(inst.G(r), dtype=float), vote=vote)
 
 
 def _columns(lp: LinearProgram, cells: np.ndarray) -> sparse.csr_matrix:
@@ -238,7 +224,7 @@ def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
     ``FloatingPointError`` when HiGHS must take over.
     """
     a = lp.vote - 0.5
-    c = lp.c.reshape(a.shape)
+    c = np.broadcast_to(-lp.win, a.shape)
     f = lp.inst.type_weights
     n_r = a.shape[1]
 
@@ -297,9 +283,11 @@ def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
     return np.concatenate([ys, yr]), np.flatnonzero((x > z).ravel()), stats
 
 
-def _highs(c: np.ndarray, a_eq, b_eq: np.ndarray, method: str, stage: str):
-    """The one HiGHS call: min c.x subject to a_eq x = b_eq, x >= 0."""
-    res = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method=method, options=HIGHS_OPTIONS)
+def _highs(lp: LinearProgram, cells: np.ndarray, c: np.ndarray, method: str, stage: str):
+    """The one HiGHS call: min c.x over the columns of ``cells`` (flat
+    (type, threshold) indices), subject to the LP's equality rows, x >= 0."""
+    rhs = np.concatenate([lp.inst.type_weights, np.zeros(lp.win.size)])
+    res = linprog(c, A_eq=_columns(lp, cells), b_eq=rhs, bounds=(0, None), method=method, options=HIGHS_OPTIONS)
     if res.status != 0:
         raise LPSolveError(f"{stage}: HiGHS status {res.status}: {res.message}")
     return res
@@ -311,9 +299,12 @@ def _stage1_highs(lp: LinearProgram, method: str = "highs-ipm") -> tuple[np.ndar
     The face is the cells of zero reduced cost under its dual,
     phi(s) - G(r) - lambda(r)(v(s,r) - 1/2) <= FACE_TOL.
     """
-    res = _highs(lp.c, lp.a_eq, lp.b_eq, method, f"stage 1 ({method})")
+    n_s = lp.vote.shape[0]
+    c = np.broadcast_to(-lp.win, lp.vote.shape)
+    res = _highs(lp, np.arange(c.size), c.ravel(), method, f"stage 1 ({method})")
     y = np.asarray(res.eqlin.marginals, dtype=float)
-    reduced = lp.c - lp.a_eq.T @ y
+    # c - A^T y on the grid, summed in the sparse product's order
+    reduced = (c - (y[:n_s, None] + (lp.vote - 0.5) * y[n_s:])).ravel()
     stats = {
         "stage1_method": method,
         "stage1_iterations": int(res.nit),
@@ -330,9 +321,9 @@ def _max_packed_on_face(lp: LinearProgram, face: np.ndarray) -> tuple[np.ndarray
     stage-2 statistics.
     """
     # a packed cell puts type s in a district with threshold r = s
-    packed = np.eye(lp.inst.type_grid.size, dtype=bool).ravel()[face]
-    res = _highs(-packed.astype(float), _columns(lp, face), lp.b_eq, "highs-ds", "stage 2 (max packed on face)")
-    x = np.zeros(lp.c.size)
+    type_of, thr_of = np.divmod(face, lp.win.size)
+    res = _highs(lp, face, -(type_of == thr_of).astype(float), "highs-ds", "stage 2 (max packed on face)")
+    x = np.zeros(lp.vote.size)
     x[face] = res.x
     return x, {"face_cells": int(face.size), "stage2_iterations": int(res.nit)}
 
@@ -354,7 +345,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     # rearranges to phi(s) >= G(r) + lambda(r)(v - 1/2) with phi = -y_s, lambda = y_r
     cert = DualCertificate(lambda_=y[n_s:], phi=-y[:n_s])
     stats.update(face_stats, face_tol=FACE_TOL)
-    return LPSolution(assignment=_assignment(lp, x), objective=float(-(lp.c @ x)), certificate=cert, stats=stats)
+    objective = float(np.tile(lp.win, n_s) @ x)
+    return LPSolution(assignment=_assignment(lp, x), objective=objective, certificate=cert, stats=stats)
 
 
 def extract_plan(assignment: AssignmentMatrix) -> Plan:

@@ -88,7 +88,9 @@ def _normal_cdf(x):
 
 def _normal_pdf(x):
     x = np.asarray(x, dtype=float)
-    return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    # x * x overflows to inf for |x| > ~1.3e154; exp(-inf) = 0 is the exact limit
+    with np.errstate(over="ignore"):
+        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 # module-level functions, not lambdas, so instances pickle into sweep workers

@@ -273,7 +273,7 @@ class DualSupportReport:
     part1_ok: bool
     worst_slack: float        # max over active (s,r) of (best value) - (achieved value)
     part2_ok: bool
-    worst_multiplier_error: float  # max over active columns of dist(formula, [L, U]) / max formula
+    worst_multiplier_error: float | None  # max over active columns of dist(formula, [L, U]) / max formula
     part2_errors: list        # (r, L, U, formula) where the scaled distance exceeds POOLING_TOL
 
 
@@ -295,7 +295,10 @@ def check_dual_support_optimality(
     so the lambda(r) the solver returns there is one choice among many and is
     not compared.  Each column's distance from the formula to [L, U] is divided
     by the largest formula value on the support, so tail columns where both
-    are ~0 do not dominate, and part 2 holds within ``POOLING_TOL``.
+    are ~0 do not dominate, and part 2 holds within ``POOLING_TOL``.  Where
+    the formula is 0 on the whole support (g(r) underflows there at large
+    gamma) there is no scale: part 2 is reported failed, with
+    ``worst_multiplier_error`` None and no listed errors.
     """
     g_of_r = np.asarray(inst.G(assignment.type_grid), dtype=float)
     values = g_of_r[None, :] + cert.lambda_[None, :] * (assignment.vote - 0.5)
@@ -316,7 +319,10 @@ def check_dual_support_optimality(
     lower = np.where(dv < 0, bound, -np.inf).max(axis=0)
     upper = np.where(dv > 0, bound, np.inf).min(axis=0)
     dist = np.maximum(np.maximum(lower - formula, formula - upper), 0.0)
-    err = dist / formula.max()
+    peak = formula.max()
+    if peak == 0.0:
+        return DualSupportReport(worst1 <= DUAL_TOL, worst1, False, None, [])
+    err = dist / peak
     worst2 = float(err.max())
     errors = [
         (float(r[k]), float(lower[k]), float(upper[k]), float(formula[k]))

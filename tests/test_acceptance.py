@@ -2,7 +2,6 @@
 tolerance.  Printed lines survive in the pytest report; a FAIL line is
 accompanied by the test's assertion failure."""
 
-import itertools
 import math
 import os
 import tempfile
@@ -10,7 +9,7 @@ import tempfile
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.optimize import nnls
+from scipy.special import ndtr
 
 from gerryopt import benchmarks as B
 from gerryopt import estimation as E
@@ -18,6 +17,7 @@ from gerryopt import lp as L
 from gerryopt import model as M
 from gerryopt import verify as V
 from gerryopt.verify import POOLING_TOL
+from test_lp import enumerate_vertices_objective
 
 FIG_GAMMAS = [0.2, 0.5, 1.0, 1.2, 1.4, 1.6, 1.7, 3.0, 6.0]
 FIG_LABELS = ["PMP", "PMP", "PMP", "MixedPMP", "MixedPMP", "MixedPOP", "POP", "POP", "POP"]
@@ -130,21 +130,6 @@ def test_criterion_7_duality(solve_cached):
     )
 
 
-def _vertex_enumeration_optimum(inst):
-    prog = L.build_lp(inst)
-    A = np.asarray(prog.a_eq.todense())
-    b, c = prog.b_eq, -prog.c
-    best = -np.inf
-    for cols in itertools.combinations(range(A.shape[1]), A.shape[0]):
-        x_sub, resid = nnls(A[:, cols], b)
-        if resid > 1e-9:
-            continue
-        x = np.zeros(A.shape[1])
-        x[list(cols)] = x_sub
-        best = max(best, float(c @ x))
-    return best
-
-
 def test_criterion_8_benchmark_oracles():
     # (a) 3-type instance against exhaustive vertex enumeration
     small = M.ProblemInstance(
@@ -154,7 +139,7 @@ def test_criterion_8_benchmark_oracles():
         gamma=2.0,
     )
     lp_small = L.solve_lp(L.build_lp(small)).objective
-    oracle = _vertex_enumeration_optimum(small)
+    oracle = enumerate_vertices_objective(small)
     ok_a = abs(lp_small - oracle) <= 1e-9
 
     # (b) near-degenerate shock: LP approaches the known-shock closed form
@@ -270,5 +255,5 @@ def test_criterion_10_property_suites(solve_cached):
         ok &= rep2.n_kept == rep2.n_input == len(kept)
     # probit round trip
     p = np.linspace(1e-9, 1 - 1e-9, 999)
-    ok &= bool(np.max(np.abs([float(E.norm_cdf(E.norm_ppf(float(x)))) - float(x) for x in p])) < 1e-10)
+    ok &= bool(np.max(np.abs([float(ndtr(E.norm_ppf(float(x)))) - float(x) for x in p])) < 1e-10)
     assert report(10, "property suites", ok)

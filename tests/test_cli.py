@@ -748,3 +748,30 @@ def test_ingest_chunk_boundaries(tmp_path, monkeypatch):
     assert chunked_report == report
     assert list(chunked.rows()) == list(whole.rows())
     assert list(E.Returns.from_records(whole.rows()).rows()) == list(whole.rows())
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.filterwarnings("error")
+def test_extreme_gamma_runs_are_quiet_and_write_valid_json(tmp_path, capsys):
+    # Deep in the tails G, g and q underflow to 0 and x * x overflows; each
+    # run must still exit 0 with no warning, and NaN or Infinity in a JSON
+    # file would make it unreadable to a strict parser.
+    runs = [
+        [command, "--gamma", gamma, "--taste", taste, "--grid", grid, *extra]
+        for gamma in ("1e-300", "1e4", "1e300")
+        for taste in ("normal", "logistic")
+        for command, extra in (("solve", []), ("verify", []), ("benchmark", ["--with-lp"]))
+        for grid in ("3", "11")
+    ] + [
+        ["verify", "--pap", "--gamma", gamma, "--taste", taste]
+        for gamma in ("1e-300", "1e4", "1e300")
+        for taste in ("normal", "logistic")
+    ]
+    for k, argv in enumerate(runs):
+        out = tmp_path / str(k)
+        assert run(capsys, *argv, "--out", str(out))[::2] == (0, ""), argv
+        for path in out.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=_reject_constant)

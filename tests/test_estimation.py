@@ -67,7 +67,7 @@ def test_norm_ppf_spot_values():
 @settings(max_examples=300, deadline=None)
 @given(p=st.floats(1e-12, 1 - 1e-12))
 def test_norm_ppf_round_trip(p):
-    assert float(E.norm_cdf(E.norm_ppf(p))) == pytest.approx(p, abs=1e-10)
+    assert float(ndtr(E.norm_ppf(p))) == pytest.approx(p, abs=1e-10)
 
 
 def test_norm_ppf_rejects_boundary():
@@ -203,7 +203,7 @@ def test_from_records_orders_labels_as_numpy_orders_str(tmp_path):
 def test_gamma_estimate_known_means():
     # election means of w are Phi^-1 of constant shares; choose shares so the
     # means are -0.1, 0.0, 0.1 -> sd = 0.1 -> gamma_hat = 10
-    shares = {y: [float(E.norm_cdf(m))] * 4 for y, m in [(2016, -0.1), (2018, 0.0), (2020, 0.1)]}
+    shares = {y: [float(ndtr(m))] * 4 for y, m in [(2016, -0.1), (2018, 0.0), (2020, 0.1)]}
     est = E.estimate_gamma(make_returns(shares))
     assert est.gamma_hat == pytest.approx(10.0, abs=1e-9)
     assert est.T == 3
@@ -211,7 +211,7 @@ def test_gamma_estimate_known_means():
 
 
 def test_gamma_ci_matches_chi2_oracle():
-    shares = {y: [float(E.norm_cdf(m))] * 4 for y, m in [(2016, -0.1), (2018, 0.0), (2020, 0.1)]}
+    shares = {y: [float(ndtr(m))] * 4 for y, m in [(2016, -0.1), (2018, 0.0), (2020, 0.1)]}
     est = E.estimate_gamma(make_returns(shares), alpha=0.1)
     lo = math.sqrt(chi2.ppf(0.05, 2) / 2) * 10.0
     hi = math.sqrt(chi2.ppf(0.95, 2) / 2) * 10.0
@@ -242,7 +242,7 @@ def test_gamma_estimate_location_invariance():
     # shifting every share's probit by a constant leaves gamma_hat unchanged
     base = {2016: [0.35, 0.45], 2018: [0.5, 0.52], 2020: [0.6, 0.66]}
     shifted = {
-        y: [float(E.norm_cdf(E.norm_ppf(v) + 0.2)) for v in vs] for y, vs in base.items()
+        y: [float(ndtr(E.norm_ppf(v) + 0.2)) for v in vs] for y, vs in base.items()
     }
     g1 = E.estimate_gamma(make_returns(base)).gamma_hat
     g2 = E.estimate_gamma(make_returns(shifted)).gamma_hat
@@ -379,7 +379,7 @@ def test_descriptive_summaries_empty():
 
 
 def test_estimates_csv_format(tmp_path, capsys):
-    shares = {y: [float(E.norm_cdf(m))] * 4 for y, m in [(2016, -0.1), (2018, 0.0), (2020, 0.1)]}
+    shares = {y: [float(ndtr(m))] * 4 for y, m in [(2016, -0.1), (2018, 0.0), (2020, 0.1)]}
     path = tmp_path / "returns.csv"
     records = make_records(shares)
     write_csv(path, [[r.state, r.year, r.precinct_id, r.district_id, r.total_votes, r.rep_share, 1] for r in records])

@@ -22,6 +22,14 @@ def small_instance():
     return M.ProblemInstance(type_grid=grid, type_weights=weights, taste=M.NORMAL, gamma=2.0)
 
 
+def standard_form(prog):
+    """The grid LP as min c.x subject to A x = b, x >= 0, with A the sparse
+    equality columns of every cell, in the order HiGHS's fallback takes them."""
+    n = prog.win.size
+    b = np.concatenate([prog.inst.type_weights, np.zeros(n)])
+    return -np.tile(prog.win, n), L._columns(prog, np.arange(n * n)), b
+
+
 def enumerate_vertices_objective(inst):
     """Independent oracle: enumerate basic feasible solutions of the LP.
 
@@ -30,9 +38,8 @@ def enumerate_vertices_objective(inst):
     n = 3 that is C(9, 6) = 84 candidate supports, each checked by
     nonnegative least squares.
     """
-    prog = L.build_lp(inst)
-    # prog.c is the minimization cost vector; negate to score seat share
-    A, b, c = np.asarray(prog.a_eq.todense()), prog.b_eq, -prog.c
+    c, A, b = standard_form(L.build_lp(inst))
+    A = A.toarray()
     nvar = A.shape[1]
     best = -np.inf
     for cols in itertools.combinations(range(nvar), A.shape[0]):
@@ -43,7 +50,7 @@ def enumerate_vertices_objective(inst):
         x = np.zeros(nvar)
         x[list(cols)] = x_sub
         assert np.max(np.abs(A @ x - b)) < 1e-9
-        best = max(best, float(c @ x))
+        best = max(best, -float(c @ x))  # c is the minimization cost
     return best
 
 
@@ -307,7 +314,8 @@ def face_vertex(prog, stage1):
     y, face, _stats = stage1
     x, _stats = L._max_packed_on_face(prog, face)
     # strong duality: the vertex value equals the stage-1 dual value
-    assert abs(prog.c @ x - prog.b_eq @ y) <= 1e-12
+    c, _a, b = standard_form(prog)
+    assert abs(c @ x - b @ y) <= 1e-12
     asg = L._assignment(prog, x)
     decomp = V.decompose_pack_and_pair(asg)
     return V.classify_regime(decomp), decomp.bifurcation, asg.pi
@@ -340,11 +348,10 @@ def test_verdict_survives_random_tie_breaks(gamma):
     label, rb, _pi = face_vertex(prog, stage1)
     face = stage1[1]
     packed = np.eye(101).ravel()[face]
-    columns = L._columns(prog, face)
     for seed in range(12):
         noise = 1e-7 * np.random.default_rng(seed).standard_normal(face.size)
-        res = L._highs(noise - packed, columns, prog.b_eq, "highs-ds", "tie-break")
-        x = np.zeros(prog.c.size)
+        res = L._highs(prog, face, noise - packed, "highs-ds", "tie-break")
+        x = np.zeros(prog.vote.size)
         x[face] = res.x
         decomp = V.decompose_pack_and_pair(L._assignment(prog, x))
         assert (V.classify_regime(decomp), decomp.bifurcation) == (label, rb), seed
@@ -369,19 +376,50 @@ def _same_csr(got, want):
 @pytest.mark.parametrize("n", [3, 41, 101])
 def test_equality_columns_match_coo_assembly(n, taste):
     prog = L.build_lp(M.uniform_instance(n=n, gamma=2.0, taste=taste))
-    _same_csr(prog.a_eq, _coo_a_eq(prog))
+    a_eq = standard_form(prog)[1]
+    _same_csr(a_eq, _coo_a_eq(prog))
     # stage 2 hands HiGHS the face's columns, as sliced from the whole matrix
     face = L._stage1_ipm(prog)[1]
-    _same_csr(L._columns(prog, face), prog.a_eq[:, face])
+    _same_csr(L._columns(prog, face), a_eq[:, face])
 
 
 def test_only_the_fallback_builds_the_whole_matrix(monkeypatch):
     prog = L.build_lp(M.uniform_instance(n=41, gamma=2.0))
-    L.solve_lp(prog)
-    assert "a_eq" not in vars(prog)
+    columns, sizes = L._columns, []
+
+    def spy(lp, cells):
+        sizes.append(cells.size)
+        return columns(lp, cells)
+
+    monkeypatch.setattr(L, "_columns", spy)
+    sol = L.solve_lp(prog)
+    assert sizes == [sol.stats["face_cells"]] and sizes[0] < 41 * 41
+    sizes.clear()
     monkeypatch.setattr(L, "IPM_MAX_ITER", 3)
-    assert L.solve_lp(prog).stats["stage1_method"] == "highs-ipm"
-    assert "a_eq" in vars(prog)
+    sol = L.solve_lp(prog)
+    assert sol.stats["stage1_method"] == "highs-ipm"
+    assert sizes == [41 * 41, sol.stats["face_cells"]]
+
+
+@pytest.mark.parametrize("method", ["highs-ipm", "highs-ds"])
+@pytest.mark.parametrize("taste", [M.NORMAL, M.LOGISTIC], ids=lambda t: t.name)
+def test_dense_reduced_costs_match_sparse_product(monkeypatch, taste, method):
+    # The fallback's face and complementarity read c - A^T y on the grid; the
+    # sparse product over the whole standard form is the reference, bit for bit.
+    highs, results = L._highs, []
+
+    def spy(*args):
+        results.append(highs(*args))
+        return results[-1]
+
+    monkeypatch.setattr(L, "_highs", spy)
+    for n, gamma in itertools.product((11, 41, 101), (0.5, 2.0, 6.0, 30.0)):
+        prog = L.build_lp(M.uniform_instance(n=n, gamma=gamma, taste=taste))
+        y, face, stats = L._stage1_highs(prog, method)
+        c, a_eq, _b = standard_form(prog)
+        reduced = c - a_eq.T @ y
+        assert np.array_equal(face, np.flatnonzero(reduced <= L.FACE_TOL)), (n, gamma)
+        assert stats["stage1_complementarity"] == float(results[-1].x @ reduced), (n, gamma)
 
 
 @pytest.mark.parametrize("n,gamma", FACE_CASES)
@@ -396,7 +434,7 @@ def test_uniform_instances_do_not_fall_back_to_highs(n, gamma):
 def test_schur_solver_matches_dense_solve():
     prog = L.build_lp(M.uniform_instance(n=21, gamma=2.0))
     a = prog.vote - 0.5
-    dense_a = prog.a_eq.toarray()
+    dense_a = standard_form(prog)[1].toarray()
     rng = np.random.default_rng(0)
     for _ in range(5):
         d = 10.0 ** rng.uniform(-4.0, 4.0, a.shape)
