@@ -30,10 +30,8 @@ SCHEMAS = {
         "assignment.csv": "type,threshold,mass (active cells only)",
         "dual.csv": "kind{phi|lambda},point,value,pinned{0|1}",
         "summary.json": "{gamma, objective, regime, bifurcation, duality_gap, n_districts, "
-        "solver: {stage1_method (structured-ipm, or highs-ipm after a fallback), stage1_iterations, "
-        "stage1_crossover_iterations (HiGHS crossover; 0 for structured-ipm), "
-        "stage1_complementarity (final sum x*z), stage1_fallback (why HiGHS ran, or null), "
-        "face_cells, stage2_iterations, face_tol}}",
+        "solver: {stage1_iterations (structured interior point), stage1_complementarity (final sum x*z), "
+        "face_cells, stage2_iterations}}",
     },
     "sweep": {"sweep.csv": "gamma,objective,regime,bifurcation,error"},
     "benchmark": {
@@ -115,7 +113,9 @@ def cmd_solve(args) -> int:
     grid = asg.type_grid  # also the threshold grid
     rows = ([f"{grid[i]:.10g}", f"{grid[j]:.10g}", f"{asg.pi[i, j]:.12g}"] for i, j in cells)
     _write_csv(out, "assignment.csv", "type,threshold,mass", rows)
-    # phi is unique; lambda(r) is pinned where an active cell of column r has v != 1/2
+    # pinned: fixed by complementary slackness given phi (phi itself can differ
+    # between optimal certificates); lambda(r) is pinned where an active cell of
+    # column r has v != 1/2
     pinned = ((asg.pi > SUPPORT_TOL) & (asg.vote != 0.5)).any(axis=0)
     dual = (("phi", grid, cert.phi, np.ones_like(pinned)), ("lambda", grid, cert.lambda_, pinned))
     rows = (

@@ -13,14 +13,14 @@ Solved in two stages:
    triangular solves with it per direction (``_schur_solver``).  The factor
    is numpy's; scipy's ``cho_factor`` runs in scipy's own OpenBLAS, and
    interleaved with numpy's matrix products it made stage 1 about four
-   times slower at n = 201 on a 2-core machine.  Stage 1 stops at primal
-   and dual residuals below IPM_TOL and a complementarity sum x*z below
-   IPM_GAP; its equality duals (the certificate multipliers
-   lambda(r) and voter values phi(s)) are the ones reported, and the
-   optimal face is the cells where x > z.  If the factorization fails or
-   the iteration limit is hit, HiGHS interior point with crossover
-   (``linprog``) runs instead and the face is the cells of zero reduced cost,
-   phi(s) - G(r) - lambda(r)(v(s,r) - 1/2) <= FACE_TOL.
+   times slower at n = 201 on a 2-core machine.  A fixed dual regularization
+   IPM_REG on the normal matrix's diagonal (Friedlander & Orban, Math. Prog.
+   Comp. 4, 2012) keeps the duals bounded where the optimal dual set is not.
+   Stage 1 stops at primal and dual residuals below IPM_TOL and a
+   complementarity sum x*z below IPM_GAP, or raises ``LPSolveError``; its
+   equality duals (the certificate multipliers lambda(r) and voter values
+   phi(s)) are the ones reported, and the optimal face is the cells where
+   x > z.
 2. The LP often has many optimal vertices, and structural verdicts (regime,
    bifurcation, single-dippedness) read the vertex.  Stage 2 (``linprog``
    dual simplex) finds a vertex of maximum packed mass (r = s) on the face
@@ -30,8 +30,8 @@ Solved in two stages:
 
 ``LinearProgram`` keeps the problem on its grid, G(r) and v(s, r).  Only
 ``_highs`` builds HiGHS's standard form: the right-hand side and, by
-``_columns``, the sparse equality columns of the cells it is given (stage 2's
-face, or all n^2 in the fallback).  The structured interior point reads the grid.
+``_columns``, the sparse equality columns of stage 2's face cells.  The
+structured interior point reads the grid.
 
 ``solve_and_classify`` runs the whole pipeline, instance to solution,
 pack-and-pair decomposition and regime; every command and sweep row uses it.
@@ -51,14 +51,18 @@ from .model import FEAS_TOL, SUPPORT_TOL, GerryOptError, Plan, ProblemInstance, 
 from .verify import PackAndPairDecomposition, RegimeLabel, classify_regime, decompose_pack_and_pair
 
 # Plateaus as in model's tolerance comment.
-FACE_TOL = 1e-9        # reduced cost of a face cell, HiGHS fallback only (forced at n=61: plateau 1e-13..1e-6)
 IPM_TOL = 1e-10        # relative primal and dual residuals at which stage 1 stops (stage-1 plateau 1e-11..1e-6)...
 IPM_GAP = 1e-14        # ...once the complementarity sum x*z is also below this (plateau 1e-16..1e-12)
-IPM_MAX_ITER = 60      # stage-1 Newton steps before HiGHS takes over
+IPM_MAX_ITER = 200     # stage-1 Newton steps before LPSolveError (criterion 8's wide grid takes 138)
 IPM_SHIFT = 1e-14      # normal-matrix diagonal shift, relative to each diagonal entry (plateau 1e-18..1e-13)
+# Added to the row sums D1 and column sums D2 of the normal matrix.  Plateau
+# 1e-13..1e-11, on tests/test_lp.py's stress instances: every uniform one and
+# the wide grid solve with the same vertices, and 58-59 of 60 random draws.
+# At 1e-14 n=11, gamma=1e-12 (logistic) hits IPM_MAX_ITER; 1e-9 moves a vertex.
+IPM_REG = 1e-12
 IPM_ETA = 0.99995      # fraction of the step to the boundary that is taken
 
-# HiGHS, the fallback, is held to the feasibility at which stage 1 stops.
+# Stage 2's HiGHS is held to the feasibility at which stage 1 stops.
 # IPM_TOL's plateau was measured on stage 1 only, not on these two.
 HIGHS_OPTIONS = {
     "primal_feasibility_tolerance": IPM_TOL,
@@ -67,14 +71,15 @@ HIGHS_OPTIONS = {
 
 
 class LPSolveError(GerryOptError):
-    """HiGHS reported failure (infeasible model signals a construction bug)."""
+    """A stage of the LP solve failed; the message names the stage and the cause."""
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """The grid LP; the type masses f(s) are ``inst.type_weights``."""
+    """The grid LP on the instance's type grid."""
 
     inst: ProblemInstance
+    mass: np.ndarray        # f(s), a mass at most SUPPORT_TOL (numerically zero) as 0
     win: np.ndarray         # G(r) per threshold column
     vote: np.ndarray        # v(s, r) on the (type, threshold) grid
 
@@ -126,7 +131,7 @@ class LPSolution:
     assignment: AssignmentMatrix
     objective: float
     certificate: DualCertificate
-    stats: dict  # solver methods, iteration counts, face size and FACE_TOL
+    stats: dict  # iteration counts, final complementarity and face size
 
     def duality_gap(self) -> float:
         return float(abs(self.objective - self.assignment.type_weights @ self.certificate.phi))
@@ -135,8 +140,8 @@ class LPSolution:
 def build_lp(inst: ProblemInstance) -> LinearProgram:
     """Evaluate G(r) and the vote shares; the thresholds are the type grid."""
     s = r = inst.type_grid
-    vote = vote_share(inst, s[:, None], r[None, :])
-    return LinearProgram(inst=inst, win=np.asarray(inst.G(r), dtype=float), vote=vote)
+    mass = np.where(inst.type_weights > SUPPORT_TOL, inst.type_weights, 0.0)
+    return LinearProgram(inst, mass, np.asarray(inst.G(r), dtype=float), vote_share(inst, s[:, None], r[None, :]))
 
 
 def _columns(lp: LinearProgram, cells: np.ndarray) -> sparse.csr_matrix:
@@ -166,23 +171,18 @@ def _assignment(lp: LinearProgram, x: np.ndarray) -> AssignmentMatrix:
     return assignment
 
 
-class _Stage1Failure(Exception):
-    """The structured interior point gave up; stage 1 falls back to HiGHS."""
-
-
 def _schur_solver(a: np.ndarray, d: np.ndarray):
-    """Solver of A diag(d) A^T (u, w) = (p, q) through the Schur complement.
+    """Solver of (A diag(d) A^T + IPM_REG) (u, w) = (p, q) through the Schur complement.
 
     ``a`` is v(s,r) - 1/2 and ``d`` the diagonal scaling, both on the (type,
     threshold) grid.  The n_r x n_r Schur complement D2 - B^T D1^-1 B is
     factorized once; each solve is then two triangular solves with it.
     Raises ``LinAlgError`` if the complement is not positive definite.
     """
-    d1, b = d.sum(axis=1), d * a
-    d2 = (b * a).sum(axis=0)
-    # scaled to the unit diagonal of A diag(d) A^T (a threshold row with
-    # a = 0 throughout is empty) and shifted by IPM_SHIFT
-    sc = 1.0 / np.sqrt(np.where(d2 > 0, d2, 1.0))
+    d1, b = d.sum(axis=1) + IPM_REG, d * a
+    d2 = (b * a).sum(axis=0) + IPM_REG
+    # scaled to the unit diagonal of A diag(d) A^T + IPM_REG and shifted by IPM_SHIFT
+    sc = 1.0 / np.sqrt(d2)
     schur = (np.diag(d2) - b.T @ (b / d1[:, None])) * sc[:, None] * sc
     schur[np.diag_indices(a.shape[1])] += IPM_SHIFT
     # one Cholesky factor per scaling, by numpy (not scipy's cho_factor: see
@@ -208,24 +208,21 @@ def _step(v: np.ndarray, dv: np.ndarray) -> float:
 
 
 @np.errstate(divide="raise", over="raise", invalid="raise")
-def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Stage 1 by a Mehrotra predictor-corrector that uses the LP's structure.
+def _newton(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
+    """Stage 1's Mehrotra predictor-corrector, which uses the LP's structure.
 
     Column (s, r) has two nonzeros, 1 in type row s and a = v(s,r) - 1/2 in
     threshold row r, so for a diagonal scaling d the normal matrix
     A diag(d) A^T is [[D1, B], [B^T, D2]] with D1 = row sums of d, B = d * a
     and D2 = column sums of d * a^2.  Each Newton step factorizes only the
     n_r x n_r Schur complement D2 - B^T D1^-1 B, and the predictor and the
-    corrector share that factor.  The optimal face is the strictly
-    complementary partition x > z (Mehrotra & Ye 1993).
+    corrector share that factor.
 
-    Returns the dual y (type rows, then threshold rows), the face cells and
-    the statistics.  Raises ``_Stage1Failure``, ``LinAlgError`` or
-    ``FloatingPointError`` when HiGHS must take over.
+    Returns the final x and z on the (type, threshold) grid, the dual y (type
+    rows, then threshold rows) and the statistics.
     """
-    a = lp.vote - 0.5
+    a, f = lp.vote - 0.5, lp.mass
     c = np.broadcast_to(-lp.win, a.shape)
-    f = lp.inst.type_weights
     n_r = a.shape[1]
 
     # Mehrotra's starting point: least-norm x and least-squares z, shifted inside
@@ -252,12 +249,9 @@ def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
         ):
             break
         if it == IPM_MAX_ITER:
-            raise _Stage1Failure(f"iteration limit {IPM_MAX_ITER} at sum x*z = {gap:.1e}")
+            raise LPSolveError(f"stage 1: iteration limit {IPM_MAX_ITER} at sum x*z = {gap:.1e}")
         d = x / z
-        try:
-            solve = _schur_solver(a, d)
-        except np.linalg.LinAlgError:
-            raise _Stage1Failure(f"Schur complement not positive definite at sum x*z = {gap:.1e}") from None
+        solve = _schur_solver(a, d)
 
         def direction(rc):  # Newton step with complementarity target z dx + x dz = rc
             t = d * rd - rc / z
@@ -274,77 +268,73 @@ def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
         ys += step_d * dys
         yr += step_d * dyr
         z += step_d * dz
-    stats = {
-        "stage1_method": "structured-ipm",
-        "stage1_iterations": it,
-        "stage1_crossover_iterations": 0,
-        "stage1_complementarity": gap,
-    }
-    return np.concatenate([ys, yr]), np.flatnonzero((x > z).ravel()), stats
+    return x, z, np.concatenate([ys, yr]), {"stage1_iterations": it, "stage1_complementarity": gap}
+
+
+def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Stage 1: the dual y, the optimal face and the statistics.
+
+    The face is the strictly complementary partition x > z (Mehrotra & Ye
+    1993).  A type row with no such cell takes its cells with x > z f(s): a
+    type whose mass the iterate cannot resolve is compared by its share.
+    """
+    try:
+        x, z, y, stats = _newton(lp)
+    except np.linalg.LinAlgError:
+        raise LPSolveError("stage 1: Schur complement not positive definite") from None
+    except FloatingPointError as exc:
+        raise LPSolveError(f"stage 1: {exc}") from None
+    on = x > z
+    unresolved = ~on.any(axis=1)
+    on[unresolved] = x[unresolved] > z[unresolved] * lp.mass[unresolved, None]
+    return y, np.flatnonzero(on.ravel()), stats
 
 
 def _highs(lp: LinearProgram, cells: np.ndarray, c: np.ndarray, method: str, stage: str):
     """The one HiGHS call: min c.x over the columns of ``cells`` (flat
     (type, threshold) indices), subject to the LP's equality rows, x >= 0."""
-    rhs = np.concatenate([lp.inst.type_weights, np.zeros(lp.win.size)])
+    rhs = np.concatenate([lp.mass, np.zeros(lp.win.size)])
     res = linprog(c, A_eq=_columns(lp, cells), b_eq=rhs, bounds=(0, None), method=method, options=HIGHS_OPTIONS)
     if res.status != 0:
         raise LPSolveError(f"{stage}: HiGHS status {res.status}: {res.message}")
     return res
 
 
-def _stage1_highs(lp: LinearProgram, method: str = "highs-ipm") -> tuple[np.ndarray, np.ndarray, dict]:
-    """Stage 1 by HiGHS (crossover on: the result is a basic solution).
-
-    The face is the cells of zero reduced cost under its dual,
-    phi(s) - G(r) - lambda(r)(v(s,r) - 1/2) <= FACE_TOL.
-    """
-    n_s = lp.vote.shape[0]
-    c = np.broadcast_to(-lp.win, lp.vote.shape)
-    res = _highs(lp, np.arange(c.size), c.ravel(), method, f"stage 1 ({method})")
-    y = np.asarray(res.eqlin.marginals, dtype=float)
-    # c - A^T y on the grid, summed in the sparse product's order
-    reduced = (c - (y[:n_s, None] + (lp.vote - 0.5) * y[n_s:])).ravel()
-    stats = {
-        "stage1_method": method,
-        "stage1_iterations": int(res.nit),
-        "stage1_crossover_iterations": int(res.crossover_nit),
-        "stage1_complementarity": float(res.x @ reduced),
-    }
-    return y, np.flatnonzero(reduced <= FACE_TOL), stats
-
-
 def _max_packed_on_face(lp: LinearProgram, face: np.ndarray) -> tuple[np.ndarray, dict]:
     """Stage 2: the vertex of maximum packed mass on the optimal face.
 
     Returns the primal point on the full (type, threshold) grid and the
-    stage-2 statistics.
+    stage-2 statistics.  A failure names the type rows without a face cell.
     """
     # a packed cell puts type s in a district with threshold r = s
     type_of, thr_of = np.divmod(face, lp.win.size)
-    res = _highs(lp, face, -(type_of == thr_of).astype(float), "highs-ds", "stage 2 (max packed on face)")
+    try:
+        res = _highs(lp, face, -(type_of == thr_of).astype(float), "highs-ds", "stage 2 (max packed on face)")
+    except LPSolveError as exc:
+        bare = np.flatnonzero(np.bincount(type_of, minlength=lp.win.size) == 0)
+        rows = ", ".join(f"s={lp.inst.type_grid[i]:.6g} (f={lp.inst.type_weights[i]:.3g})" for i in bare)
+        raise LPSolveError(f"{exc}; type rows without a face cell: {rows or 'none'}") from None
     x = np.zeros(lp.vote.size)
     x[face] = res.x
     return x, {"face_cells": int(face.size), "stage2_iterations": int(res.nit)}
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Solve stage 1 by the structured interior point (HiGHS interior point
-    if it gives up), then return the vertex of maximum packed mass on the
-    optimal face with its objective and the stage-1 duals."""
-    try:
-        y, face, stats = _stage1_ipm(lp)
-        stats["stage1_fallback"] = None
-    except (_Stage1Failure, np.linalg.LinAlgError, FloatingPointError) as exc:
-        y, face, stats = _stage1_highs(lp)
-        stats["stage1_fallback"] = str(exc)
+    """Solve stage 1 by the structured interior point, then return the vertex
+    of maximum packed mass on the optimal face with its objective and the
+    stage-1 duals."""
+    y, face, stats = _stage1_ipm(lp)
     x, face_stats = _max_packed_on_face(lp, face)
 
     n_s = lp.inst.type_grid.size
     # stage 1 minimizes -G . pi; dual feasibility y_s + y_r (v - 1/2) <= -G(r)
     # rearranges to phi(s) >= G(r) + lambda(r)(v - 1/2) with phi = -y_s, lambda = y_r
-    cert = DualCertificate(lambda_=y[n_s:], phi=-y[:n_s])
-    stats.update(face_stats, face_tol=FACE_TOL)
+    lam, phi = y[n_s:], -y[:n_s]
+    # a type of mass 0 leaves its phi free above that bound, so it takes the bound
+    zero = lp.mass == 0
+    phi[zero] = (lp.win + lam * (lp.vote[zero] - 0.5)).max(axis=1)
+    cert = DualCertificate(lambda_=lam, phi=phi)
+    stats.update(face_stats)
     objective = float(np.tile(lp.win, n_s) @ x)
     return LPSolution(assignment=_assignment(lp, x), objective=objective, certificate=cert, stats=stats)
 

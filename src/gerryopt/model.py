@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import ndtr
 
-# Tolerances, one per role; lp adds the stage-1 IPM_* and FACE_TOL, verify
+# Tolerances, one per role; lp adds the stage-1 IPM_*, verify
 # DUAL_TOL and PAP_MARGIN.  A plateau is the range over which no verdict moved
 # (labels, r_b, objectives to 1e-12, district counts, single-dippedness) on the
 # seat-share figure's uniform-grid instances: the nine figure gammas at n=101

@@ -36,8 +36,7 @@ def test_solve_writes_outputs(tmp_path, capsys):
     assert summary["gamma"] == 2.0
     assert 0.5 <= summary["objective"] <= 1.0
     assert summary["duality_gap"] < 1e-7
-    assert summary["solver"]["stage1_method"] == "structured-ipm"
-    assert summary["solver"]["stage1_fallback"] is None
+    assert set(summary["solver"]) == {"stage1_iterations", "stage1_complementarity", "face_cells", "stage2_iterations"}
     assert summary["solver"]["stage1_complementarity"] < 1e-14
     assert summary["solver"]["face_cells"] >= 41
     # stdout carries the same summary
