@@ -2,7 +2,8 @@
 estimation into file-producing commands.
 
 Outputs are data-only (JSON/CSV) for external plotting.  Exit codes:
-0 success, 2 config error, 3 data error, 4 verification failure.
+0 success, 2 config error or failed solve, 3 data error, 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 # in this module, so a wrapper installed on a module attribute still applies.
 import argparse
 import csv
-import errno
 import json
 import os
 import sys
@@ -23,6 +23,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_VERIFY = 4
+# exit code per error kind (``GerryOptError.kind``)
+EXIT_CODES = {"config": EXIT_CONFIG, "solver": EXIT_CONFIG, "data": EXIT_DATA}
 
 SCHEMAS = {
     "solve": {
@@ -50,11 +52,6 @@ SCHEMAS = {
 }
 
 
-def _fail(code: int, kind: str, message: str) -> int:
-    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
-    return code
-
-
 def _outdir(args) -> str:
     out = args.out or os.environ.get("GERRYOPT_OUT") or "."
     os.makedirs(out, exist_ok=True)
@@ -79,20 +76,14 @@ def _write_report(out: str, name: str, report: dict) -> None:
     print(json.dumps(report, sort_keys=True))
 
 
-def _check_grid(grid: int) -> None:
-    from .model import GerryOptError
-
-    if grid < 3 or grid % 2 == 0:
-        raise GerryOptError("--grid must be odd and at least 3")
-
-
-def _instance(args):
+def _instance(args, gamma):
     from .model import GerryOptError, get_taste, uniform_instance
 
-    if args.gamma is None:
+    if gamma is None:
         raise GerryOptError("--gamma must be given")
-    _check_grid(args.grid)
-    return uniform_instance(n=args.grid, gamma=args.gamma, taste=get_taste(args.taste))
+    if args.grid < 3 or args.grid % 2 == 0:
+        raise GerryOptError("--grid must be odd and at least 3")
+    return uniform_instance(n=args.grid, gamma=gamma, taste=get_taste(args.taste))
 
 
 def cmd_solve(args) -> int:
@@ -101,7 +92,7 @@ def cmd_solve(args) -> int:
     from . import lp as lpmod
     from .model import SUPPORT_TOL
 
-    inst = _instance(args)
+    inst = _instance(args, args.gamma)
     out = _outdir(args)
     sol, decomp, regime = lpmod.solve_and_classify(inst)
 
@@ -139,9 +130,8 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import lp as lpmod
-    from .model import GerryOptError, get_taste, uniform_instance
+    from .model import GerryOptError
 
-    _check_grid(args.grid)
     gammas = []
     for token in filter(str.strip, args.gammas.split(",")):
         try:
@@ -150,8 +140,7 @@ def cmd_sweep(args) -> int:
             raise GerryOptError(f"--gammas value {token.strip()!r} is not a number") from None
     if not gammas:
         raise GerryOptError("--gammas requires at least one value")
-    template = uniform_instance(n=args.grid, gamma=gammas[0], taste=get_taste(args.taste))
-    rows = lpmod.sweep_gamma(template, gammas, jobs=args.jobs)
+    rows = lpmod.sweep_gamma(_instance(args, gammas[0]), gammas, jobs=args.jobs)
     table = (
         [
             row.gamma,
@@ -170,7 +159,7 @@ def cmd_benchmark(args) -> int:
     from . import benchmarks as bm
     from .model import expected_seat_share
 
-    inst = _instance(args)
+    inst = _instance(args, args.gamma)
     no_aggregate = bm.no_aggregate_solution(inst, args.r0)
     out = _outdir(args)
     m = float(inst.type_weights[inst.type_grid >= 0.0].sum())
@@ -204,7 +193,7 @@ def cmd_benchmark(args) -> int:
 def cmd_verify(args) -> int:
     from . import verify as vf
 
-    inst = _instance(args)
+    inst = _instance(args, args.gamma)
     out = _outdir(args)
     checks = {}
     if args.pap:
@@ -246,37 +235,29 @@ def cmd_verify(args) -> int:
 
 def cmd_estimate(args) -> int:
     from . import estimation as est
-    from .model import GerryOptError
+    from .model import DataError, GerryOptError
 
     if not 0.0 < args.alpha < 1.0:
         raise GerryOptError(f"--alpha must lie strictly between 0 and 1, got {args.alpha!r}")
     if not args.input:
         raise GerryOptError("--input is required")
-    if not os.path.exists(args.input):
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.input)
-    out = _outdir(args)
-    try:
-        returns, report = est.ingest(args.input, strict=args.strict)
-    except (GerryOptError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 text is bad data
-        return _fail(EXIT_DATA, "data", str(exc))
+    returns, report = est.ingest(args.input, strict=args.strict)
+    out = _outdir(args)  # after the read, so input that cannot be read leaves no --out directory
     _write_csv(out, "bad_rows.csv", "line,message", report.bad_rows)
     if not len(returns):
-        return _fail(EXIT_DATA, "data", "no records remain after filtering")
+        raise DataError("no records remain after filtering")
     rows, skipped = [], []
     states = returns.states.tolist()
     for code, state in enumerate(states):
         try:
             sub = returns.select(returns.state == code)
             rows.append((state, est.estimate_gamma(sub, alpha=args.alpha)))
-        except GerryOptError as exc:  # e.g. single-election state
+        except DataError as exc:  # e.g. single-election state
             skipped.append({"state": state, "reason": str(exc)})
     if len(states) > 1:
-        try:
-            rows.append(("ALL", est.estimate_gamma(returns, alpha=args.alpha)))
-        except GerryOptError as exc:  # e.g. all records from a single election
-            return _fail(EXIT_DATA, "data", str(exc))
+        rows.append(("ALL", est.estimate_gamma(returns, alpha=args.alpha)))
     elif skipped:  # the only state is all the records
-        return _fail(EXIT_DATA, "data", skipped[0]["reason"])
+        raise DataError(skipped[0]["reason"])
     table = ([s, f"{g.gamma_hat:.6f}", f"{g.ci_low:.6f}", f"{g.ci_high:.6f}", g.T, g.n_precincts] for s, g in rows)
     path = _write_csv(out, "estimates.csv", "state,gamma_hat,ci_low,ci_high,T,n_precincts", table)
     if args.descriptives:
@@ -393,10 +374,10 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except GerryOptError as exc:
-        return _fail(EXIT_CONFIG, "config", str(exc))
-    except OSError as exc:
-        return _fail(EXIT_DATA, "data", str(exc))
+    except (GerryOptError, OSError, UnicodeDecodeError) as exc:
+        kind = getattr(exc, "kind", "data")  # a file that cannot be read, or is not UTF-8 text, is bad data
+        print(json.dumps({"error": kind, "message": str(exc)}), file=sys.stderr)
+        return EXIT_CODES[kind]
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from itertools import chain, islice, zip_longest
 import numpy as np
 from scipy.special import chdtri, ndtr, ndtri
 
-from .model import GerryOptError
+from .model import DataError, GerryOptError, check_gamma
 
 
 @dataclass(frozen=True)
@@ -139,17 +139,17 @@ def _parse_row(row: dict, line: int) -> PrecinctRecord:
             contested=_CONTESTED.get(row["contested"].strip().lower()),
         )
     except (KeyError, ValueError, AttributeError, TypeError) as exc:
-        raise GerryOptError(f"line {line}: malformed row ({exc})") from exc
+        raise DataError(f"line {line}: malformed row ({exc})") from exc
     if rec.total_votes < 1:
-        raise GerryOptError(f"line {line}: total_votes must be >= 1")
+        raise DataError(f"line {line}: total_votes must be >= 1")
     if not 0.0 <= rec.rep_share <= 1.0:
-        raise GerryOptError(f"line {line}: rep_share outside [0, 1]")
+        raise DataError(f"line {line}: rep_share outside [0, 1]")
     if rec.contested is None:
-        raise GerryOptError(f"line {line}: contested must be 0, 1, true or false")
+        raise DataError(f"line {line}: contested must be 0, 1, true or false")
     if any(label.endswith("\0") for label in (rec.state, rec.precinct_id, rec.district_id)):
-        raise GerryOptError(f"line {line}: malformed row (a label ends in a NUL byte)")
+        raise DataError(f"line {line}: malformed row (a label ends in a NUL byte)")
     if not all(-(2**63) <= n < 2**63 for n in (rec.year, rec.total_votes)):
-        raise GerryOptError(f"line {line}: malformed row (integer outside the 64-bit range)")
+        raise DataError(f"line {line}: malformed row (integer outside the 64-bit range)")
     return rec
 
 
@@ -245,7 +245,7 @@ def _kept(columns: dict, parsed, record, header: list, first_line: int, bad: lis
         try:
             # a short row reads its missing fields as None, as csv.DictReader does
             _parse_row(dict(zip_longest(header, record(i))), first_line + i)
-        except GerryOptError as exc:
+        except DataError as exc:
             if strict:
                 raise
             bad.append((first_line + i, str(exc)))
@@ -323,7 +323,7 @@ def ingest(path: str, strict: bool = False) -> tuple[Returns, FilterReport]:
         header = next(csv.reader(fh), [])
         missing = [c for c in CSV_FIELDS if c not in header]
         if missing:
-            raise GerryOptError(f"input CSV missing columns: {', '.join(missing)}")
+            raise DataError(f"input CSV missing columns: {', '.join(missing)}")
         position = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
         index = [position[c] for c in CSV_FIELDS]
         line = 2
@@ -362,11 +362,11 @@ def ingest(path: str, strict: bool = False) -> tuple[Returns, FilterReport]:
 
 
 def norm_ppf(p):
-    """Standard normal inverse CDF; raises ``GerryOptError`` outside (0, 1)."""
+    """Standard normal inverse CDF; raises ``DataError`` outside (0, 1)."""
     p = np.asarray(p, dtype=float)
     outside = ~((p > 0.0) & (p < 1.0))
     if outside.any():
-        raise GerryOptError(f"probit transform requires share in (0, 1); got {p[outside][0]}")
+        raise DataError(f"probit transform requires share in (0, 1); got {p[outside][0]}")
     return ndtri(p)
 
 
@@ -397,17 +397,17 @@ def estimate_gamma(returns: Returns, alpha: float = 0.1) -> GammaEstimate:
     if not 0.0 < alpha < 1.0:
         raise GerryOptError(f"alpha must lie strictly between 0 and 1, got {alpha!r}")
     if not len(returns):
-        raise GerryOptError("no records to estimate from")
+        raise DataError("no records to estimate from")
     w = probit_transform(returns)
     years, row_year = np.unique(returns.year, return_inverse=True)
     k = returns.total_votes.astype(float)
     w_t = np.bincount(row_year, weights=k * w) / np.bincount(row_year, weights=k)  # vote-weighted mean per year
     T = years.size
     if T < 2:
-        raise GerryOptError(f"need at least 2 elections, got {T}")
+        raise DataError(f"need at least 2 elections, got {T}")
     var = float(np.sum((w_t - w_t.mean()) ** 2) / (T - 1))
     if var <= 0.0:
-        raise GerryOptError("zero between-election variance: gamma is unidentified (infinite)")
+        raise DataError("zero between-election variance: gamma is unidentified (infinite)")
     gamma_hat = 1.0 / math.sqrt(var)
     # chdtri(k, y) is the chi-squared quantile with upper-tail probability y
     lo = math.sqrt(chdtri(T - 1, 1.0 - alpha / 2.0) / (T - 1)) * gamma_hat
@@ -471,8 +471,7 @@ def simulate_returns(
     at most ``CHUNK_ROWS`` rows of one precinct-id width per block.  A gamma
     that prints every share of a year as 0 or 1, which ``ingest`` drops, is
     rejected before the file is opened."""
-    if not (math.isfinite(gamma) and gamma > 0):
-        raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
+    check_gamma(gamma)
     if T < 1 or n_precincts < 1 or votes_per_precinct < 1:
         raise GerryOptError("simulator parameters must be positive")
     if seed < 0:
@@ -528,7 +527,7 @@ def descriptive_summaries(returns: Returns) -> DescriptiveSummaries:
     """Vote-share histogram, district swing-deviation histogram, and
     cross-election quantile-matching curves against the first year."""
     if not len(returns):
-        raise GerryOptError("no records")
+        raise DataError("no records")
     years, row_year = np.unique(returns.year, return_inverse=True)
     base = int(years[0])
     v = returns.rep_share

@@ -73,6 +73,8 @@ HIGHS_OPTIONS = {
 class LPSolveError(GerryOptError):
     """A stage of the LP solve failed; the message names the stage and the cause."""
 
+    kind = "solver"
+
 
 @dataclass(frozen=True)
 class LinearProgram:

@@ -47,11 +47,22 @@ _SQRT3_OVER_PI = math.sqrt(3.0) / math.pi  # logistic scale for unit variance
 
 
 class GerryOptError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package.  ``kind`` is the CLI's
+    JSON ``error`` field, which ``cli.EXIT_CODES`` maps to an exit code."""
+
+    kind = "config"
+
+
+class DataError(GerryOptError):
+    """Input data that no estimate can be made from."""
+
+    kind = "data"
 
 
 class ConvergenceError(GerryOptError):
     """Root finding failed to converge (malformed taste distribution)."""
+
+    kind = "solver"
 
 
 class InfeasiblePlanError(GerryOptError):
@@ -101,6 +112,11 @@ LOGISTIC = TasteDistribution(name="logistic", cdf=_logistic_cdf, pdf=_logistic_p
 _TASTES = {"normal": NORMAL, "logistic": LOGISTIC}
 
 
+def check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
+
+
 def get_taste(name: str) -> TasteDistribution:
     try:
         return _TASTES[name]
@@ -136,8 +152,7 @@ class ProblemInstance:
             raise GerryOptError("type_weights must be nonnegative")
         if abs(w.sum() - 1.0) > MASS_TOL:
             raise GerryOptError(f"type_weights sum to {w.sum()!r}, expected 1")
-        if not (math.isfinite(self.gamma) and self.gamma > 0):
-            raise GerryOptError(f"gamma must be finite and positive, got {self.gamma!r}")
+        check_gamma(self.gamma)
 
     def G(self, r):
         """Aggregate shock CDF, G(r) = Q(gamma * r)."""

@@ -22,7 +22,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import FEAS_TOL, GRID_TOL, NORMAL, SUPPORT_TOL, GerryOptError, ProblemInstance, TasteDistribution
+from .model import (
+    FEAS_TOL, GRID_TOL, NORMAL, SUPPORT_TOL, GerryOptError, ProblemInstance, TasteDistribution, check_gamma
+)
 
 if TYPE_CHECKING:  # lp imports this module to classify its solutions
     from .lp import AssignmentMatrix, DualCertificate
@@ -356,8 +358,7 @@ def check_pap_condition(gamma: float, taste: TasteDistribution = NORMAL) -> list
     cell in one array pass; a violating cell's s'' is the first minimiser of
     alt[s, s':].  All tables are n x n; no n^3 array is built.
     """
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
+    check_gamma(gamma)
     x = PAP_GRID
     Q = lambda z: np.asarray(taste.cdf(z), dtype=float)
     q = lambda z: np.asarray(taste.pdf(z), dtype=float)
@@ -399,8 +400,7 @@ def y_necessary_conditions(gamma: float) -> YConditions:
     and beta2 = gamma^2 / 2 the plan is admissible iff gamma > 1 and
     beta1 >= beta2 + 1, i.e. gamma in (1, sqrt(1 + sqrt(3))].
     """
-    if not (np.isfinite(gamma) and gamma > 0):
-        raise GerryOptError(f"gamma must be finite and positive, got {gamma!r}")
+    check_gamma(gamma)
     if gamma == 1.0:
         raise GerryOptError("gamma = 1 is degenerate: the limit slopes coincide")
     g2 = gamma * gamma

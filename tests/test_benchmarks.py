@@ -136,6 +136,16 @@ def test_matching_slices_structure():
     assert M.expected_seat_share(inst, plan) == pytest.approx(0.5, abs=1e-10)
 
 
+def test_matching_slices_skips_a_massless_middle_type():
+    # the one pair uses up both ends; the scan then passes the empty middle
+    # type from both sides and stops when the ends cross
+    inst = M.ProblemInstance(type_grid=np.array([-1.0, 0.0, 1.0]), type_weights=np.array([0.5, 0.0, 0.5]), gamma=2.0)
+    plan = B.matching_slices_plan(inst)
+    assert plan.district.tolist() == [0, 0]
+    assert plan.types.tolist() == [-1.0, 1.0]
+    assert plan.weights.tolist() == [0.5, 0.5] and plan.mass.tolist() == [1.0]
+
+
 def test_step_threshold_upper_median():
     plan = M.Plan(
         district=[0, 0, 0, 1, 1, 1],

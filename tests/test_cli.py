@@ -15,6 +15,8 @@ import pytest
 from gerryopt import benchmarks as B
 from gerryopt import cli
 from gerryopt import estimation as E
+from gerryopt import lp as L
+from gerryopt import model as M
 from gerryopt import verify as V
 from gerryopt.model import GerryOptError, uniform_instance
 
@@ -82,6 +84,26 @@ def test_solve_config_errors(tmp_path, capsys):
     assert code == 2
     code, _out, _err = run(capsys, "solve", "--gamma", "2", "--taste", "cauchy")
     assert code == 2
+
+
+def test_failed_solve_exits_2_as_solver(tmp_path, capsys, monkeypatch):
+    # a solve that fails reads "solver", not "config"; the exit code stays 2
+    monkeypatch.setattr(L, "IPM_MAX_ITER", 3)
+    code, _out, err = run(capsys, "solve", "--gamma", "2", "--grid", "41", "--out", str(tmp_path))
+    assert code == 2
+    error = json.loads(err.strip())
+    assert error["error"] == "solver" and error["message"].startswith("stage 1: iteration limit 3 ")
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_threshold_convergence_failure_exits_2_as_solver(tmp_path, capsys, monkeypatch):
+    # every district of the benchmark plans on a uniform grid is symmetric
+    # about its mean type, where Newton starts and stops at the root, so only
+    # a cap of 0 steps makes the root finding fail
+    monkeypatch.setattr(M, "ROOT_STEPS", 0)
+    code, _out, err = run(capsys, "benchmark", "--gamma", "2", "--grid", "11", "--out", str(tmp_path))
+    assert code == 2
+    assert json.loads(err.strip()) == {"error": "solver", "message": "threshold root finding took more than 0 steps"}
 
 
 def test_schema_flag(capsys):
@@ -166,6 +188,13 @@ def test_sweep_non_numeric_gamma_exit_2(tmp_path, capsys):
     error = json.loads(err.strip())
     assert error["error"] == "config" and "'abc'" in error["message"]
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_without_gammas_exit_2(tmp_path, capsys):
+    code, _out, err = run(capsys, "sweep", "--gammas", ",", "--grid", "11", "--out", str(tmp_path))
+    assert code == 2
+    assert json.loads(err.strip()) == {"error": "config", "message": "--gammas requires at least one value"}
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -456,6 +485,21 @@ def test_estimate_one_election_exit_3(tmp_path, capsys, states):
     error = json.loads(err.strip())
     assert error["error"] == "data"
     assert "need at least 2 elections" in error["message"]
+
+
+def test_estimate_every_row_filtered_exit_3(tmp_path, capsys):
+    # two valid rows, each under 50 votes: nothing remains to estimate from
+    data = tmp_path / "returns.csv"
+    data.write_text(
+        "state,year,precinct_id,district_id,total_votes,rep_share,contested\n"
+        "AA,2016,P1,D1,10,0.4,1\nAA,2018,P1,D1,10,0.6,1\n"
+    )
+    out = tmp_path / "out"
+    code, _out, err = run(capsys, "estimate", "--input", str(data), "--out", str(out))
+    assert code == 3
+    assert json.loads(err.strip()) == {"error": "data", "message": "no records remain after filtering"}
+    assert [path.name for path in out.iterdir()] == ["bad_rows.csv"]
+    assert (out / "bad_rows.csv").read_text() == "line,message\n"
 
 
 INSTANCE_FLAGS = {"--gamma", "--grid", "--taste"}

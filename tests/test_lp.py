@@ -3,6 +3,7 @@ import concurrent.futures
 import itertools
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,10 @@ def test_solution_residuals_and_gap():
     assert np.max(np.abs(a.threshold_residuals())) < M.FEAS_TOL
     assert abs(sol.duality_gap()) < 1e-8
     a.validate()  # raises on residual violation
+    # packed cells (v = 1/2) move the type rows only
+    moved = replace(a, pi=a.pi + 10 * M.FEAS_TOL * np.eye(a.pi.shape[0]))
+    with pytest.raises(L.LPSolveError, match="assignment residuals row=1.00e-07 col="):
+        moved.validate()
 
 
 def test_objective_between_benchmarks():
@@ -506,7 +511,11 @@ def _fail_cholesky(monkeypatch, from_call):
     return calls
 
 
-@pytest.mark.parametrize("cause", ["start", "early", "late", "iteration_limit"])
+def _overflowing_newton(prog):
+    raise FloatingPointError("overflow encountered in multiply")
+
+
+@pytest.mark.parametrize("cause", ["start", "early", "late", "iteration_limit", "floating_point"])
 def test_stage1_failure_raises_its_cause(monkeypatch, cause):
     inst = M.uniform_instance(n=101, gamma=2.0)
     steps = L.solve_lp(L.build_lp(inst)).stats["stage1_iterations"]
@@ -514,6 +523,9 @@ def test_stage1_failure_raises_its_cause(monkeypatch, cause):
     if cause == "iteration_limit":
         monkeypatch.setattr(L, "IPM_MAX_ITER", 3)
         message = "stage 1: iteration limit 3 at sum x[*]z = "
+    elif cause == "floating_point":
+        monkeypatch.setattr(L, "_newton", _overflowing_newton)
+        message = "^stage 1: overflow encountered in multiply$"
     else:
         # one factorization for the starting point and one per Newton step;
         # "late" fails the last one, on the step before stage 1 would stop

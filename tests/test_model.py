@@ -225,6 +225,10 @@ def test_seat_share_closed_forms():
 
 
 def test_plan_checks_name_the_broken_sum():
+    with pytest.raises(M.GerryOptError, match="nonempty and equal length"):
+        M.Plan(district=[0, 0], types=[0.0, 1.0], weights=[1.0], mass=[1.0])
+    with pytest.raises(M.GerryOptError, match="grouped by district codes"):
+        M.Plan(district=[0, 2], types=[0.0, 1.0], weights=[1.0, 1.0], mass=[0.5, 0.5])
     with pytest.raises(M.GerryOptError, match="strictly positive"):
         M.Plan(district=[0, 0], types=[0.0, 1.0], weights=[1.0, 0.0], mass=[1.0])
     with pytest.raises(M.GerryOptError, match="district weights sum to 0.9"):
@@ -280,6 +284,22 @@ def test_degenerate_instance_errors():
         )
     with pytest.raises(M.GerryOptError):
         M.uniform_instance(gamma=-1.0)
+
+
+@pytest.mark.parametrize(
+    "grid, weights, message",
+    [
+        ([], [], "nonempty 1-D"),
+        ([[0.0, 1.0]], [[0.5, 0.5]], "nonempty 1-D"),
+        ([0.0, 1.0], [1.0], "equal length"),
+        ([0.0, 1.0, 1.0], [0.2, 0.3, 0.5], "strictly increasing"),
+        ([1.0, 0.0], [0.5, 0.5], "strictly increasing"),
+        ([0.0, 1.0], [1.5, -0.5], "nonnegative"),
+    ],
+)
+def test_malformed_instance_rejected(grid, weights, message):
+    with pytest.raises(M.GerryOptError, match=message):
+        M.ProblemInstance(type_grid=np.array(grid), type_weights=np.array(weights))
 
 
 @pytest.mark.parametrize("gamma", [0.0, float("inf"), float("nan")])

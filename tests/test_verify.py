@@ -352,7 +352,9 @@ def test_decomposition_failure_reasons():
     crossed = [decompose((3, 7, 5), (5, 7, 6)), decompose((3, 9, 5), (2, 7, 6))]
     for failed in crossed:
         assert failed.reason == "pairing maps are not monotone in the threshold"
-    for failed in [above, *crossed]:
+    empty = decompose()  # all-zero assignment
+    assert empty.reason == "empty assignment"
+    for failed in [above, *crossed, empty]:
         assert failed.bifurcation is None
         assert V.classify_regime(failed) == V.RegimeLabel.NOT_PACK_AND_PAIR
 
