@@ -53,8 +53,13 @@ SCHEMAS = {
 
 
 def _outdir(args) -> str:
+    from .model import GerryOptError
+
     out = args.out or os.environ.get("GERRYOPT_OUT") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # e.g. a regular file: the output path is configuration, not input data
+        raise GerryOptError(f"output directory {out!r} cannot be created: {exc}") from None
     return out
 
 
@@ -96,19 +101,18 @@ def cmd_solve(args) -> int:
     out = _outdir(args)
     sol, decomp, regime = lpmod.solve_and_classify(inst)
 
-    plan = lpmod.extract_plan(sol.assignment)
+    plan = lpmod.extract_plan(sol.lp, sol.pi)
     with open(os.path.join(out, "plan.json"), "w") as fh:
         fh.write(plan.to_json())
-    asg, cert = sol.assignment, sol.certificate
-    cells = zip(*np.nonzero(asg.pi > SUPPORT_TOL))
-    grid = asg.type_grid  # also the threshold grid
-    rows = ([f"{grid[i]:.10g}", f"{grid[j]:.10g}", f"{asg.pi[i, j]:.12g}"] for i, j in cells)
+    active = sol.pi > SUPPORT_TOL
+    grid = inst.type_grid  # also the threshold grid
+    rows = ([f"{grid[i]:.10g}", f"{grid[j]:.10g}", f"{sol.pi[i, j]:.12g}"] for i, j in zip(*np.nonzero(active)))
     _write_csv(out, "assignment.csv", "type,threshold,mass", rows)
     # pinned: fixed by complementary slackness given phi (phi itself can differ
     # between optimal certificates); lambda(r) is pinned where an active cell of
     # column r has v != 1/2
-    pinned = ((asg.pi > SUPPORT_TOL) & (asg.vote != 0.5)).any(axis=0)
-    dual = (("phi", grid, cert.phi, np.ones_like(pinned)), ("lambda", grid, cert.lambda_, pinned))
+    pinned = (active & (sol.lp.vote != 0.5)).any(axis=0)
+    dual = (("phi", grid, sol.phi, np.ones_like(pinned)), ("lambda", grid, sol.lam, pinned))
     rows = (
         [kind, f"{x:.10g}", f"{v:.12g}", int(p)]
         for kind, points, values, flags in dual
@@ -206,8 +210,8 @@ def cmd_verify(args) -> int:
         from . import lp as lpmod
 
         sol, decomp, regime = lpmod.solve_and_classify(inst)
-        sd = vf.check_single_dipped(sol.assignment)
-        dual = vf.check_dual_support_optimality(inst, sol.assignment, sol.certificate)
+        sd = vf.check_single_dipped(sol.lp, sol.pi)
+        dual = vf.check_dual_support_optimality(sol)
         gap = sol.duality_gap()
         checks["single_dipped"] = {"ok": sd.ok, "detail": {"n_violations": len(sd.violations)}}
         checks["pack_and_pair"] = {

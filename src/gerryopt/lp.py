@@ -33,6 +33,9 @@ Solved in two stages:
 ``_columns``, the sparse equality columns of stage 2's face cells.  The
 structured interior point reads the grid.
 
+``solve_lp`` returns one ``Solution``: the vertex pi, the stage-1 duals
+(lam, phi), the objective and the statistics.  Readers of pi take (lp, pi).
+
 ``solve_and_classify`` runs the whole pipeline, instance to solution,
 pack-and-pair decomposition and regime; every command and sweep row uses it.
 """
@@ -87,56 +90,25 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
-class AssignmentMatrix:
-    """Optimal joint assignment pi over (type, threshold) grid pairs; the
-    type grid is also the threshold grid."""
+class Solution:
+    """The LP's optimal vertex pi(s, r) and the stage-1 duals that certify it.
 
-    pi: np.ndarray
-    type_grid: np.ndarray
-    type_weights: np.ndarray
-    vote: np.ndarray
-
-    def row_residuals(self) -> np.ndarray:
-        return self.pi.sum(axis=1) - self.type_weights
-
-    def column_mass(self) -> np.ndarray:
-        return self.pi.sum(axis=0)
-
-    def threshold_residuals(self) -> np.ndarray:
-        """Per active column: sum_s pi(s,r) (v(s,r) - 1/2), else 0."""
-        res = ((self.vote - 0.5) * self.pi).sum(axis=0)
-        return np.where(self.column_mass() > SUPPORT_TOL, res, 0.0)
-
-    def validate(self) -> None:
-        row = float(np.max(np.abs(self.row_residuals())))
-        col = float(np.max(np.abs(self.threshold_residuals())))
-        if row > FEAS_TOL or col > FEAS_TOL:
-            raise LPSolveError(f"assignment residuals row={row:.2e} col={col:.2e} > {FEAS_TOL:.1e}")
-
-
-@dataclass(frozen=True)
-class DualCertificate:
-    """Equality-constraint multipliers certifying LP optimality.
-
-    lambda_[j] multiplies the threshold constraint at r_j; phi[i] is the voter
-    value of type s_i.  At an optimum phi(s) = max_r G(r) + lambda(r)(v(s,r)-1/2)
-    with equality on the active support, and sum f(s) phi(s) equals the
-    objective (strong duality).
+    lam[j] multiplies the threshold constraint at r_j and phi[i] is the voter
+    value of type s_i: the price-function dual of Dworczak & Martini (JPE
+    2019).  At an optimum phi(s) = max_r G(r) + lam(r)(v(s,r) - 1/2), with
+    equality on the support of pi, and sum f(s) phi(s) equals the objective
+    (strong duality).
     """
 
-    lambda_: np.ndarray
+    lp: LinearProgram
+    pi: np.ndarray          # on the (type, threshold) grid
+    lam: np.ndarray
     phi: np.ndarray
-
-
-@dataclass(frozen=True)
-class LPSolution:
-    assignment: AssignmentMatrix
     objective: float
-    certificate: DualCertificate
     stats: dict  # iteration counts, final complementarity and face size
 
     def duality_gap(self) -> float:
-        return float(abs(self.objective - self.assignment.type_weights @ self.certificate.phi))
+        return float(abs(self.objective - self.lp.inst.type_weights @ self.phi))
 
 
 def build_lp(inst: ProblemInstance) -> LinearProgram:
@@ -160,17 +132,16 @@ def _columns(lp: LinearProgram, cells: np.ndarray) -> sparse.csr_matrix:
     return sparse.coo_matrix((data, (rows, np.concatenate([k, k]))), shape=(n_s + n_r, cells.size)).tocsr()
 
 
-def _assignment(lp: LinearProgram, x: np.ndarray) -> AssignmentMatrix:
-    """The assignment matrix of a primal point, checked for feasibility."""
-    pi = x.reshape(lp.vote.shape)
-    assignment = AssignmentMatrix(
-        pi=np.where(pi > 0, pi, 0.0),
-        type_grid=lp.inst.type_grid,
-        type_weights=lp.inst.type_weights,
-        vote=lp.vote,
-    )
-    assignment.validate()
-    return assignment
+def _pi(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
+    """The assignment pi of a primal point, checked for feasibility: its type
+    rows, and the threshold rows of its columns above SUPPORT_TOL, hold within FEAS_TOL."""
+    pi = np.where(x > 0, x, 0.0).reshape(lp.vote.shape)
+    row = float(np.max(np.abs(pi.sum(axis=1) - lp.inst.type_weights)))
+    col_res = np.where(pi.sum(axis=0) > SUPPORT_TOL, ((lp.vote - 0.5) * pi).sum(axis=0), 0.0)
+    col = float(np.max(np.abs(col_res)))
+    if row > FEAS_TOL or col > FEAS_TOL:
+        raise LPSolveError(f"assignment residuals row={row:.2e} col={col:.2e} > {FEAS_TOL:.1e}")
+    return pi
 
 
 def _schur_solver(a: np.ndarray, d: np.ndarray):
@@ -321,7 +292,7 @@ def _max_packed_on_face(lp: LinearProgram, face: np.ndarray) -> tuple[np.ndarray
     return x, {"face_cells": int(face.size), "stage2_iterations": int(res.nit)}
 
 
-def solve_lp(lp: LinearProgram) -> LPSolution:
+def solve_lp(lp: LinearProgram) -> Solution:
     """Solve stage 1 by the structured interior point, then return the vertex
     of maximum packed mass on the optimal face with its objective and the
     stage-1 duals."""
@@ -335,28 +306,26 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     # a type of mass 0 leaves its phi free above that bound, so it takes the bound
     zero = lp.mass == 0
     phi[zero] = (lp.win + lam * (lp.vote[zero] - 0.5)).max(axis=1)
-    cert = DualCertificate(lambda_=lam, phi=phi)
     stats.update(face_stats)
-    objective = float(np.tile(lp.win, n_s) @ x)
-    return LPSolution(assignment=_assignment(lp, x), objective=objective, certificate=cert, stats=stats)
+    return Solution(lp, _pi(lp, x), lam, phi, float(np.tile(lp.win, n_s) @ x), stats)
 
 
-def extract_plan(assignment: AssignmentMatrix) -> Plan:
-    """One district per active threshold column, weighted by column mass."""
-    col_mass = assignment.column_mass()
+def extract_plan(lp: LinearProgram, pi: np.ndarray) -> Plan:
+    """One district per active threshold column of ``pi``, weighted by column mass."""
+    col_mass = pi.sum(axis=0)
     cols = np.flatnonzero(col_mass > SUPPORT_TOL)
-    district, types = np.nonzero(assignment.pi[:, cols].T > SUPPORT_TOL)
-    w = assignment.pi[types, cols[district]]
+    district, types = np.nonzero(pi[:, cols].T > SUPPORT_TOL)
+    w = pi[types, cols[district]]
     # a 1-D sum per column and a left-to-right total fix the rounding of plan.json
     sums = np.array([part.sum() for part in np.split(w, np.cumsum(np.bincount(district))[:-1])])
     mass = col_mass[cols]
-    return Plan(district, assignment.type_grid[types], w / sums[district], mass / sum(mass.tolist()))
+    return Plan(district, lp.inst.type_grid[types], w / sums[district], mass / sum(mass.tolist()))
 
 
-def solve_and_classify(inst: ProblemInstance) -> tuple[LPSolution, PackAndPairDecomposition, RegimeLabel]:
+def solve_and_classify(inst: ProblemInstance) -> tuple[Solution, PackAndPairDecomposition, RegimeLabel]:
     """Solve the instance's LP, then decompose and label its vertex."""
     sol = solve_lp(build_lp(inst))
-    decomp = decompose_pack_and_pair(sol.assignment)
+    decomp = decompose_pack_and_pair(sol.lp, sol.pi)
     return sol, decomp, classify_regime(decomp)
 
 

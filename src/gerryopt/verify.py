@@ -22,12 +22,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import (
-    FEAS_TOL, GRID_TOL, NORMAL, SUPPORT_TOL, GerryOptError, ProblemInstance, TasteDistribution, check_gamma
-)
+from .model import FEAS_TOL, GRID_TOL, NORMAL, SUPPORT_TOL, GerryOptError, TasteDistribution, check_gamma
 
 if TYPE_CHECKING:  # lp imports this module to classify its solutions
-    from .lp import AssignmentMatrix, DualCertificate
+    from .lp import LinearProgram, Solution
 
 # Plateaus as in model's tolerance comment.
 SPLIT_FRAC = 0.01      # a type splits when its packed and paired mass both exceed this share (plateau 1e-4..0.2)
@@ -102,8 +100,8 @@ class Districts:
         return np.bincount(types, mass, minlength=self.type_grid.size)
 
 
-def refine_assignment(assignment: AssignmentMatrix) -> Districts:
-    """Decompose an assignment into packed and two-type districts.
+def refine_assignment(lp: LinearProgram, pi: np.ndarray) -> Districts:
+    """Decompose the assignment ``pi`` of ``lp`` into packed and two-type districts.
 
     A column with one active type is a packed district.  Every other column
     is split on its own members only, by two pointers: one walks the
@@ -115,8 +113,7 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
     masses and thresholds are kept, so the objective and feasibility are
     unchanged.  The mass a column's split cannot place adds to ``leftover``.
     """
-    pi = assignment.pi
-    grid = assignment.type_grid
+    grid = lp.inst.type_grid
     col_mass = pi.sum(axis=0)
 
     rows = []  # (threshold, low, high, rho, mass, packed), columns in threshold order
@@ -131,7 +128,7 @@ def refine_assignment(assignment: AssignmentMatrix) -> Districts:
             rows.append((r, i, i, 1.0, float(col_mass[j]), True))
             continue
         refined |= active.size > 2
-        rem, vote = pi[:, j].tolist(), assignment.vote[:, j].tolist()
+        rem, vote = pi[:, j].tolist(), lp.vote[:, j].tolist()
         # each pointer's next type is the last entry of its list
         low, high = active[active < j][::-1].tolist(), active[active > j].tolist()
         budget = float(col_mass[j])  # the column's unplaced mass
@@ -164,10 +161,10 @@ class SingleDippedReport:
     violations: list  # (s, s_mid, s'', r_pair, r_mid) 5-tuples with the offending thresholds
 
 
-def check_single_dipped(assignment: AssignmentMatrix) -> SingleDippedReport:
-    """Strict single-dippedness: no type may sit strictly inside the span of a
-    district with a strictly lower threshold."""
-    d = refine_assignment(assignment)
+def check_single_dipped(lp: LinearProgram, pi: np.ndarray) -> SingleDippedReport:
+    """Strict single-dippedness of ``pi``: no type may sit strictly inside the
+    span of a district with a strictly lower threshold."""
+    d = refine_assignment(lp, pi)
     grid = d.type_grid
     two = d.low != d.high
     # members: every district's low type and every two-type district's high type
@@ -190,12 +187,13 @@ class PackAndPairDecomposition:
     type_weights: np.ndarray
 
 
-def decompose_pack_and_pair(assignment: AssignmentMatrix) -> PackAndPairDecomposition:
+def decompose_pack_and_pair(lp: LinearProgram, pi: np.ndarray) -> PackAndPairDecomposition:
     """Read off the bifurcation point and the pairing maps s1 (nonincreasing)
-    and s2 (nondecreasing) from a canonicalized solution."""
-    districts = refine_assignment(assignment)
+    and s2 (nondecreasing) from the districts ``refine_assignment`` splits
+    ``pi`` into."""
+    districts = refine_assignment(lp, pi)
     reason, r_b = _pack_and_pair(districts)
-    return PackAndPairDecomposition(reason is None, reason, r_b, districts, assignment.type_weights)
+    return PackAndPairDecomposition(reason is None, reason, r_b, districts, lp.inst.type_weights)
 
 
 def _pack_and_pair(d: Districts) -> tuple[str | None, float | None]:
@@ -279,10 +277,8 @@ class DualSupportReport:
     part2_errors: list        # (r, L, U, formula) where the scaled distance exceeds POOLING_TOL
 
 
-def check_dual_support_optimality(
-    inst: ProblemInstance, assignment: AssignmentMatrix, cert: DualCertificate
-) -> DualSupportReport:
-    """Verify the optimality certificate on the active support.
+def check_dual_support_optimality(sol: Solution) -> DualSupportReport:
+    """Verify the solution's optimality certificate on the active support.
 
     Part 1: every active cell (s, r) attains max_r' G(r') + lambda(r')(v(s,r')-1/2).
     Part 2: on each active column, the continuum multiplier formula
@@ -302,22 +298,22 @@ def check_dual_support_optimality(
     gamma) there is no scale: part 2 is reported failed, with
     ``worst_multiplier_error`` None and no listed errors.
     """
-    g_of_r = np.asarray(inst.G(assignment.type_grid), dtype=float)
-    values = g_of_r[None, :] + cert.lambda_[None, :] * (assignment.vote - 0.5)
+    lp, pi = sol.lp, sol.pi
+    inst, grid = lp.inst, lp.inst.type_grid
+    values = lp.win[None, :] + sol.lam[None, :] * (lp.vote - 0.5)
     best = values.max(axis=1)
-    active = assignment.pi > SUPPORT_TOL
-    slack = np.where(active, best[:, None] - values, 0.0)
+    slack = np.where(pi > SUPPORT_TOL, best[:, None] - values, 0.0)
     worst1 = float(slack.max())
 
-    col_mass = assignment.column_mass()
+    col_mass = pi.sum(axis=0)
     cols = np.flatnonzero(col_mass > SUPPORT_TOL)
-    r = assignment.type_grid[cols]
-    w = assignment.pi[:, cols] / col_mass[cols]
-    q_mean = (w * inst.taste.pdf(assignment.type_grid[:, None] - r[None, :])).sum(axis=0)
+    r = grid[cols]
+    w = pi[:, cols] / col_mass[cols]
+    q_mean = (w * inst.taste.pdf(grid[:, None] - r[None, :])).sum(axis=0)
     formula = np.asarray(inst.g(r), dtype=float) / q_mean
-    dv = assignment.vote[:, cols] - 0.5
+    dv = lp.vote[:, cols] - 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = (cert.phi[:, None] - g_of_r[cols][None, :]) / dv
+        bound = (sol.phi[:, None] - lp.win[cols][None, :]) / dv
     lower = np.where(dv < 0, bound, -np.inf).max(axis=0)
     upper = np.where(dv > 0, bound, np.inf).min(axis=0)
     dist = np.maximum(np.maximum(lower - formula, formula - upper), 0.0)

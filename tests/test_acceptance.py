@@ -17,9 +17,8 @@ from gerryopt import lp as L
 from gerryopt import model as M
 from gerryopt import verify as V
 from gerryopt.verify import POOLING_TOL
-from test_lp import enumerate_vertices_objective
+from test_lp import FIG_GAMMAS, enumerate_vertices_objective
 
-FIG_GAMMAS = [0.2, 0.5, 1.0, 1.2, 1.4, 1.6, 1.7, 3.0, 6.0]
 FIG_LABELS = ["PMP", "PMP", "PMP", "MixedPMP", "MixedPMP", "MixedPOP", "POP", "POP", "POP"]
 
 
@@ -47,7 +46,7 @@ def test_criterion_2_regime_reproduction(solve_cached):
     got = []
     for gamma in FIG_GAMMAS:
         inst, sol = solve_cached(gamma)
-        decomp = V.decompose_pack_and_pair(sol.assignment)
+        decomp = V.decompose_pack_and_pair(sol.lp, sol.pi)
         label = V.classify_regime(decomp) if decomp.ok else None
         got.append(label.value if label else "none")
     ok = got == FIG_LABELS
@@ -59,7 +58,7 @@ def test_criterion_3_mixed_regime_bifurcation(solve_cached):
     parts = []
     for gamma in FIG_GAMMAS:
         inst, sol = solve_cached(gamma)
-        decomp = V.decompose_pack_and_pair(sol.assignment)
+        decomp = V.decompose_pack_and_pair(sol.lp, sol.pi)
         label = V.classify_regime(decomp)
         if label in (V.RegimeLabel.MIXED_PMP, V.RegimeLabel.MIXED_POP):
             ok &= abs(decomp.bifurcation) <= 0.01 + 1e-12
@@ -114,7 +113,7 @@ def test_criterion_7_duality(solve_cached):
     for gamma in (0.5, 2.0, 6.0):
         inst, sol = solve_cached(gamma)
         gap = sol.duality_gap()
-        rep = V.check_dual_support_optimality(inst, sol.assignment, sol.certificate)
+        rep = V.check_dual_support_optimality(sol)
         gap_ok &= gap <= 1e-7
         p1_ok &= rep.part1_ok and rep.worst_slack <= 1e-7
         p2_ok &= rep.part2_ok and rep.worst_multiplier_error <= POOLING_TOL
@@ -235,7 +234,7 @@ def test_criterion_10_property_suites(solve_cached):
     # single-dippedness of solved instances under normal Q
     for gamma in (0.5, 1.2, 1.7, 6.0):
         _, sol = solve_cached(gamma)
-        ok &= V.check_single_dipped(sol.assignment).ok
+        ok &= V.check_single_dipped(sol.lp, sol.pi).ok
     # filter idempotence
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "r.csv")

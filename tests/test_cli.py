@@ -64,10 +64,9 @@ def test_dual_csv_flags_the_pinned_multipliers(tmp_path, capsys, solve_cached):
     assert set(flags["phi"]) == {1}
 
     inst, sol = solve_cached(2.0)
-    a, cert = sol.assignment, sol.certificate
-    dv = a.vote - 0.5
+    dv = sol.lp.vote - 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = (cert.phi[:, None] - np.asarray(inst.G(a.type_grid))[None, :]) / dv
+        bound = (sol.phi[:, None] - np.asarray(inst.G(inst.type_grid))[None, :]) / dv
     lower = np.where(dv < 0, bound, -np.inf).max(axis=0)
     upper = np.where(dv > 0, bound, np.inf).min(axis=0)
     assert flags["lambda"] == (upper - lower <= V.DUAL_TOL).astype(int).tolist()
@@ -228,6 +227,20 @@ def test_simulate_negative_seed_exit_2(tmp_path, capsys):
     assert not (tmp_path / "returns.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["solve", "--gamma", "2", "--grid", "11"], ["simulate", "--precincts", "50"]], ids=["solve", "simulate"]
+)
+def test_unusable_out_exits_2_as_config(tmp_path, capsys, argv):
+    # an --out that names a regular file is a configuration error, not bad input data
+    target = tmp_path / "F"
+    target.write_text("kept\n")
+    code, _out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    error = json.loads(err.strip())
+    assert error["error"] == "config" and "cannot be created" in error["message"]
+    assert target.read_text() == "kept\n"
+
+
 # `benchmark --gamma 2` (n=201) and the plan of `solve --gamma 2 --grid 41`,
 # pinned at the per-district root finder.  Values read off district thresholds
 # are compared to 1e-12; everything else, cutoffs included, exactly.
@@ -310,20 +323,32 @@ def test_verify_pap_config_errors(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-def test_verify_structural_checks(tmp_path, capsys):
+# (gamma, regime, bifurcation) of `verify` at n=201.  Only verdicts are
+# pinned: the numeric details move in their last digits with the BLAS.  The
+# multiplier formula misses POOLING_TOL only at gamma=30 (see verify.POOLING_TOL).
+VERIFY_VERDICTS = [(0.5, "PMP", -0.33), (2.0, "POP", 0.11), (6.0, "POP", 0.18), (30.0, "POP", 0.06)]
+
+
+@pytest.mark.parametrize("gamma,regime,r_b", VERIFY_VERDICTS, ids=[str(g) for g, *_ in VERIFY_VERDICTS])
+def test_verify_structural_checks(tmp_path, capsys, gamma, regime, r_b):
     code, out, _ = run(
-        capsys, "verify", "--gamma", "6", "--grid", "201", "--out", str(tmp_path)
+        capsys, "verify", "--gamma", str(gamma), "--grid", "201", "--out", str(tmp_path)
     )
     assert code == 0
     report = json.loads((tmp_path / "verification.json").read_text())
+    assert report["all_ok"]
     checks = report["checks"]
     assert checks["single_dipped"]["ok"]
+    assert checks["single_dipped"]["detail"]["n_violations"] == 0
     assert checks["pack_and_pair"]["ok"]
-    assert checks["regime"]["detail"] == "POP"
+    assert checks["pack_and_pair"]["detail"]["reason"] is None
+    assert checks["pack_and_pair"]["detail"]["bifurcation"] == pytest.approx(r_b, abs=1e-12)
+    assert checks["regime"]["detail"] == regime
     assert checks["duality_gap"]["ok"]
     assert checks["dual_support"]["ok"]
     # the continuum multiplier identity is reported but never gates the exit
     assert checks["dual_multiplier_formula"]["informational"]
+    assert checks["dual_multiplier_formula"]["ok"] == (gamma != 30.0)
 
 
 def test_large_gamma_verdict_is_pop(tmp_path, capsys):

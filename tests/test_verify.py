@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from test_acceptance import FIG_GAMMAS
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
 def test_refinement_conserves_mass_and_value(solve_cached, gamma):
     inst, sol = solve_cached(gamma)
-    d = V.refine_assignment(sol.assignment)
+    d = V.refine_assignment(sol.lp, sol.pi)
     assert d.ok
     total = float(d.seg_mass.sum() + d.pair_mass.sum())
     assert total == pytest.approx(1.0, abs=1e-8)
@@ -38,7 +39,7 @@ def test_refinement_conserves_mass_and_value(solve_cached, gamma):
 
 def test_refinement_threshold_exact_balance(solve_cached):
     inst, sol = solve_cached(6.0)
-    d = V.refine_assignment(sol.assignment)
+    d = V.refine_assignment(sol.lp, sol.pi)
     two = d.low != d.high
     assert two.any()
     r, rho = d.threshold[two], d.rho[two]
@@ -71,15 +72,10 @@ def test_refinement_splits_each_column_on_its_own_types():
     pi[2, 2] = 0.1
     add_pair(0, 5, 3, 0.2)
     add_pair(1, 4, 3, 0.2)
-    assignment = L.AssignmentMatrix(
-        pi=pi,
-        type_grid=inst.type_grid,
-        type_weights=pi.sum(axis=1),
-        vote=v,
-    )
-    assert np.max(np.abs(assignment.threshold_residuals())) < 1e-12
+    # every column is balanced at its threshold
+    assert np.max(np.abs(((v - 0.5) * pi).sum(axis=0))) < 1e-12
 
-    d = V.refine_assignment(assignment)
+    d = V.refine_assignment(L.build_lp(inst), pi)
     assert d.refined
     assert d.leftover <= 1e-12
     j = np.searchsorted(thresholds, d.threshold)
@@ -97,11 +93,11 @@ def test_refinement_splits_each_column_on_its_own_types():
     assert d.mass[pool] == pytest.approx([0.1], abs=1e-12)
 
 
-def _refine_reference(assignment):
+def _refine_reference(prog, pi):
     """The rescanning split that ``refine_assignment``'s two pointers replaced,
     kept as their oracle.  Its ``leftover`` adds the unplaced budget and the
     unplaced remainder, which count the same mass twice, so it is not compared."""
-    pi, grid, vote = assignment.pi, assignment.type_grid, assignment.vote
+    grid, vote = prog.inst.type_grid, prog.vote
     col_mass = pi.sum(axis=0)
     rows, leftover, refined = [], 0.0, False
     for j in np.flatnonzero(col_mass > M.SUPPORT_TOL):
@@ -150,21 +146,20 @@ def _assert_split_equal(got, want):
 
 
 def _one_column(grid, masses, j):
-    """An assignment whose only column is threshold ``grid[j]``, holding ``masses``."""
+    """(lp, pi) of an assignment whose only column is threshold ``grid[j]``, holding ``masses``."""
     inst = M.ProblemInstance(
         type_grid=grid, type_weights=np.full(grid.size, 1.0 / grid.size), taste=M.NORMAL, gamma=1.0
     )
-    v = M.vote_share(inst, grid[:, None], grid[None, :])
     pi = np.zeros((grid.size, grid.size))
     pi[:, j] = masses
-    return L.AssignmentMatrix(pi=pi, type_grid=grid, type_weights=pi.sum(axis=1), vote=v)
+    return L.build_lp(inst), pi
 
 
 @pytest.mark.parametrize("taste", [M.NORMAL, M.LOGISTIC], ids=lambda t: t.name)
 def test_split_matches_loop_reference_on_sweeps(taste):
     for gamma in FIG_GAMMAS + [10.0, 30.0]:
         sol = L.solve_lp(L.build_lp(M.uniform_instance(n=101, gamma=gamma, taste=taste)))
-        _assert_split_equal(V.refine_assignment(sol.assignment), _refine_reference(sol.assignment))
+        _assert_split_equal(V.refine_assignment(sol.lp, sol.pi), _refine_reference(sol.lp, sol.pi))
 
 
 def test_split_matches_loop_reference_on_threshold_type_and_unbalanced_tail():
@@ -172,7 +167,7 @@ def test_split_matches_loop_reference_on_threshold_type_and_unbalanced_tail():
     # types whose mass the low side cannot balance.
     grid = np.array([-1.0, -0.6, -0.2, 0.0, 0.3, 0.7, 1.2])
     a = _one_column(grid, [0.05, 0.1, 0.08, 0.07, 0.2, 0.25, 0.25], 3)
-    d, want = V.refine_assignment(a), _refine_reference(a)
+    d, want = V.refine_assignment(*a), _refine_reference(*a)
     _assert_split_equal(d, want)
     assert d.refined
     pool = d.low == d.high
@@ -185,11 +180,11 @@ def test_split_matches_loop_reference_on_threshold_type_and_unbalanced_tail():
 def test_split_counts_unplaced_mass_once():
     # 0.3 low and 0.5 high mass pair 0.6 of the column; 0.2 of the high type is left.
     a = _one_column(np.array([-1.0, 0.0, 1.0]), [0.3, 0.0, 0.5], 1)
-    d = V.refine_assignment(a)
+    d = V.refine_assignment(*a)
     assert float(d.mass.sum()) == pytest.approx(0.6, abs=1e-15)
     assert abs(d.leftover - 0.2) <= 1e-15
     assert not d.ok
-    assert V.decompose_pack_and_pair(a).reason == "column split left 2.00e-01 unplaced mass"
+    assert V.decompose_pack_and_pair(*a).reason == "column split left 2.00e-01 unplaced mass"
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +195,7 @@ def test_split_counts_unplaced_mass_once():
 @pytest.mark.parametrize("gamma", [0.5, 1.2, 1.7, 6.0])
 def test_optimal_solutions_single_dipped(solve_cached, gamma):
     inst, sol = solve_cached(gamma)
-    report = V.check_single_dipped(sol.assignment)
+    report = V.check_single_dipped(sol.lp, sol.pi)
     assert report.ok
     assert report.violations == []
 
@@ -227,15 +222,9 @@ def test_single_dipped_violation_detected():
     pi[3, 1] = pair_mass * (1 - rho)
     pi[2, 2] = 0.2          # point district at -0.5, threshold -0.5
     pi[3, 3] = 0.4 - pi[3, 1]  # leftover packed at 0
-    assignment = L.AssignmentMatrix(
-        pi=pi,
-        type_grid=inst.type_grid,
-        type_weights=inst.type_weights,
-        vote=v,
-    )
-    assert np.max(np.abs(assignment.row_residuals())) < 1e-12
-    assert np.max(np.abs(assignment.threshold_residuals())) < 1e-12
-    report = V.check_single_dipped(assignment)
+    assert np.max(np.abs(pi.sum(axis=1) - inst.type_weights)) < 1e-12
+    assert np.max(np.abs(((v - 0.5) * pi).sum(axis=0))) < 1e-12
+    report = V.check_single_dipped(L.build_lp(inst), pi)
     assert not report.ok
     assert report.violations == [(-1.0, -0.5, 0.0, -0.75, -0.5)]
 
@@ -247,11 +236,8 @@ def test_district_table_matches_loop_reference():
     inst = M.uniform_instance(n=41, gamma=2.0)
     grid = inst.type_grid
     pi = rng.random((41, 41)) * (rng.random((41, 41)) < 0.15)
-    v = M.vote_share(inst, grid[:, None], grid[None, :])
-    assignment = L.AssignmentMatrix(
-        pi=pi, type_grid=grid, type_weights=pi.sum(axis=1), vote=v
-    )
-    d = V.refine_assignment(assignment)
+    prog = L.build_lp(inst)
+    d = V.refine_assignment(prog, pi)
     rows = list(zip(d.threshold, d.low, d.high, d.rho, d.mass, d.packed))
     seg, pair = np.zeros(grid.size), np.zeros(grid.size)
     for _r, lo, hi, rho, m, packed in rows:
@@ -271,7 +257,7 @@ def test_district_table_matches_loop_reference():
         if r_mid > r and a < s < b
     )
     assert len(expected) > 100
-    assert V.check_single_dipped(assignment).violations == expected
+    assert V.check_single_dipped(prog, pi).violations == expected
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +280,7 @@ EXPECTED_REGIMES = {
 @pytest.mark.parametrize("gamma", sorted(EXPECTED_REGIMES))
 def test_regime_classification(solve_cached, gamma):
     inst, sol = solve_cached(gamma)
-    decomp = V.decompose_pack_and_pair(sol.assignment)
+    decomp = V.decompose_pack_and_pair(sol.lp, sol.pi)
     assert decomp.ok, decomp.reason
     label = V.classify_regime(decomp)
     assert label == EXPECTED_REGIMES[gamma]
@@ -303,14 +289,14 @@ def test_regime_classification(solve_cached, gamma):
 @pytest.mark.parametrize("gamma", [1.2, 1.4, 1.6])
 def test_mixed_regime_bifurcation_near_zero(solve_cached, gamma):
     _, sol = solve_cached(gamma)
-    decomp = V.decompose_pack_and_pair(sol.assignment)
+    decomp = V.decompose_pack_and_pair(sol.lp, sol.pi)
     assert decomp.ok
     assert abs(decomp.bifurcation) <= 0.02
 
 
 def test_decomposition_masses(solve_cached):
     _, sol = solve_cached(6.0)
-    decomp = V.decompose_pack_and_pair(sol.assignment)
+    decomp = V.decompose_pack_and_pair(sol.lp, sol.pi)
     assert decomp.ok
     d = decomp.districts
     assert float(d.seg_mass.sum() + d.pair_mass.sum()) == pytest.approx(1.0, abs=1e-8)
@@ -339,9 +325,7 @@ def test_decomposition_failure_reasons():
             pi[hi, j] += 0.1 * (1 - rho)
         for i in packed:
             pi[i, i] += 0.1
-        return V.decompose_pack_and_pair(
-            L.AssignmentMatrix(pi=pi, type_grid=grid, type_weights=pi.sum(axis=1), vote=v)
-        )
+        return V.decompose_pack_and_pair(L.build_lp(inst), pi)
 
     nested = decompose((3, 7, 5), (2, 8, 6), packed=[0])
     assert (nested.ok, nested.bifurcation) == (True, -0.2)
@@ -651,7 +635,7 @@ def test_y_conditions_invalid_gamma():
 @pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
 def test_dual_support_max_attained(solve_cached, gamma):
     inst, sol = solve_cached(gamma)
-    report = V.check_dual_support_optimality(inst, sol.assignment, sol.certificate)
+    report = V.check_dual_support_optimality(sol)
     # on the active support, phi(s) attains the max over thresholds
     assert report.part1_ok
     assert report.worst_slack < 1e-8
@@ -662,20 +646,19 @@ def test_dual_multiplier_check_ignores_packed_vertex_choice(solve_cached):
     # [L, U] (bounds from phi on the other types) is an equally optimal dual.
     for gamma in (2.0, 30.0):
         inst, sol = solve_cached(gamma)
-        a, cert = sol.assignment, sol.certificate
-        base = V.check_dual_support_optimality(inst, a, cert)
+        base = V.check_dual_support_optimality(sol)
         # part 2 exceeds POOLING_TOL at gamma=30 (see its comment), but not at the packed column r = -1
         assert len(base.part2_errors) > 0 if gamma == 30.0 else base.part2_ok
         assert all(r > -1.0 + 1e-9 for r, *_ in base.part2_errors)
 
-        g_of_r = np.asarray(inst.G(a.type_grid), dtype=float)
-        active = a.pi > M.SUPPORT_TOL
+        g_of_r = np.asarray(inst.G(inst.type_grid), dtype=float)
+        active = sol.pi > M.SUPPORT_TOL
         packed = np.flatnonzero(active.sum(axis=0) == 1)
-        assert a.type_grid[packed[0]] == -1.0
+        assert inst.type_grid[packed[0]] == -1.0
         lower, upper = np.empty(packed.size), np.empty(packed.size)
         for k, j in enumerate(packed):
-            dv = a.vote[:, j] - 0.5
-            bound = (cert.phi - g_of_r[j]) / np.where(dv == 0, 1.0, dv)
+            dv = sol.lp.vote[:, j] - 0.5
+            bound = (sol.phi - g_of_r[j]) / np.where(dv == 0, 1.0, dv)
             lower[k] = bound[dv < 0].max() if (dv < 0).any() else -np.inf
             upper[k] = bound[dv > 0].min() if (dv > 0).any() else np.inf
         assert lower[0] == -np.inf  # no type lies below r = -1
@@ -683,10 +666,9 @@ def test_dual_multiplier_check_ignores_packed_vertex_choice(solve_cached):
         upper = np.where(np.isfinite(upper), upper, lower + 1.0)
 
         for t in (0.0, 0.5, 1.0):
-            lam = cert.lambda_.copy()
+            lam = sol.lam.copy()
             lam[packed] = lower + t * (upper - lower)
-            moved = L.DualCertificate(lambda_=lam, phi=cert.phi)
-            report = V.check_dual_support_optimality(inst, a, moved)
+            report = V.check_dual_support_optimality(replace(sol, lam=lam))
             assert report.worst_slack < 1e-8  # still an optimal dual
             assert report.part2_ok == base.part2_ok
             assert report.worst_multiplier_error == base.worst_multiplier_error
@@ -697,14 +679,7 @@ def test_full_segregation_assignment_classified():
     inst = M.uniform_instance(n=41, gamma=2.0)
     n = inst.type_grid.size
     pi = np.diag(inst.type_weights)
-    v = M.vote_share(inst, inst.type_grid[:, None], inst.type_grid[None, :])
-    assignment = L.AssignmentMatrix(
-        pi=pi,
-        type_grid=inst.type_grid,
-        type_weights=inst.type_weights,
-        vote=v,
-    )
-    decomp = V.decompose_pack_and_pair(assignment)
+    decomp = V.decompose_pack_and_pair(L.build_lp(inst), pi)
     assert decomp.ok
     assert decomp.districts.pair_mass == pytest.approx(0.0, abs=1e-12)
     label = V.classify_regime(decomp)
