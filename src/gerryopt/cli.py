@@ -14,6 +14,7 @@ from __future__ import annotations
 # and scipy.optimize.  Imported names are looked up at call time, never kept
 # in this module, so a wrapper installed on a module attribute still applies.
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -63,11 +64,23 @@ def _outdir(args) -> str:
     return out
 
 
+@contextlib.contextmanager
+def _output(out: str, name: str):
+    """Yield the path of output file ``name`` in ``out``; every output write
+    goes through here, and an ``OSError`` while writing is a config error."""
+    from .model import GerryOptError
+
+    path = os.path.join(out, name)
+    try:
+        yield path
+    except OSError as exc:
+        raise GerryOptError(f"output file {path!r} cannot be written: {exc}") from None
+
+
 def _write_csv(out: str, name: str, header: str, rows) -> str:
     """Write the comma-separated ``header`` and then ``rows`` as UTF-8; return
     the path."""
-    path = os.path.join(out, name)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _output(out, name) as path, open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header.split(","))
         w.writerows(rows)
@@ -76,7 +89,7 @@ def _write_csv(out: str, name: str, header: str, rows) -> str:
 
 def _write_report(out: str, name: str, report: dict) -> None:
     """Write ``report`` as indented JSON and echo it compactly on stdout."""
-    with open(os.path.join(out, name), "w") as fh:
+    with _output(out, name) as path, open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
     print(json.dumps(report, sort_keys=True))
 
@@ -102,16 +115,16 @@ def cmd_solve(args) -> int:
     sol, decomp, regime = lpmod.solve_and_classify(inst)
 
     plan = lpmod.extract_plan(sol.lp, sol.pi)
-    with open(os.path.join(out, "plan.json"), "w") as fh:
+    with _output(out, "plan.json") as path, open(path, "w") as fh:
         fh.write(plan.to_json())
     active = sol.pi > SUPPORT_TOL
     grid = inst.type_grid  # also the threshold grid
     rows = ([f"{grid[i]:.10g}", f"{grid[j]:.10g}", f"{sol.pi[i, j]:.12g}"] for i, j in zip(*np.nonzero(active)))
     _write_csv(out, "assignment.csv", "type,threshold,mass", rows)
-    # pinned: fixed by complementary slackness given phi (phi itself can differ
-    # between optimal certificates); lambda(r) is pinned where an active cell of
-    # column r has v != 1/2
-    pinned = (active & (sol.lp.vote != 0.5)).any(axis=0)
+    # pinned: lambda(r) is fixed by complementary slackness given phi where an
+    # active cell of column r has a != 0; each phi is the least value dual
+    # feasible given lambda, and its row is flagged 1
+    pinned = (active & (sol.lp.a != 0)).any(axis=0)
     dual = (("phi", grid, sol.phi, np.ones_like(pinned)), ("lambda", grid, sol.lam, pinned))
     rows = (
         [kind, f"{x:.10g}", f"{v:.12g}", int(p)]
@@ -294,16 +307,15 @@ def cmd_estimate(args) -> int:
 def cmd_simulate(args) -> int:
     from . import estimation as est
 
-    out = _outdir(args)
-    path = os.path.join(out, "returns.csv")
-    est.simulate_returns(
-        path,
-        gamma=args.gamma,
-        T=args.elections,
-        n_precincts=args.precincts,
-        votes_per_precinct=args.votes,
-        seed=args.seed,
-    )
+    with _output(_outdir(args), "returns.csv") as path:
+        est.simulate_returns(
+            path,
+            gamma=args.gamma,
+            T=args.elections,
+            n_precincts=args.precincts,
+            votes_per_precinct=args.votes,
+            seed=args.seed,
+        )
     print(path)
     return EXIT_OK
 

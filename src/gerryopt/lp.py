@@ -17,10 +17,10 @@ Solved in two stages:
    IPM_REG on the normal matrix's diagonal (Friedlander & Orban, Math. Prog.
    Comp. 4, 2012) keeps the duals bounded where the optimal dual set is not.
    Stage 1 stops at primal and dual residuals below IPM_TOL and a
-   complementarity sum x*z below IPM_GAP, or raises ``LPSolveError``; its
-   equality duals (the certificate multipliers lambda(r) and voter values
-   phi(s)) are the ones reported, and the optimal face is the cells where
-   x > z.
+   complementarity sum x*z below IPM_GAP, or raises ``LPSolveError``.  Its
+   threshold duals, the certificate multipliers lambda(r), are the ones
+   reported; the voter values phi(s) follow from them (``Solution``).  The
+   optimal face is the cells where x > z.
 2. The LP often has many optimal vertices, and structural verdicts (regime,
    bifurcation, single-dippedness) read the vertex.  Stage 2 (``linprog``
    dual simplex) finds a vertex of maximum packed mass (r = s) on the face
@@ -28,13 +28,13 @@ Solved in two stages:
    dual, so it is optimal and the stage-1 certificate stays valid for it.
    The reported objective is this vertex's value.
 
-``LinearProgram`` keeps the problem on its grid, G(r) and v(s, r).  Only
+``LinearProgram`` keeps the problem on its grid, G(r) and a = v - 1/2.  Only
 ``_highs`` builds HiGHS's standard form: the right-hand side and, by
 ``_columns``, the sparse equality columns of stage 2's face cells.  The
 structured interior point reads the grid.
 
-``solve_lp`` returns one ``Solution``: the vertex pi, the stage-1 duals
-(lam, phi), the objective and the statistics.  Readers of pi take (lp, pi).
+``solve_lp`` returns one ``Solution``: the vertex pi, lam, the phi it prices,
+the objective and the statistics.  Readers of pi take (lp, pi).
 
 ``solve_and_classify`` runs the whole pipeline, instance to solution,
 pack-and-pair decomposition and regime; every command and sweep row uses it.
@@ -86,18 +86,18 @@ class LinearProgram:
     inst: ProblemInstance
     mass: np.ndarray        # f(s), a mass at most SUPPORT_TOL (numerically zero) as 0
     win: np.ndarray         # G(r) per threshold column
-    vote: np.ndarray        # v(s, r) on the (type, threshold) grid
+    a: np.ndarray           # v(s, r) - 1/2 on the (type, threshold) grid
 
 
 @dataclass(frozen=True)
 class Solution:
-    """The LP's optimal vertex pi(s, r) and the stage-1 duals that certify it.
+    """The LP's optimal vertex pi(s, r) and the certificate of its optimality.
 
-    lam[j] multiplies the threshold constraint at r_j and phi[i] is the voter
-    value of type s_i: the price-function dual of Dworczak & Martini (JPE
-    2019).  At an optimum phi(s) = max_r G(r) + lam(r)(v(s,r) - 1/2), with
-    equality on the support of pi, and sum f(s) phi(s) equals the objective
-    (strong duality).
+    lam[j] multiplies the threshold constraint at r_j, and phi[i], the voter
+    value of type s_i, is the least value dual feasible given lam: phi(s) =
+    max_r G(r) + lam(r)(v(s,r) - 1/2), the price-function dual of Dworczak &
+    Martini (JPE 2019).  For any lam, U = sum f(s) phi(s) bounds every plan's
+    value, so ``duality_gap``, |U - objective|, rests on lam alone.
     """
 
     lp: LinearProgram
@@ -112,10 +112,11 @@ class Solution:
 
 
 def build_lp(inst: ProblemInstance) -> LinearProgram:
-    """Evaluate G(r) and the vote shares; the thresholds are the type grid."""
+    """Evaluate G(r) and a = v - 1/2; the thresholds are the type grid."""
     s = r = inst.type_grid
     mass = np.where(inst.type_weights > SUPPORT_TOL, inst.type_weights, 0.0)
-    return LinearProgram(inst, mass, np.asarray(inst.G(r), dtype=float), vote_share(inst, s[:, None], r[None, :]))
+    a = vote_share(inst, s[:, None], r[None, :]) - 0.5
+    return LinearProgram(inst, mass, np.asarray(inst.G(r), dtype=float), a)
 
 
 def _columns(lp: LinearProgram, cells: np.ndarray) -> sparse.csr_matrix:
@@ -124,20 +125,20 @@ def _columns(lp: LinearProgram, cells: np.ndarray) -> sparse.csr_matrix:
     Cell (s, r) has 1 in type row s and v(s,r) - 1/2 in threshold row r; the
     type rows come first, then the threshold rows.
     """
-    n_s, n_r = lp.vote.shape
+    n_s, n_r = lp.a.shape
     type_of, thr_of = np.divmod(cells, n_r)
     k = np.arange(cells.size)
     rows = np.concatenate([type_of, n_s + thr_of])
-    data = np.concatenate([np.ones(cells.size), lp.vote.ravel()[cells] - 0.5])
+    data = np.concatenate([np.ones(cells.size), lp.a.ravel()[cells]])
     return sparse.coo_matrix((data, (rows, np.concatenate([k, k]))), shape=(n_s + n_r, cells.size)).tocsr()
 
 
 def _pi(lp: LinearProgram, x: np.ndarray) -> np.ndarray:
     """The assignment pi of a primal point, checked for feasibility: its type
     rows, and the threshold rows of its columns above SUPPORT_TOL, hold within FEAS_TOL."""
-    pi = np.where(x > 0, x, 0.0).reshape(lp.vote.shape)
+    pi = np.where(x > 0, x, 0.0).reshape(lp.a.shape)
     row = float(np.max(np.abs(pi.sum(axis=1) - lp.inst.type_weights)))
-    col_res = np.where(pi.sum(axis=0) > SUPPORT_TOL, ((lp.vote - 0.5) * pi).sum(axis=0), 0.0)
+    col_res = np.where(pi.sum(axis=0) > SUPPORT_TOL, (lp.a * pi).sum(axis=0), 0.0)
     col = float(np.max(np.abs(col_res)))
     if row > FEAS_TOL or col > FEAS_TOL:
         raise LPSolveError(f"assignment residuals row={row:.2e} col={col:.2e} > {FEAS_TOL:.1e}")
@@ -194,7 +195,7 @@ def _newton(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict
     Returns the final x and z on the (type, threshold) grid, the dual y (type
     rows, then threshold rows) and the statistics.
     """
-    a, f = lp.vote - 0.5, lp.mass
+    a, f = lp.a, lp.mass
     c = np.broadcast_to(-lp.win, a.shape)
     n_r = a.shape[1]
 
@@ -287,25 +288,21 @@ def _max_packed_on_face(lp: LinearProgram, face: np.ndarray) -> tuple[np.ndarray
         bare = np.flatnonzero(np.bincount(type_of, minlength=lp.win.size) == 0)
         rows = ", ".join(f"s={lp.inst.type_grid[i]:.6g} (f={lp.inst.type_weights[i]:.3g})" for i in bare)
         raise LPSolveError(f"{exc}; type rows without a face cell: {rows or 'none'}") from None
-    x = np.zeros(lp.vote.size)
+    x = np.zeros(lp.a.size)
     x[face] = res.x
     return x, {"face_cells": int(face.size), "stage2_iterations": int(res.nit)}
 
 
 def solve_lp(lp: LinearProgram) -> Solution:
     """Solve stage 1 by the structured interior point, then return the vertex
-    of maximum packed mass on the optimal face with its objective and the
-    stage-1 duals."""
+    of maximum packed mass on the optimal face with its objective, stage 1's
+    multipliers and the voter values they price."""
     y, face, stats = _stage1_ipm(lp)
     x, face_stats = _max_packed_on_face(lp, face)
 
     n_s = lp.inst.type_grid.size
-    # stage 1 minimizes -G . pi; dual feasibility y_s + y_r (v - 1/2) <= -G(r)
-    # rearranges to phi(s) >= G(r) + lambda(r)(v - 1/2) with phi = -y_s, lambda = y_r
-    lam, phi = y[n_s:], -y[:n_s]
-    # a type of mass 0 leaves its phi free above that bound, so it takes the bound
-    zero = lp.mass == 0
-    phi[zero] = (lp.win + lam * (lp.vote[zero] - 0.5)).max(axis=1)
+    lam = y[n_s:]  # stage 1's dual rows y_s + y_r a <= -G(r) read phi >= G + lambda a, lambda = y_r
+    phi = (lp.win + lam * lp.a).max(axis=1)
     stats.update(face_stats)
     return Solution(lp, _pi(lp, x), lam, phi, float(np.tile(lp.win, n_s) @ x), stats)
 

@@ -128,13 +128,13 @@ def refine_assignment(lp: LinearProgram, pi: np.ndarray) -> Districts:
             rows.append((r, i, i, 1.0, float(col_mass[j]), True))
             continue
         refined |= active.size > 2
-        rem, vote = pi[:, j].tolist(), lp.vote[:, j].tolist()
+        rem, a = pi[:, j].tolist(), lp.a[:, j].tolist()
         # each pointer's next type is the last entry of its list
         low, high = active[active < j][::-1].tolist(), active[active > j].tolist()
         budget = float(col_mass[j])  # the column's unplaced mass
         while budget > SUPPORT_TOL and low and high:
             lo, hi = low[-1], high[-1]
-            rho = (vote[hi] - 0.5) / (vote[hi] - vote[lo])  # weight on the low type
+            rho = a[hi] / (a[hi] - a[lo])  # weight on the low type
             t = min(budget, rem[lo] / rho, rem[hi] / (1.0 - rho))
             rows.append((r, lo, hi, rho, t, False))
             rem[lo] -= t * rho
@@ -300,7 +300,7 @@ def check_dual_support_optimality(sol: Solution) -> DualSupportReport:
     """
     lp, pi = sol.lp, sol.pi
     inst, grid = lp.inst, lp.inst.type_grid
-    values = lp.win[None, :] + sol.lam[None, :] * (lp.vote - 0.5)
+    values = lp.win[None, :] + sol.lam[None, :] * lp.a
     best = values.max(axis=1)
     slack = np.where(pi > SUPPORT_TOL, best[:, None] - values, 0.0)
     worst1 = float(slack.max())
@@ -311,7 +311,7 @@ def check_dual_support_optimality(sol: Solution) -> DualSupportReport:
     w = pi[:, cols] / col_mass[cols]
     q_mean = (w * inst.taste.pdf(grid[:, None] - r[None, :])).sum(axis=0)
     formula = np.asarray(inst.g(r), dtype=float) / q_mean
-    dv = lp.vote[:, cols] - 0.5
+    dv = lp.a[:, cols]
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = (sol.phi[:, None] - lp.win[cols][None, :]) / dv
     lower = np.where(dv < 0, bound, -np.inf).max(axis=0)

@@ -64,7 +64,7 @@ def test_dual_csv_flags_the_pinned_multipliers(tmp_path, capsys, solve_cached):
     assert set(flags["phi"]) == {1}
 
     inst, sol = solve_cached(2.0)
-    dv = sol.lp.vote - 0.5
+    dv = sol.lp.a
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = (sol.phi[:, None] - np.asarray(inst.G(inst.type_grid))[None, :]) / dv
     lower = np.where(dv < 0, bound, -np.inf).max(axis=0)
@@ -239,6 +239,32 @@ def test_unusable_out_exits_2_as_config(tmp_path, capsys, argv):
     error = json.loads(err.strip())
     assert error["error"] == "config" and "cannot be created" in error["message"]
     assert target.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["solve", "--gamma", "2", "--grid", "11"], "plan.json"),
+        (["verify", "--gamma", "2", "--grid", "11"], "verification.json"),
+        (["sweep", "--gammas", "2", "--grid", "11"], "sweep.csv"),
+        (["benchmark", "--gamma", "2", "--grid", "11"], "benchmarks.json"),
+        (["simulate", "--precincts", "20"], "returns.csv"),
+        (["estimate", "--input", "returns.csv"], "bad_rows.csv"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_unwritable_output_file_exits_2_as_config(tmp_path, capsys, argv, name, monkeypatch):
+    # an output file that cannot be written inside --out is configuration too
+    monkeypatch.chdir(tmp_path)
+    E.simulate_returns("returns.csv", gamma=12.0, T=3, n_precincts=50, seed=5)
+    (tmp_path / "out" / name).mkdir(parents=True)
+    code, _out, err = run(capsys, *argv, "--out", "out")
+    assert code == 2
+    error = json.loads(err.strip())
+    assert error["error"] == "config" and f"output file 'out/{name}' cannot be written" in error["message"]
+    if argv[0] == "estimate":  # input that cannot be read is still bad data
+        code, _out, err = run(capsys, "estimate", "--input", "out", "--out", "out")
+        assert code == 3 and json.loads(err.strip())["error"] == "data"
 
 
 # `benchmark --gamma 2` (n=201) and the plan of `solve --gamma 2 --grid 41`,

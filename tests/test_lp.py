@@ -3,6 +3,7 @@ import concurrent.futures
 import itertools
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +45,12 @@ def stage1_highs(prog, method):
     phi(s) - G(r) - lambda(r)(v(s,r) - 1/2) <= HIGHS_FACE_TOL) and the
     complementarity x . (c - A^T y).
     """
-    n_s = prog.vote.shape[0]
-    c = np.broadcast_to(-prog.win, prog.vote.shape)
+    n_s = prog.a.shape[0]
+    c = np.broadcast_to(-prog.win, prog.a.shape)
     res = L._highs(prog, np.arange(c.size), c.ravel(), method, f"stage 1 ({method})")
     y = np.asarray(res.eqlin.marginals, dtype=float)
     # c - A^T y on the grid, summed in the sparse product's order
-    reduced = (c - (y[:n_s, None] + (prog.vote - 0.5) * y[n_s:])).ravel()
+    reduced = (c - (y[:n_s, None] + prog.a * y[n_s:])).ravel()
     return y, np.flatnonzero(reduced <= HIGHS_FACE_TOL), float(res.x @ reduced)
 
 
@@ -332,6 +333,35 @@ def test_dual_certificate_shapes():
     assert sol.lam.shape == sol.phi.shape == inst.type_grid.shape
 
 
+def price(prog, lam):
+    """phi(s) = max_r G(r) + lam(r) a(s, r): the least voter values dual feasible given lam."""
+    return (prog.win + lam * prog.a).max(axis=1)
+
+
+@pytest.mark.parametrize("taste", [M.NORMAL, M.LOGISTIC], ids=lambda t: t.name)
+@pytest.mark.parametrize("gamma", FIG_GAMMAS)
+def test_phi_is_the_price_of_lam_and_bounds_every_plan(gamma, taste):
+    prog = L.build_lp(M.uniform_instance(n=101, gamma=gamma, taste=taste))
+    sol = L.solve_lp(prog)
+    assert np.array_equal(sol.phi, price(prog, sol.lam))
+    # weak duality: sum f phi bounds the LP's value for any lam, not only the solver's
+    f = prog.inst.type_weights
+    for seed in range(20):
+        lam = sol.lam + np.random.default_rng(seed).normal(0.0, 0.1, sol.lam.size)
+        assert f @ price(prog, lam) >= sol.objective - 1e-15, seed
+
+
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 6.0])
+def test_suboptimal_plan_fails_the_certified_gap(gamma):
+    # segregation, all mass on the packed cells r = s, is feasible but not
+    # optimal; phi from the same lam bounds the optimum, not this plan's value
+    prog = L.build_lp(M.uniform_instance(n=101, gamma=gamma))
+    sol = L.solve_lp(prog)
+    pi = L._pi(prog, np.diag(prog.inst.type_weights).ravel())
+    seg = replace(sol, pi=pi, objective=float((pi * prog.win).sum()))
+    assert seg.duality_gap() > V.DUAL_TOL
+
+
 FACE_GAMMAS = [0.2, 0.5, 1.0, 1.2, 1.4, 1.6, 1.7, 2.0, 3.0, 6.0, 10.0, 15.0, 30.0]
 FACE_CASES = [pytest.param(101, g, id=str(g)) for g in FACE_GAMMAS] + [
     pytest.param(201, g, id=f"n201-{g}") for g in (0.2, 1.0, 3.0)
@@ -380,7 +410,7 @@ def test_verdict_survives_random_tie_breaks(gamma):
     for seed in range(12):
         noise = 1e-7 * np.random.default_rng(seed).standard_normal(face.size)
         res = L._highs(prog, face, noise - packed, "highs-ds", "tie-break")
-        x = np.zeros(prog.vote.size)
+        x = np.zeros(prog.a.size)
         x[face] = res.x
         decomp = V.decompose_pack_and_pair(prog, L._pi(prog, x))
         assert (V.classify_regime(decomp), decomp.bifurcation) == (label, rb), seed
@@ -388,10 +418,10 @@ def test_verdict_survives_random_tie_breaks(gamma):
 
 def _coo_a_eq(prog):
     """The whole equality matrix in one COO assembly: the reference for ``_columns``."""
-    n_s, n_r = prog.vote.shape
+    n_s, n_r = prog.a.shape
     var = np.arange(n_s * n_r)
     rows = np.concatenate([var // n_r, n_s + var % n_r])
-    data = np.concatenate([np.ones(n_s * n_r), (prog.vote - 0.5).ravel()])
+    data = np.concatenate([np.ones(n_s * n_r), prog.a.ravel()])
     return sparse.coo_matrix((data, (rows, np.concatenate([var, var]))), shape=(n_s + n_r, n_s * n_r)).tocsr()
 
 
@@ -465,7 +495,7 @@ def test_uniform_instances_do_not_fall_back_to_highs(monkeypatch, n, gamma):
 
 def test_schur_solver_matches_dense_solve():
     prog = L.build_lp(M.uniform_instance(n=21, gamma=2.0))
-    a = prog.vote - 0.5
+    a = prog.a
     dense_a = standard_form(prog)[1].toarray()
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -605,6 +635,7 @@ def test_stage1_solves_extreme_and_random_instances():
     for key, inst in extreme.items():
         sol = L.solve_lp(L.build_lp(inst))
         assert sol.duality_gap() <= V.DUAL_TOL, key
+        assert np.array_equal(sol.phi, price(sol.lp, sol.lam)), key
     failed = []
     for k, inst in draws.items():
         try:
@@ -613,4 +644,5 @@ def test_stage1_solves_extreme_and_random_instances():
             failed.append(k)
             continue
         assert sol.duality_gap() <= V.DUAL_TOL, k
+        assert np.array_equal(sol.phi, price(sol.lp, sol.lam)), k
     assert len(failed) <= 2, failed

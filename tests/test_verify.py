@@ -97,7 +97,7 @@ def _refine_reference(prog, pi):
     """The rescanning split that ``refine_assignment``'s two pointers replaced,
     kept as their oracle.  Its ``leftover`` adds the unplaced budget and the
     unplaced remainder, which count the same mass twice, so it is not compared."""
-    grid, vote = prog.inst.type_grid, prog.vote
+    grid, a = prog.inst.type_grid, prog.a
     col_mass = pi.sum(axis=0)
     rows, leftover, refined = [], 0.0, False
     for j in np.flatnonzero(col_mass > M.SUPPORT_TOL):
@@ -117,8 +117,7 @@ def _refine_reference(prog, pi):
                 break
             lo, hi = int(alive[0]), int(alive[-1])
             if lo < j < hi:
-                v_lo, v_hi = vote[lo, j], vote[hi, j]
-                rho = (v_hi - 0.5) / (v_hi - v_lo)
+                rho = a[hi, j] / (a[hi, j] - a[lo, j])
                 t = float(min(budget, rem[lo] / rho, rem[hi] / (1.0 - rho)))
             else:
                 if rem[j] <= M.SUPPORT_TOL:
@@ -657,7 +656,7 @@ def test_dual_multiplier_check_ignores_packed_vertex_choice(solve_cached):
         assert inst.type_grid[packed[0]] == -1.0
         lower, upper = np.empty(packed.size), np.empty(packed.size)
         for k, j in enumerate(packed):
-            dv = sol.lp.vote[:, j] - 0.5
+            dv = sol.lp.a[:, j]
             bound = (sol.phi - g_of_r[j]) / np.where(dv == 0, 1.0, dv)
             lower[k] = bound[dv < 0].max() if (dv < 0).any() else -np.inf
             upper[k] = bound[dv > 0].min() if (dv > 0).any() else np.inf
