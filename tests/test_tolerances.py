@@ -41,7 +41,7 @@ def _verdicts(sols):
             decomp.bifurcation,
             decomp.districts.mass.size,
             L.extract_plan(sol.lp, sol.pi).mass.size,
-            single_dipped.ok,
+            not single_dipped,
         )
     return out
 

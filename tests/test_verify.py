@@ -194,9 +194,7 @@ def test_split_counts_unplaced_mass_once():
 @pytest.mark.parametrize("gamma", [0.5, 1.2, 1.7, 6.0])
 def test_optimal_solutions_single_dipped(solve_cached, gamma):
     inst, sol = solve_cached(gamma)
-    report = V.check_single_dipped(sol.lp, sol.pi)
-    assert report.ok
-    assert report.violations == []
+    assert V.check_single_dipped(sol.lp, sol.pi) == []
 
 
 def test_single_dipped_violation_detected():
@@ -223,9 +221,7 @@ def test_single_dipped_violation_detected():
     pi[3, 3] = 0.4 - pi[3, 1]  # leftover packed at 0
     assert np.max(np.abs(pi.sum(axis=1) - inst.type_weights)) < 1e-12
     assert np.max(np.abs(((v - 0.5) * pi).sum(axis=0))) < 1e-12
-    report = V.check_single_dipped(L.build_lp(inst), pi)
-    assert not report.ok
-    assert report.violations == [(-1.0, -0.5, 0.0, -0.75, -0.5)]
+    assert V.check_single_dipped(L.build_lp(inst), pi) == [(-1.0, -0.5, 0.0, -0.75, -0.5)]
 
 
 def test_district_table_matches_loop_reference():
@@ -256,7 +252,7 @@ def test_district_table_matches_loop_reference():
         if r_mid > r and a < s < b
     )
     assert len(expected) > 100
-    assert V.check_single_dipped(prog, pi).violations == expected
+    assert V.check_single_dipped(prog, pi) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +632,7 @@ def test_dual_support_max_attained(solve_cached, gamma):
     inst, sol = solve_cached(gamma)
     report = V.check_dual_support_optimality(sol)
     # on the active support, phi(s) attains the max over thresholds
-    assert report.part1_ok
+    assert report.worst_slack <= V.DUAL_TOL
     assert report.worst_slack < 1e-8
 
 
@@ -647,7 +643,7 @@ def test_dual_multiplier_check_ignores_packed_vertex_choice(solve_cached):
         inst, sol = solve_cached(gamma)
         base = V.check_dual_support_optimality(sol)
         # part 2 exceeds POOLING_TOL at gamma=30 (see its comment), but not at the packed column r = -1
-        assert len(base.part2_errors) > 0 if gamma == 30.0 else base.part2_ok
+        assert len(base.part2_errors) > 0 if gamma == 30.0 else base.worst_multiplier_error <= V.POOLING_TOL
         assert all(r > -1.0 + 1e-9 for r, *_ in base.part2_errors)
 
         g_of_r = np.asarray(inst.G(inst.type_grid), dtype=float)
@@ -669,9 +665,37 @@ def test_dual_multiplier_check_ignores_packed_vertex_choice(solve_cached):
             lam[packed] = lower + t * (upper - lower)
             report = V.check_dual_support_optimality(replace(sol, lam=lam))
             assert report.worst_slack < 1e-8  # still an optimal dual
-            assert report.part2_ok == base.part2_ok
+            assert (report.worst_multiplier_error <= V.POOLING_TOL) == (base.worst_multiplier_error <= V.POOLING_TOL)
             assert report.worst_multiplier_error == base.worst_multiplier_error
             assert report.part2_errors == base.part2_errors
+
+
+def test_report_holds_each_measurement_to_its_tolerance(solve_cached, monkeypatch):
+    inst, sol = solve_cached(2.0)
+    decomp = V.decompose_pack_and_pair(sol.lp, sol.pi)
+    rep = V.report(sol, decomp, V.classify_regime(decomp))
+    assert rep["all_ok"] and all(c["ok"] for c in rep["checks"].values())
+    assert [k for k, c in rep["checks"].items() if c.get("informational")] == ["dual_multiplier_formula"]
+    assert not V.report(sol, decomp, V.RegimeLabel.NOT_PACK_AND_PAIR)["all_ok"]
+
+    # a slack just above DUAL_TOL fails; a formula without scale fails only
+    # the informational check, which all_ok does not count
+    for slack, err, all_ok in ((V.DUAL_TOL, None, True), (2 * V.DUAL_TOL, 0.0, False)):
+        monkeypatch.setattr(V, "check_dual_support_optimality", lambda _sol: V.DualSupportReport(slack, err, []))
+        rep = V.report(sol, decomp, V.classify_regime(decomp))
+        assert rep["checks"]["dual_support"]["ok"] == all_ok
+        assert rep["checks"]["dual_multiplier_formula"]["ok"] == (err is not None)
+        assert rep["all_ok"] == all_ok
+
+
+def test_pap_report_fails_on_a_violation():
+    assert V.pap_report(2.0)["all_ok"]
+    rep = V.pap_report(2.0, CAUCHY)
+    assert not rep["all_ok"]
+    assert rep["checks"]["pap_condition"]["detail"] == {
+        "n_violations": len(CAUCHY_PAP_VIOLATIONS[2.0]),
+        "first": CAUCHY_PAP_VIOLATIONS[2.0][:10],
+    }
 
 
 def test_full_segregation_assignment_classified():
