@@ -16,11 +16,14 @@ Solved in two stages:
    times slower at n = 201 on a 2-core machine.  A fixed dual regularization
    IPM_REG on the normal matrix's diagonal (Friedlander & Orban, Math. Prog.
    Comp. 4, 2012) keeps the duals bounded where the optimal dual set is not.
-   Stage 1 stops at primal and dual residuals below IPM_TOL and a
-   complementarity sum x*z below IPM_GAP, or raises ``LPSolveError``.  Its
-   threshold duals, the certificate multipliers lambda(r), are the ones
-   reported; the voter values phi(s) follow from them (``Solution``).  The
-   optimal face is the cells where x > z.
+   Stage 1 minimises the unit-scale cost -(G(r) - 1/2) / max|G - 1/2|, with
+   G - 1/2 from the taste's centred cdf, so its tolerances see the cost's
+   informative part at any gamma; the duals are mapped back to -G.  It stops
+   at primal and dual residuals below IPM_TOL and a complementarity sum x*z
+   below IPM_GAP, or raises ``LPSolveError``.  Its threshold duals, the
+   certificate multipliers lambda(r), are the ones reported; the voter
+   values phi(s) follow from them (``Solution``).  The optimal face is the
+   cells where x > z f(s), each type row read by its share.
 2. The LP often has many optimal vertices, and structural verdicts (regime,
    bifurcation, single-dippedness) read the vertex.  Stage 2 (``linprog``
    dual simplex) finds a vertex of maximum packed mass (r = s) on the face
@@ -54,14 +57,15 @@ from .model import FEAS_TOL, SUPPORT_TOL, GerryOptError, Plan, ProblemInstance, 
 from .verify import PackAndPairDecomposition, RegimeLabel, classify_regime, decompose_pack_and_pair
 
 # Plateaus as in model's tolerance comment.
-IPM_TOL = 1e-10        # relative primal and dual residuals at which stage 1 stops (stage-1 plateau 1e-11..1e-6)...
+IPM_TOL = 1e-10        # relative primal and dual residuals at which stage 1 stops (plateau 1e-12..1e-4, largest tried)...
 IPM_GAP = 1e-14        # ...once the complementarity sum x*z is also below this (plateau 1e-16..1e-12)
-IPM_MAX_ITER = 200     # stage-1 Newton steps before LPSolveError (criterion 8's wide grid takes 138)
-IPM_SHIFT = 1e-14      # normal-matrix diagonal shift, relative to each diagonal entry (plateau 1e-18..1e-13)
+IPM_MAX_ITER = 200     # stage-1 Newton steps before LPSolveError (criterion 8's wide grid takes 128)
+IPM_SHIFT = 1e-14      # normal-matrix diagonal shift, relative to each diagonal entry (plateau 1e-15..1e-13)
 # Added to the row sums D1 and column sums D2 of the normal matrix.  Plateau
-# 1e-13..1e-11, on tests/test_lp.py's stress instances: every uniform one and
-# the wide grid solve with the same vertices, and 58-59 of 60 random draws.
-# At 1e-14 n=11, gamma=1e-12 (logistic) hits IPM_MAX_ITER; 1e-9 moves a vertex.
+# 1e-12..1e-11, on tests/test_lp.py's stress instances: every uniform one and
+# the wide grid solve, and all 60 random draws.  The uniform verdicts hold
+# from 1e-16 to 1e-9, but below 1e-12 draw 28 fails, at 1e-10 draws 3 and 42,
+# and at 0 the wide grid and 5 draws.
 IPM_REG = 1e-12
 IPM_ETA = 0.99995      # fraction of the step to the boundary that is taken
 
@@ -192,12 +196,23 @@ def _newton(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict
     n_r x n_r Schur complement D2 - B^T D1^-1 B, and the predictor and the
     corrector share that factor.
 
-    Returns the final x and z on the (type, threshold) grid, the dual y (type
-    rows, then threshold rows) and the statistics.
+    The cost is -(G(r) - 1/2) / k with k its largest magnitude on the grid,
+    G - 1/2 taken from the taste's centred cdf, which keeps its digits at
+    tiny gamma where G - 1/2 would cancel.  Every type row sums to f(s), so
+    it has the optimal set of -G, and the residual tolerances see its
+    informative part at any gamma (cost scaling: Gondzio, EJOR 218, 2012).
+
+    Returns the final x and z on the (type, threshold) grid, the dual y of
+    -G (type rows, then threshold rows) and the statistics.
     """
     a, f = lp.a, lp.mass
-    c = np.broadcast_to(-lp.win, a.shape)
-    n_r = a.shape[1]
+    n_s, n_r = a.shape
+    adv = np.asarray(lp.inst.taste.centred(lp.inst.gamma * lp.inst.type_grid), dtype=float)
+    scale = float(np.abs(adv).max())
+    if scale == 0.0:  # G = 1/2 on the whole grid (gamma underflows): every cell is optimal at lambda = 0
+        y = np.concatenate([np.full(n_s, -0.5), np.zeros(n_r)])
+        return np.ones_like(a), np.zeros_like(a), y, {"stage1_iterations": 0, "stage1_complementarity": 0.0}
+    c = np.broadcast_to(-adv / scale, a.shape)
 
     # Mehrotra's starting point: least-norm x and least-squares z, shifted inside
     solve = _schur_solver(a, np.ones_like(a))
@@ -242,15 +257,15 @@ def _newton(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict
         ys += step_d * dys
         yr += step_d * dyr
         z += step_d * dz
-    return x, z, np.concatenate([ys, yr]), {"stage1_iterations": it, "stage1_complementarity": gap}
+    y = np.concatenate([scale * ys - 0.5, scale * yr])  # the dual of the cost -G = k c - 1/2
+    return x, z, y, {"stage1_iterations": it, "stage1_complementarity": gap}
 
 
 def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
     """Stage 1: the dual y, the optimal face and the statistics.
 
-    The face is the strictly complementary partition x > z (Mehrotra & Ye
-    1993).  A type row with no such cell takes its cells with x > z f(s): a
-    type whose mass the iterate cannot resolve is compared by its share.
+    The face is the strictly complementary partition (Mehrotra & Ye 1993),
+    each type row read by its share: the cells where x > z f(s).
     """
     try:
         x, z, y, stats = _newton(lp)
@@ -258,10 +273,7 @@ def _stage1_ipm(lp: LinearProgram) -> tuple[np.ndarray, np.ndarray, dict]:
         raise LPSolveError("stage 1: Schur complement not positive definite") from None
     except FloatingPointError as exc:
         raise LPSolveError(f"stage 1: {exc}") from None
-    on = x > z
-    unresolved = ~on.any(axis=1)
-    on[unresolved] = x[unresolved] > z[unresolved] * lp.mass[unresolved, None]
-    return y, np.flatnonzero(on.ravel()), stats
+    return y, np.flatnonzero((x > z * lp.mass[:, None]).ravel()), stats
 
 
 def _highs(lp: LinearProgram, cells: np.ndarray, c: np.ndarray, method: str, stage: str):

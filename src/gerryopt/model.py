@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erf, ndtr
 
 # Tolerances, one per role; lp adds the stage-1 IPM_*, verify
 # DUAL_TOL and PAP_MARGIN.  A plateau is the range over which no verdict moved
@@ -74,17 +74,23 @@ class TasteDistribution:
     """Idiosyncratic taste shock distribution.
 
     Must be symmetric about 0 with unit variance and strictly increasing CDF.
+    ``centred`` is Q(x) - 1/2, computed without cancelling near x = 0.
     """
 
     name: str
     cdf: Callable[[np.ndarray], np.ndarray]
     pdf: Callable[[np.ndarray], np.ndarray]
+    centred: Callable[[np.ndarray], np.ndarray]
 
 
 def _logistic_cdf(x):
     # exp overflows to inf for very negative x; 1/(1 + inf) = 0 is the exact limit
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float) / _SQRT3_OVER_PI))
+
+
+def _logistic_centred(x):
+    return 0.5 * np.tanh(np.asarray(x, dtype=float) / (2.0 * _SQRT3_OVER_PI))
 
 
 def _logistic_pdf(x):
@@ -97,6 +103,10 @@ def _normal_cdf(x):
     return ndtr(np.asarray(x, dtype=float))
 
 
+def _normal_centred(x):
+    return 0.5 * erf(np.asarray(x, dtype=float) / math.sqrt(2.0))
+
+
 def _normal_pdf(x):
     x = np.asarray(x, dtype=float)
     # x * x overflows to inf for |x| > ~1.3e154; exp(-inf) = 0 is the exact limit
@@ -105,9 +115,9 @@ def _normal_pdf(x):
 
 
 # module-level functions, not lambdas, so instances pickle into sweep workers
-NORMAL = TasteDistribution(name="normal", cdf=_normal_cdf, pdf=_normal_pdf)
+NORMAL = TasteDistribution(name="normal", cdf=_normal_cdf, pdf=_normal_pdf, centred=_normal_centred)
 
-LOGISTIC = TasteDistribution(name="logistic", cdf=_logistic_cdf, pdf=_logistic_pdf)
+LOGISTIC = TasteDistribution(name="logistic", cdf=_logistic_cdf, pdf=_logistic_pdf, centred=_logistic_centred)
 
 _TASTES = {"normal": NORMAL, "logistic": LOGISTIC}
 

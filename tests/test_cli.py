@@ -388,6 +388,18 @@ def test_large_gamma_verdict_is_pop(tmp_path, capsys):
     assert checks["regime"]["detail"] == "POP"
 
 
+@pytest.mark.parametrize("taste", ["normal", "logistic"])
+def test_tiny_gamma_verify_reads_the_limit_plan(tmp_path, capsys, taste):
+    # G - 1/2 is ~4e-11 here; stage 1's unit-scale cost still resolves it,
+    # and the vertex is the gamma -> 0 limit's PMP plan
+    argv = ["verify", "--gamma", "1e-10", "--grid", "41", "--taste", taste, "--out", str(tmp_path)]
+    code, _out, err = run(capsys, *argv)
+    assert code == 0, err
+    checks = json.loads((tmp_path / "verification.json").read_text())["checks"]
+    assert checks["regime"]["detail"] == "PMP"
+    assert checks["single_dipped"]["detail"]["n_violations"] == 0
+
+
 # (gamma, regime, bifurcation) of `sweep --grid 101`, pinned at the values the
 # per-column split gives on the canonical face vertex.
 SWEEP_VERDICTS = [

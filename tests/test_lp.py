@@ -607,7 +607,7 @@ def _stress_instances():
         (n, gamma, taste.name): M.uniform_instance(n=n, gamma=gamma, taste=taste)
         for taste in (M.NORMAL, M.LOGISTIC)
         for n in (3, 11, 41)
-        for gamma in (1e-300, 1e-12, 1e-6, 0.1, 1.0, 1e4, 1e300)
+        for gamma in (5e-324, 1e-300, 1e-12, 1e-6, 0.1, 1.0, 1e4, 1e300)
     }
     grid = np.linspace(-20.0, 20.0, 201)
     w = 1.0 - 0.04 * grid
@@ -626,23 +626,26 @@ def _stress_instances():
 
 
 def test_stage1_solves_extreme_and_random_instances():
-    # Every extreme uniform instance and the wide grid solve; of the random
-    # draws, whose Dirichlet(0.05) masses fall far below SUPPORT_TOL, at most
-    # two may fail (draw 28 does: n=101 with 39 masses below SUPPORT_TOL, and
-    # stage 2 finds its face infeasible).  Each solution validates (solve_lp checks its
-    # residuals) and its certificate closes the duality gap.
+    # Every extreme uniform instance, the wide grid and every random draw
+    # solve, including draws whose Dirichlet(0.05) masses fall far below
+    # SUPPORT_TOL.  Each solution validates (solve_lp checks its residuals)
+    # and its certificate closes the duality gap.
     extreme, draws = _stress_instances()
-    for key, inst in extreme.items():
+    for key, inst in {**extreme, **draws}.items():
         sol = L.solve_lp(L.build_lp(inst))
         assert sol.duality_gap() <= V.DUAL_TOL, key
         assert np.array_equal(sol.phi, price(sol.lp, sol.lam)), key
-    failed = []
-    for k, inst in draws.items():
-        try:
-            sol = L.solve_lp(L.build_lp(inst))
-        except L.LPSolveError:
-            failed.append(k)
-            continue
-        assert sol.duality_gap() <= V.DUAL_TOL, k
-        assert np.array_equal(sol.phi, price(sol.lp, sol.lam)), k
-    assert len(failed) <= 2, failed
+
+
+@pytest.mark.parametrize("taste", [M.NORMAL, M.LOGISTIC], ids=lambda t: t.name)
+@pytest.mark.parametrize("n", [41, 101])
+def test_tiny_gamma_vertex_is_the_limit_plan(n, taste):
+    # As gamma -> 0, (G(r) - 1/2) / (gamma q(0)) -> r, so every tiny gamma
+    # has the limit LP's vertex: one PMP plan with one bifurcation point
+    bifurcations = set()
+    for gamma in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3):
+        sol, decomp, regime = L.solve_and_classify(M.uniform_instance(n=n, gamma=gamma, taste=taste))
+        assert regime == V.RegimeLabel.PMP, gamma
+        assert V.check_single_dipped(sol.lp, sol.pi) == [], gamma
+        bifurcations.add(decomp.bifurcation)
+    assert len(bifurcations) == 1, bifurcations

@@ -493,6 +493,7 @@ CAUCHY = M.TasteDistribution(
     name="cauchy",
     cdf=lambda x: 0.5 + np.arctan(np.asarray(x, dtype=float)) / np.pi,
     pdf=lambda x: 1.0 / (np.pi * (1.0 + np.asarray(x, dtype=float) ** 2)),
+    centred=lambda x: np.arctan(np.asarray(x, dtype=float)) / np.pi,
 )
 
 # (s, r, s', s'') of every violating quadruple; s'' is the first grid point
@@ -566,6 +567,7 @@ STEPPED = M.TasteDistribution(
     name="stepped",
     cdf=lambda x: np.round(CAUCHY.cdf(x), 1),
     pdf=lambda x: np.maximum(np.round(CAUCHY.pdf(x), 1), 0.01),
+    centred=lambda x: np.round(CAUCHY.cdf(x), 1) - 0.5,
 )
 
 
