@@ -147,17 +147,22 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     from . import lp as lpmod
-    from .model import GerryOptError
+    from .model import GerryOptError, check_gamma
 
+    if args.jobs != 1:  # perfbench/run.py passes --jobs 1; the flag goes when it stops
+        raise GerryOptError(f"--jobs must be 1 (sweeps run in one process), got {args.jobs}")
     gammas = []
     for token in filter(str.strip, args.gammas.split(",")):
         try:
             gammas.append(float(token))
         except ValueError:
             raise GerryOptError(f"--gammas value {token.strip()!r} is not a number") from None
+        check_gamma(gammas[-1])
     if not gammas:
         raise GerryOptError("--gammas requires at least one value")
-    rows = lpmod.sweep_gamma(_instance(args, gammas[0]), gammas, jobs=args.jobs)
+    template = _instance(args, gammas[0])
+    out = _outdir(args)
+    rows = lpmod.sweep_gamma(template, gammas)
     table = (
         [
             row.gamma,
@@ -168,7 +173,7 @@ def cmd_sweep(args) -> int:
         ]
         for row in rows
     )
-    print(_write_csv(_outdir(args), "sweep.csv", "gamma,objective,regime,bifurcation,error", table))
+    print(_write_csv(out, "sweep.csv", "gamma,objective,regime,bifurcation,error", table))
     return EXIT_OK
 
 
@@ -319,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     instance(p, gamma=False)
     output(p)
     p.add_argument("--gammas", default="", help="comma-separated gamma values")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="accepted only as 1, until the benchmark drops it")
 
     p = command("benchmark", cmd_benchmark, "closed-form benchmarks and heuristic plans")
     instance(p)

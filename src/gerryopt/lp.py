@@ -45,7 +45,6 @@ pack-and-pair decomposition and regime; every command and sweep row uses it.
 
 from __future__ import annotations
 
-from concurrent import futures
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -355,17 +354,8 @@ def _sweep_row(inst: ProblemInstance) -> SweepRow:
     return SweepRow(inst.gamma, sol.objective, regime.value, decomp.bifurcation)
 
 
-def sweep_gamma(inst_template: ProblemInstance, gamma_list, jobs: int = 1) -> list[SweepRow]:
-    """Solve the LP for each gamma; per-row failures do not stop the sweep.
-
-    Every gamma is checked before any solve.  ``jobs`` worker processes, at
-    most one per gamma, share the rows.
-    """
-    if jobs < 1:
-        raise GerryOptError(f"jobs must be at least 1, got {jobs!r}")
+def sweep_gamma(inst_template: ProblemInstance, gamma_list) -> list[SweepRow]:
+    """Solve the LP for each gamma in turn; per-row failures do not stop the
+    sweep.  Every gamma is checked before any solve."""
     tasks = [replace(inst_template, gamma=float(g)) for g in gamma_list]
-    workers = min(jobs, len(tasks))
-    if workers > 1:
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_sweep_row, tasks))
     return list(map(_sweep_row, tasks))

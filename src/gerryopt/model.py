@@ -114,7 +114,6 @@ def _normal_pdf(x):
         return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-# module-level functions, not lambdas, so instances pickle into sweep workers
 NORMAL = TasteDistribution(name="normal", cdf=_normal_cdf, pdf=_normal_pdf, centred=_normal_centred)
 
 LOGISTIC = TasteDistribution(name="logistic", cdf=_logistic_cdf, pdf=_logistic_pdf, centred=_logistic_centred)

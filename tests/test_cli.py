@@ -112,12 +112,11 @@ def test_schema_flag(capsys):
     assert "summary.json" in schema
 
 
+
 def test_sweep_serial_and_parallel_match(tmp_path, capsys):
-    a, b = tmp_path / "a", tmp_path / "b"
-    args = ["sweep", "--gammas", "0.5,2,6", "--grid", "41"]
-    assert run(capsys, *args, "--out", str(a))[0] == 0
-    assert run(capsys, *args, "--out", str(b), "--jobs", "2")[0] == 0
-    assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
+    # sweeps run in one process: rows come in gamma order, objectives rise with gamma
+    a = tmp_path / "a"
+    assert run(capsys, "sweep", "--gammas", "0.5,2,6", "--grid", "41", "--out", str(a))[0] == 0
     with open(a / "sweep.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert [float(r["gamma"]) for r in rows] == [0.5, 2.0, 6.0]
@@ -196,13 +195,22 @@ def test_sweep_without_gammas_exit_2(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
+@pytest.mark.parametrize("jobs", ["0", "-1", "2"])
 def test_sweep_bad_jobs_exit_2(tmp_path, capsys, jobs):
     code, _out, err = run(capsys, "sweep", "--gammas", "2", "--grid", "11", "--jobs", jobs, "--out", str(tmp_path))
     assert code == 2
     error = json.loads(err.strip())
     assert error["error"] == "config" and "jobs" in error["message"]
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_sweep_accepts_jobs_1(tmp_path, capsys):
+    # perfbench/run.py runs the figure_sweep workload with --jobs 1, so the
+    # flag stays until the benchmark's own change drops it there
+    code, _out, err = run(capsys, "sweep", "--gammas", "2", "--grid", "11", "--jobs", "1", "--out", str(tmp_path))
+    assert code == 0, err
+    assert (tmp_path / "sweep.csv").exists()
+
 
 
 def test_simulate_nan_gamma_exit_2(tmp_path, capsys):
@@ -228,10 +236,22 @@ def test_simulate_negative_seed_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["solve", "--gamma", "2", "--grid", "11"], ["simulate", "--precincts", "50"]], ids=["solve", "simulate"]
+    "argv",
+    [
+        ["solve", "--gamma", "2", "--grid", "11"],
+        ["verify", "--gamma", "2", "--grid", "11"],
+        ["sweep", "--gammas", "0.5,2,6", "--grid", "11"],
+        ["simulate", "--precincts", "50"],
+    ],
+    ids=lambda argv: argv[0],
 )
-def test_unusable_out_exits_2_as_config(tmp_path, capsys, argv):
-    # an --out that names a regular file is a configuration error, not bad input data
+def test_unusable_out_exits_2_as_config(tmp_path, capsys, monkeypatch, argv):
+    # an --out that names a regular file is a configuration error, not bad
+    # input data, and is reported before any solve
+    def no_solve(prog):
+        raise AssertionError("solved before --out was created")
+
+    monkeypatch.setattr(L, "solve_lp", no_solve)
     target = tmp_path / "F"
     target.write_text("kept\n")
     code, _out, err = run(capsys, *argv, "--out", str(target))

@@ -1,5 +1,4 @@
 import ast
-import concurrent.futures
 import itertools
 import subprocess
 import sys
@@ -133,52 +132,15 @@ def test_monotone_in_gamma_precision():
     assert objs[0] < objs[1] < objs[2]
 
 
-@pytest.mark.parametrize("taste", [M.NORMAL, M.LOGISTIC], ids=lambda t: t.name)
-def test_sweep_serial_matches_parallel(taste):
-    # worker processes receive the pickled instance, taste functions included
-    template = M.uniform_instance(n=41, gamma=1.0, taste=taste)
-    gammas = [0.5, 2.0, 6.0]
-    serial = L.sweep_gamma(template, gammas, jobs=1)
-    parallel = L.sweep_gamma(template, gammas, jobs=2)
-    assert [r.gamma for r in serial] == gammas
-    for a, b in zip(serial, parallel):
-        assert a.gamma == b.gamma
-        assert a.objective == pytest.approx(b.objective, abs=1e-12)
-        assert a.regime == b.regime
-
-
-@pytest.mark.parametrize("jobs,gammas,pools", [(64, [0.5, 2.0], [2]), (64, [2.0], []), (2, [0.5, 1.0, 2.0], [2])])
-def test_sweep_workers_capped_at_gamma_count(monkeypatch, jobs, gammas, pools):
-    sizes = []
-
-    class RecordingPool:  # records max_workers and maps in this process
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    rows = L.sweep_gamma(M.uniform_instance(n=11), gammas, jobs=jobs)
-    assert sizes == pools
-    assert [r.gamma for r in rows] == gammas and all(r.error is None for r in rows)
-
-
 def test_sweep_checks_arguments_before_any_solve(monkeypatch):
     def no_solve(prog):
         raise AssertionError("solved before every argument was checked")
 
     monkeypatch.setattr(L, "solve_lp", no_solve)
     template = M.uniform_instance(n=11)
-    for gammas, jobs in (([1.0, float("nan")], 1), ([1.0, -2.0], 1), ([1.0], 0), ([1.0], -3)):
+    for gammas in ([1.0, float("nan")], [1.0, -2.0]):
         with pytest.raises(M.GerryOptError):
-            L.sweep_gamma(template, gammas, jobs=jobs)
+            L.sweep_gamma(template, gammas)
 
 
 def _imports(tree):
