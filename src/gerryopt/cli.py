@@ -38,7 +38,7 @@ SCHEMAS = {
     },
     "sweep": {"sweep.csv": "gamma,objective,regime,bifurcation,error"},
     "benchmark": {
-        "benchmarks.json": "{gamma, lp_objective?, perfect_info, no_aggregate, "
+        "benchmarks.json": "{gamma, lp_objective?, lp_regime?, perfect_info, no_aggregate, "
         "no_idiosyncratic, matching_slices, pop_pool, traditional_pc}"
     },
     "verify": {"verification.json": "{checks: {name: {ok, detail, informational?}}, all_ok}"},

@@ -276,7 +276,8 @@ class DualSupportReport:
 def check_dual_support_optimality(sol: Solution) -> DualSupportReport:
     """Verify the solution's optimality certificate on the active support.
 
-    Part 1: every active cell (s, r) attains max_r' G(r') + lambda(r')(v(s,r')-1/2).
+    Part 1: every active cell (s, r) attains the certificate's
+    phi(s) = max_r' G(r') + lambda(r')(v(s,r')-1/2).
     Part 2: on each active column, the continuum multiplier formula
     lambda(r) = g(r) / integral of q(s - r) dP_r(s) (g(s)/q(0) for a packed
     column) lies in the column's optimal multiplier set.  Given phi, lambda(r)
@@ -297,8 +298,7 @@ def check_dual_support_optimality(sol: Solution) -> DualSupportReport:
     lp, pi = sol.lp, sol.pi
     inst, grid = lp.inst, lp.inst.type_grid
     values = lp.win[None, :] + sol.lam[None, :] * lp.a
-    best = values.max(axis=1)
-    slack = np.where(pi > SUPPORT_TOL, best[:, None] - values, 0.0)
+    slack = np.where(pi > SUPPORT_TOL, sol.phi[:, None] - values, 0.0)
     worst1 = float(slack.max())
 
     col_mass = pi.sum(axis=0)

@@ -112,6 +112,37 @@ def test_schema_flag(capsys):
     assert "summary.json" in schema
 
 
+def _schema_keys(text):
+    """Top-level keys of a ``SCHEMAS`` JSON entry, as (required, optional)."""
+    depth, token, tokens = 0, "", []
+    for ch in text.strip()[1:-1] + ",":
+        depth += (ch == "{") - (ch == "}")
+        if ch == "," and depth == 0:
+            tokens.append(token.split(":")[0].strip())
+            token = ""
+        else:
+            token += ch
+    return {t for t in tokens if not t.endswith("?")}, {t[:-1] for t in tokens if t.endswith("?")}
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["solve", "--gamma", "2"], "summary.json"),
+        (["benchmark", "--gamma", "2"], "benchmarks.json"),
+        (["benchmark", "--gamma", "2", "--with-lp"], "benchmarks.json"),
+        (["verify", "--gamma", "2"], "verification.json"),
+        (["verify", "--gamma", "2", "--pap"], "verification.json"),
+    ],
+    ids=["solve", "benchmark", "benchmark-with-lp", "verify", "verify-pap"],
+)
+def test_schema_names_every_written_key(tmp_path, capsys, argv, name):
+    code, _out, err = run(capsys, *argv, "--grid", "11", "--out", str(tmp_path))
+    assert code == 0, err
+    required, optional = _schema_keys(cli.SCHEMAS[argv[0]][name])
+    written = set(json.loads((tmp_path / name).read_text()))
+    assert required <= written <= required | optional
+
 
 def test_sweep_serial_and_parallel_match(tmp_path, capsys):
     # sweeps run in one process: rows come in gamma order, objectives rise with gamma
