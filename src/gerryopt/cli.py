@@ -27,6 +27,7 @@ EXIT_VERIFY = 4
 # exit code per error kind (``GerryOptError.kind``)
 EXIT_CODES = {"config": EXIT_CONFIG, "solver": EXIT_CONFIG, "data": EXIT_DATA}
 
+# the output files of each command, keyed by command in the order ``--help`` lists them
 SCHEMAS = {
     "solve": {
         "plan.json": "[{support: [[type, weight]...], mass}] per district",
@@ -90,7 +91,7 @@ def _write_csv(out: str, name: str, header: str, rows) -> str:
 def _write_report(out: str, name: str, report: dict) -> None:
     """Write ``report`` as indented JSON and echo it compactly on stdout."""
     with _output(out, name) as path, open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(report, indent=2, sort_keys=True))  # json.dump would make thousands of small writes
     print(json.dumps(report, sort_keys=True))
 
 
@@ -195,7 +196,7 @@ def cmd_benchmark(args) -> int:
             "cutoff": no_aggregate.cutoff,
             "pool_mean": no_aggregate.pool_mean,
             "value": no_aggregate.value,
-            "plan": json.loads(no_aggregate.plan.to_json()),
+            "plan": no_aggregate.plan.districts(),
         },
         "no_idiosyncratic": bm.no_idiosyncratic_value(inst),
         "matching_slices": expected_seat_share(inst, slices),
@@ -297,11 +298,20 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``gerryopt`` parser with all six subcommands, or with the one named
+    ``only``.  Its usage names all six either way, so each subcommand's usage,
+    help and error text is the same from both."""
     parser = argparse.ArgumentParser(prog="gerryopt", description=__doc__, allow_abbrev=False)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # argparse names the command argument by its metavar in an error about the
+    # command itself, which only the full parser can raise (``main`` builds one
+    # subcommand only for a known command), so the full parser keeps none
+    metavar = None if only is None else "{" + ",".join(SCHEMAS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
     def command(name, func, help):
+        if only not in (None, name):
+            return None
         p = sub.add_parser(name, help=help, allow_abbrev=False)
         p.set_defaults(func=func)
         return p
@@ -316,46 +326,52 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output dir (default $GERRYOPT_OUT or .)")
         p.add_argument("--schema", action="store_true", help="print output schema and exit")
 
-    p = command("solve", cmd_solve, "solve the designer LP at one gamma")
-    instance(p)
-    output(p)
+    if p := command("solve", cmd_solve, "solve the designer LP at one gamma"):
+        instance(p)
+        output(p)
 
-    p = command("sweep", cmd_sweep, "solve across a gamma list")
-    instance(p, gamma=False)
-    output(p)
-    p.add_argument("--gammas", default="", help="comma-separated gamma values")
-    p.add_argument("--jobs", type=int, default=1, help="accepted only as 1, until the benchmark drops it")
+    if p := command("sweep", cmd_sweep, "solve across a gamma list"):
+        instance(p, gamma=False)
+        output(p)
+        p.add_argument("--gammas", default="", help="comma-separated gamma values")
+        p.add_argument("--jobs", type=int, default=1, help="accepted only as 1, until the benchmark drops it")
 
-    p = command("benchmark", cmd_benchmark, "closed-form benchmarks and heuristic plans")
-    instance(p)
-    output(p)
-    p.add_argument("--r0", type=float, default=0.5, help="known shock for the no-aggregate benchmark")
-    p.add_argument("--with-lp", action="store_true", help="also solve the LP for comparison")
+    if p := command("benchmark", cmd_benchmark, "closed-form benchmarks and heuristic plans"):
+        instance(p)
+        output(p)
+        p.add_argument("--r0", type=float, default=0.5, help="known shock for the no-aggregate benchmark")
+        p.add_argument("--with-lp", action="store_true", help="also solve the LP for comparison")
 
-    p = command("verify", cmd_verify, "structural and duality checks on a fresh solve")
-    instance(p)
-    output(p)
-    p.add_argument("--pap", action="store_true", help="run the quadruple-scan certificate instead")
+    if p := command("verify", cmd_verify, "structural and duality checks on a fresh solve"):
+        instance(p)
+        output(p)
+        p.add_argument("--pap", action="store_true", help="run the quadruple-scan certificate instead")
 
-    p = command("estimate", cmd_estimate, "estimate gamma from precinct returns CSV")
-    output(p)
-    p.add_argument("--input", required=False)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--strict", action="store_true", help="malformed rows are fatal")
-    p.add_argument("--descriptives", action="store_true", help="also emit histogram and Q-Q CSVs")
+    if p := command("estimate", cmd_estimate, "estimate gamma from precinct returns CSV"):
+        output(p)
+        p.add_argument("--input", required=False)
+        p.add_argument("--alpha", type=float, default=0.1)
+        p.add_argument("--strict", action="store_true", help="malformed rows are fatal")
+        p.add_argument("--descriptives", action="store_true", help="also emit histogram and Q-Q CSVs")
 
-    p = command("simulate", cmd_simulate, "write synthetic precinct returns")
-    p.add_argument("--gamma", type=float, default=14.75)
-    output(p)
-    p.add_argument("--elections", type=int, default=3)
-    p.add_argument("--precincts", type=int, default=1000)
-    p.add_argument("--votes", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    if p := command("simulate", cmd_simulate, "write synthetic precinct returns"):
+        p.add_argument("--gamma", type=float, default=14.75)
+        output(p)
+        p.add_argument("--elections", type=int, default=3)
+        p.add_argument("--precincts", type=int, default=1000)
+        p.add_argument("--votes", type=int, default=1000)
+        p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command ``argv`` names (default ``sys.argv[1:]``); return its
+    exit code.  When ``argv[0]`` is a command, only its subcommand is built:
+    a quarter of the full parser's cost, which a short command pays on every
+    call.  Any other ``argv`` (``--help``, none, an unknown command) gets the
+    full parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in SCHEMAS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse config errors -> exit code 2

@@ -64,7 +64,8 @@ _CONTESTED = {"0": False, "1": True, "false": False, "true": True}
 # generation: 32768-row batches set off about three full collections (0.23 s)
 # per 160k-row file in a process holding 300k other objects, 2048-row
 # batches none or one.  ``simulate_returns`` builds at most this many rows per
-# block, which bounds its transient arrays the same way.
+# block, which bounds its transient arrays and its row buffer the same way;
+# what it keeps for the whole file, the precinct ids' digits, is O(n) bytes.
 CHUNK_ROWS = 2048
 # The characters the C reader takes: printable ASCII but space and the quote
 # character, and the line terminators.
@@ -446,7 +447,14 @@ def _shares(v: np.ndarray) -> np.ndarray:
     scaled = v * 1e12
     whole = np.floor(scaled)
     fraction = scaled - whole
-    out = np.insert(_digits(whole.astype(np.int64) + (fraction > 0.5), 13), 1, ord("."), axis=1)
+    rounded = whole.astype(np.int64) + (fraction > 0.5)
+    quads = np.empty((len(v), 3), np.int64)  # the 12 decimals in groups of 4
+    for j in (2, 1, 0):
+        rounded, quads[:, j] = np.divmod(rounded, 10000)
+    out = np.empty((len(v), 14), np.uint8)
+    out[:, 0] = rounded + ord("0")  # what is left is the units digit, 0 or 1
+    out[:, 1] = ord(".")
+    out[:, 2:] = _QUADS[quads].view(np.uint8)
     near = np.flatnonzero(np.abs(fraction - 0.5) < 1e-3)
     out[near] = np.frombuffer("".join(f"{x:.12f}" for x in v[near].tolist()).encode(), np.uint8).reshape(-1, 14)
     return out
@@ -467,10 +475,14 @@ def simulate_returns(
 
     The file is UTF-8 and what ``csv.writer`` writes (``\\r\\n`` line ends,
     shares with 12 decimals); only ``state`` can need quoting, so it alone goes
-    through the csv module.  Each year's rows are built as blocks of bytes,
-    at most ``CHUNK_ROWS`` rows of one precinct-id width per block.  A gamma
-    that prints every share of a year as 0 or 1, which ``ingest`` drops, is
-    rejected before the file is opened."""
+    through the csv module.  The precincts are cut into blocks of at most
+    ``CHUNK_ROWS`` rows of one precinct-id width, and each block's id digits
+    are built once and written in every year: n bytes per id digit, no more
+    than the 8n bytes of ``s`` up to 10**8 precincts.  Each (year, id width)
+    gets one row buffer holding its constant fields; a block fills in only
+    its ids and shares and is written with one call.  A gamma that prints
+    every share of a year as 0 or 1, which ``ingest`` drops, is rejected
+    before the file is opened."""
     check_gamma(gamma)
     if T < 1 or n_precincts < 1 or votes_per_precinct < 1:
         raise GerryOptError("simulator parameters must be positive")
@@ -488,23 +500,31 @@ def simulate_returns(
     csv.writer(quoted).writerow([state, ""])
     state_field = quoted.getvalue()[: -len(",\r\n")]
     votes = f",{votes_per_precinct},".encode()
+    blocks, start = [], 0  # (first precinct, id digits) per block
+    while start < n_precincts:
+        width = max(5, len(str(start)))  # of the precinct number, as p{n:05d} writes it
+        stop = min(start + CHUNK_ROWS, 10**width, n_precincts)
+        blocks.append((start, np.ascontiguousarray(_digits(np.arange(start, stop), width))))
+        start = stop
     with open(path, "wb") as fh:
         fh.write((",".join(CSV_FIELDS) + "\r\n").encode())
         for t in range(T):
             v = ndtr(s - r[t])
             lead = f"{state_field},{2016 + 2 * t},p".encode()
-            start = 0
-            while start < n_precincts:
-                width = max(5, len(str(start)))  # of the precinct number, as p{n:05d} writes it
-                stop = min(start + CHUNK_ROWS, 10**width, n_precincts)
-                number = _digits(np.arange(start, stop), width)
-                # {state},{year},p{n:05d},d{n % 10:02d},{votes},{share:.12f},1; a bytes part is on every row
-                parts = [lead, number, b",d0", number[:, -1:], votes, _shares(v[start:stop]), b",1\r\n"]
-                fh.write(np.hstack([
-                    np.broadcast_to(np.frombuffer(p, np.uint8), (stop - start, len(p))) if isinstance(p, bytes) else p
-                    for p in parts
-                ]))
-                start = stop
+            layout = None
+            for start, number in blocks:
+                m, width = number.shape
+                if width != layout:
+                    layout = width
+                    # {state},{year},p{n:05d},d{n % 10:02d},{votes},{share:.12f},1 with the id and share left as NULs
+                    row = lead + bytes(width) + b",d0" + bytes(1) + votes + bytes(14) + b",1\r\n"
+                    rows = np.empty((min(CHUNK_ROWS, n_precincts), len(row)), np.uint8)
+                    rows[:] = np.frombuffer(row, np.uint8)
+                    ids = slice(len(lead), len(lead) + width)
+                rows[:m, ids] = number
+                rows[:m, ids.stop + 3] = number[:, -1]
+                rows[:m, -18:-4] = _shares(v[start : start + m])  # the 14 bytes before ",1\r\n"
+                fh.write(rows[:m])
 
 
 SHARE_BINS = np.round(np.arange(0.0, 1.0 + 1e-12, 0.05), 10)

@@ -292,12 +292,15 @@ class Plan:
             raise GerryOptError("district contains a type not on the instance grid")
         return np.bincount(idx, weights=self.mass[self.district] * self.weights, minlength=grid.size)
 
-    def to_json(self) -> str:
+    def districts(self) -> list:
+        """The plan as JSON data: per district, ``{"support": [[type, weight],
+        ...], "mass": m}``."""
         support = np.column_stack([self.types, self.weights]).tolist()
         bounds = np.flatnonzero(np.r_[True, np.diff(self.district) != 0, True]).tolist()
-        return json.dumps(
-            [{"support": support[a:b], "mass": m} for a, b, m in zip(bounds, bounds[1:], self.mass.tolist())]
-        )
+        return [{"support": support[a:b], "mass": m} for a, b, m in zip(bounds, bounds[1:], self.mass.tolist())]
+
+    def to_json(self) -> str:
+        return json.dumps(self.districts())
 
     @staticmethod
     def from_json(text: str) -> "Plan":

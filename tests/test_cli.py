@@ -639,6 +639,38 @@ def test_cli_surface():
     assert surface == CLI_FLAGS
 
 
+@pytest.mark.parametrize("command", list(CLI_FLAGS))
+def test_invoked_command_parser_reads_as_the_full_one(command, capsys, monkeypatch):
+    # main builds only the invoked subcommand; its help and its argparse errors,
+    # the top-level parser's "unrecognized arguments" among them, read exactly
+    # as the full parser's do
+    build_parser, built = cli.build_parser, []
+    monkeypatch.setattr(cli, "build_parser", lambda only=None: built.append(only) or build_parser(only))
+    for tail, code, text in (
+        (["--help"], 0, f"usage: gerryopt {command} "),
+        (["--out"], 2, "argument --out: expected one argument"),
+        (["--no-such-flag"], 2, "unrecognized arguments: --no-such-flag"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, *tail])
+        assert exc.value.code == code
+        want = capsys.readouterr()
+        assert text in want.out + want.err
+        assert run(capsys, command, *tail) == (code, want.out, want.err), tail
+    assert built == [command] * 3
+
+
+def test_help_and_unknown_command_list_every_command(capsys):
+    listing = "{" + ",".join(CLI_FLAGS) + "}"
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    assert f"usage: gerryopt [-h] {listing} ..." in out
+    code, _, err = run(capsys, "bogus")
+    assert code == 2
+    assert f"usage: gerryopt [-h] {listing} ..." in err
+    assert "error: argument command: invalid choice: 'bogus'" in err
+
+
 def test_flags_only_where_read(tmp_path, capsys):
     for argv in (
         ["verify", "--gamma", "2", "--seed", "1"],

@@ -307,18 +307,26 @@ def reference_simulate(path, gamma, T=3, n_precincts=1000, votes_per_precinct=10
 
 
 @pytest.mark.parametrize(
-    "params",
+    "chunk_rows, params",
     [
-        {"n_precincts": 100_003, "T": 1},  # precinct ids go from 5 to 6 digits
-        {"T": 3993, "n_precincts": 1},  # the last year is 10000
-        {"state": "A,B", "votes_per_precinct": 1},
-        {"state": 'q"x', "votes_per_precinct": 123456},
-        {"state": ""},
-        {"state": "Ñu", "n_precincts": 10},
+        (E.CHUNK_ROWS, {"n_precincts": 100_003, "T": 1}),  # precinct ids go from 5 to 6 digits
+        (E.CHUNK_ROWS, {"T": 3993, "n_precincts": 1}),  # the last year is 10000
+        (E.CHUNK_ROWS, {"state": "A,B", "votes_per_precinct": 1}),
+        (E.CHUNK_ROWS, {"state": 'q"x', "votes_per_precinct": 123456}),
+        (E.CHUNK_ROWS, {"state": ""}),
+        (E.CHUNK_ROWS, {"state": "Ñu", "n_precincts": 10}),
+        # the id width changes in every year: the ids built once are written
+        # again, into a row buffer rebuilt for each (year, width)
+        (E.CHUNK_ROWS, {"n_precincts": 100_003, "T": 2}),
+        (7, {"n_precincts": 100, "T": 3}),  # many blocks, the last one short
     ],
-    ids=["id_width", "year_width", "comma_state", "quote_state", "empty_state", "utf8_state"],
+    ids=[
+        "id_width", "year_width", "comma_state", "quote_state", "empty_state", "utf8_state",
+        "id_width_years", "short_blocks",
+    ],
 )
-def test_simulator_matches_row_at_a_time_writer(tmp_path, params):
+def test_simulator_matches_row_at_a_time_writer(tmp_path, monkeypatch, chunk_rows, params):
+    monkeypatch.setattr(E, "CHUNK_ROWS", chunk_rows)
     got, want = tmp_path / "got.csv", tmp_path / "want.csv"
     E.simulate_returns(str(got), gamma=7.0, seed=4, **params)
     reference_simulate(str(want), gamma=7.0, seed=4, **params)
